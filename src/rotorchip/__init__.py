@@ -2,9 +2,12 @@
 
 Decides reachability, recurrence, linear equivalence and desk-scale
 halting, with exact arbitrary-precision integer linear algebra over the
-graph Laplacian and run-length-encoded ribbon structures whose routing
-arithmetic is polynomial in bit length.  Every decision procedure has an
-independent brute-force oracle; the sweeps compare them wholesale.
+graph Laplacian (one fraction-free Bareiss elimination of the reduced
+Laplacian per solve: O(n^3) integer operations on numbers of at most twice
+the bit length of its Hadamard bound) and run-length-encoded ribbon
+structures whose routing arithmetic is polynomial in bit length.  Every
+decision procedure has an independent brute-force oracle; the sweeps
+compare them wholesale.
 """
 
 from .errors import BudgetExceededError, InstanceFormatError
@@ -18,7 +21,6 @@ from .multigraph import (
 )
 from .intlinalg import (
     PeriodBasis,
-    hermite_row_reduce,
     is_reduced,
     is_routing_reduced,
     nonneg_reduced_solution,
@@ -26,7 +28,6 @@ from .intlinalg import (
     primitive_period_vector,
     reduce_routing_vector,
     reduce_vector,
-    solve_integer,
 )
 from .chipfiring import (
     BoundedChipResult,
@@ -77,7 +78,6 @@ __all__ = [
     "is_strongly_connected",
     "scc_decompose",
     "PeriodBasis",
-    "hermite_row_reduce",
     "is_reduced",
     "is_routing_reduced",
     "nonneg_reduced_solution",
@@ -85,7 +85,6 @@ __all__ = [
     "primitive_period_vector",
     "reduce_routing_vector",
     "reduce_vector",
-    "solve_integer",
     "BoundedChipResult",
     "ChipGameTrace",
     "ChipReachVerdict",

@@ -5,6 +5,8 @@ of calling the engine helpers, so an engine bug cannot silently agree
 with its oracle.  All searches carry explicit state budgets and raise
 BudgetExceededError rather than run unbounded; the sweeps size their
 instances so the budgets are never the binding constraint.
+The Hermite-normal-form integer solver lives here too, as the oracle for
+the engine's exact linear algebra.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import deque
 from random import Random
 
 from .errors import BudgetExceededError
-from .multigraph import DirectedMultigraph, IntVector
+from .multigraph import DirectedMultigraph, IntMatrix, IntVector
 from .rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
 
 DEFAULT_MAX_STATES = 200_000
@@ -220,6 +222,104 @@ def random_legal_chip_sequence(
             cur[u] += g.mult[v][u]
         seq.append(v)
     return tuple(seq)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: returns (x, y, g) with x*a + y*b == g == gcd(a, b)."""
+    x, next_x = 1, 0
+    y, next_y = 0, 1
+    g, next_g = a, b
+    while next_g:
+        q = g // next_g
+        x, next_x = next_x, x - q * next_x
+        y, next_y = next_y, y - q * next_y
+        g, next_g = next_g, g - q * next_g
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def hermite_row_reduce(rows: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Unimodular row reduction to Hermite (row echelon) form.
+
+    Returns (H, U) with U @ rows == H, U unimodular.  Pivots are positive
+    and entries above each pivot are reduced modulo it, which keeps H
+    small; the entries of U still grow quickly with the dimension.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    h = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = None
+        for i in range(r, m):
+            if h[i][c] == 0:
+                continue
+            if piv is None:
+                piv = i
+                continue
+            a, b = h[piv][c], h[i][c]
+            x, y, g = _xgcd(a, b)
+            aa, bb = a // g, b // g
+            h[piv], h[i] = (
+                [x * p + y * q for p, q in zip(h[piv], h[i])],
+                [-bb * p + aa * q for p, q in zip(h[piv], h[i])],
+            )
+            u[piv], u[i] = (
+                [x * p + y * q for p, q in zip(u[piv], u[i])],
+                [-bb * p + aa * q for p, q in zip(u[piv], u[i])],
+            )
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        u[r], u[piv] = u[piv], u[r]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [p - q * s for p, s in zip(h[i], h[r])]
+                u[i] = [p - q * s for p, s in zip(u[i], u[r])]
+        r += 1
+    return h, u
+
+
+def solve_integer(a: IntMatrix, d: IntVector) -> IntVector | None:
+    """Some integer x with a @ x == d, or None when no integer solution exists.
+
+    Reduces the column lattice of ``a`` to Hermite form and expresses d in
+    it.  The transform matrix carried along has entries whose bit length
+    explodes with the dimension, so this is a desk-scale oracle for the
+    Bareiss solver in ``intlinalg``, not a solver for large graphs.
+    """
+    m = len(a)
+    if len(d) != m:
+        raise ValueError("dimension mismatch between matrix and right-hand side")
+    ncols = len(a[0]) if m else 0
+    # rows of b are the columns of a; the column lattice becomes a row lattice
+    b = tuple(tuple(a[i][j] for i in range(m)) for j in range(ncols))
+    h, u = hermite_row_reduce(b)
+    residual = list(d)
+    coeff = [0] * ncols
+    for i in range(ncols):
+        pivot_col = next((j for j, val in enumerate(h[i]) if val), None)
+        if pivot_col is None:
+            continue
+        if residual[pivot_col] == 0:
+            continue
+        q, rem = divmod(residual[pivot_col], h[i][pivot_col])
+        if rem:
+            return None
+        coeff[i] = q
+        residual = [p - q * s for p, s in zip(residual, h[i])]
+    if any(residual):
+        return None
+    # d == coeff @ h == coeff @ u @ b, so x = u^T @ coeff solves a @ x == d
+    return tuple(sum(coeff[i] * u[i][j] for i in range(ncols)) for j in range(ncols))
 
 
 def enumerate_digraphs(n: int, max_mult: int):

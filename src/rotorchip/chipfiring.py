@@ -50,7 +50,7 @@ def fire_many(g: DirectedMultigraph, x: ChipConfig, v: int, k: int) -> ChipConfi
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChipGameTrace:
     """A legal game as batches: fire ``vertex`` ``count`` times in a row."""
 
@@ -134,7 +134,7 @@ def bounded_chip_game(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChipReachVerdict:
     """Outcome of a chip reachability query.
 
@@ -223,7 +223,7 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
     return nonneg_reduced_solution(g, tuple(b - a for a, b in zip(x, y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HaltingVerdict:
     """Result of simulating the unbounded game from x.
 

@@ -15,8 +15,8 @@ from .bruteforce import bfs_reach_chip, bfs_reach_rotor
 from .errors import BudgetExceededError, InstanceFormatError
 from .generators import FAMILIES, gen_instance
 from .instancefile import Instance, parse_instance, serialize_instance
-from .intlinalg import period_basis, primitive_period_vector
-from .multigraph import is_strongly_connected, scc_decompose
+from .intlinalg import period_basis
+from .multigraph import scc_decompose
 from .sweeps import SWEEPS
 
 EXIT_OK = 0
@@ -62,11 +62,9 @@ def _config(instance: Instance, name: str | None):
 
 
 def _cmd_period(args, out) -> int:
-    instance = _load(args.instance)
-    g = instance.graph
-    basis = period_basis(g)
-    if is_strongly_connected(g):
-        out(f"p={_fmt_vec(primitive_period_vector(g))} per={basis.per}")
+    basis = period_basis(_load(args.instance).graph)
+    if len(basis.scc.components) == 1:
+        out(f"p={_fmt_vec(basis.component_vectors[0])} per={basis.per}")
     else:
         out(f"per={basis.per}")
     for comp_id in basis.sink_indices:

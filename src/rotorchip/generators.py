@@ -117,8 +117,18 @@ def gen_instance(
 
 
 def _random_small_graph(
-    rng: Random, n_max: int, mult_max: int, force_strongly_connected: bool
+    rng: Random,
+    n_max: int,
+    mult_max: int,
+    force_strongly_connected: bool,
+    shared_rows: dict[tuple[int, ...], tuple[int, ...]],
 ) -> DirectedMultigraph:
+    """A random graph on at most n_max vertices.
+
+    Rows equal to one in ``shared_rows`` reuse its tuple: callers keep
+    thousands of cases alive at once, and at this scale only a few
+    hundred distinct rows occur.
+    """
     n = rng.randint(2, n_max)
     rows = [[0] * n for _ in range(n)]
     if force_strongly_connected:
@@ -130,7 +140,9 @@ def _random_small_graph(
     for u in range(n):
         for v in range(n):
             rows[u][v] = min(rows[u][v], mult_max)
-    return DirectedMultigraph(n, tuple(tuple(r) for r in rows))
+    return DirectedMultigraph(
+        n, tuple(shared_rows.setdefault(row, row) for row in map(tuple, rows))
+    )
 
 
 def _random_chips(rng: Random, n: int, chips_max: int) -> tuple[int, ...]:
@@ -170,8 +182,9 @@ def rotor_case_stream(
     (guaranteed reachable).
     """
     rng = Random(seed)
+    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5)
+        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5, shared_rows)
         ribbon = random_ribbon(g, rng)
         source = ChipRotorConfig(
             _random_chips(rng, g.n, chips_max), _random_rotors(ribbon, rng)
@@ -212,8 +225,9 @@ def chip_case_stream(
 ):
     """Endless stream of chip reachability cases at oracle scale."""
     rng = Random(seed)
+    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5)
+        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5, shared_rows)
         source = _random_chips(rng, g.n, chips_max)
         mode = rng.choice(("random", "laplacian-image", "rollout"))
         if mode == "random":
@@ -244,6 +258,7 @@ def strongly_connected_stream(
 ):
     """Endless stream of (graph, chips) with the graph strongly connected."""
     rng = Random(seed)
+    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, True)
+        g = _random_small_graph(rng, n_max, mult_max, True, shared_rows)
         yield g, _random_chips(rng, g.n, chips_max)

@@ -1,20 +1,26 @@
 """Exact integer linear algebra over Laplacian lattices.
 
-Everything here works with arbitrary-precision ints (and exact rationals
-internally), never floats: the answers are lattice memberships and
-primitive kernel vectors, where rounding would be wrong and multiplicities
-may be huge.
+Everything here works with arbitrary-precision ints, never floats or
+rationals: the answers are lattice memberships and primitive kernel
+vectors, where rounding would be wrong and multiplicities may be huge.
+
+The one solver is fraction-free Bareiss elimination (Bareiss 1968) of the
+reduced Laplacian: the Laplacian with the row and column of one root per
+sink component deleted.  It costs O(n^3) integer operations.  Every
+entry the elimination produces, and every returned value, is a minor of
+the reduced Laplacian with its right-hand sides appended, so it stays
+within that matrix's Hadamard bound; back substitution multiplies two
+such minors, which at most doubles the bit length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from typing import Sequence
 
 from .multigraph import (
     DirectedMultigraph,
-    IntMatrix,
     IntVector,
     SccDecomposition,
     induced_subgraph,
@@ -23,145 +29,110 @@ from .multigraph import (
 )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (x, y, g) with x*a + y*b == g == gcd(a, b)."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+def _solve_reduced(
+    g: DirectedMultigraph, roots: Sequence[int], columns: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve the reduced system for several right-hand sides at once.
 
-
-def hermite_row_reduce(rows: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Unimodular row reduction to Hermite (row echelon) form.
-
-    Returns (H, U) with U @ rows == H, U unimodular.  Pivots are positive
-    and entries above each pivot are reduced modulo it, which keeps
-    intermediate growth tame.
+    The matrix is minus the Laplacian with the rows and columns of
+    ``roots`` deleted; every vertex must reach a root, so it is
+    nonsingular and all its leading principal minors are positive
+    (matrix-tree theorem).  Returns ``(det, sols)``: ``det`` is its
+    determinant and ``sols[c]`` is the full-length integer vector
+    ``det * x`` with x solving the system for ``columns[c]`` restricted to
+    the non-roots, zero at the roots.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    h = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if h[i][c] == 0:
-                continue
-            if piv is None:
-                piv = i
-                continue
-            a, b = h[piv][c], h[i][c]
-            x, y, g = _xgcd(a, b)
-            aa, bb = a // g, b // g
-            h[piv], h[i] = (
-                [x * p + y * q for p, q in zip(h[piv], h[i])],
-                [-bb * p + aa * q for p, q in zip(h[piv], h[i])],
-            )
-            u[piv], u[i] = (
-                [x * p + y * q for p, q in zip(u[piv], u[i])],
-                [-bb * p + aa * q for p, q in zip(u[piv], u[i])],
-            )
-        if piv is None:
-            continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                h[i] = [p - q * s for p, s in zip(h[i], h[r])]
-                u[i] = [p - q * s for p, s in zip(u[i], u[r])]
-        r += 1
-    return h, u
+    root_set = set(roots)
+    rest = [v for v in range(g.n) if v not in root_set]
+    m = len(rest)
+    degs = g.out_degrees()
+    mult = g.mult
+    rows = [
+        [degs[u] if u == v else -mult[v][u] for v in rest] + [col[u] for col in columns]
+        for u in rest
+    ]
+    # forward elimination; each division by the previous pivot is exact
+    prev = 1
+    for k in range(m):
+        pivot_row = rows[k]
+        pk = pivot_row[k]
+        if pk <= 0:
+            raise ArithmeticError("reduced Laplacian has a nonpositive leading minor")
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, m):
+            row = rows[i]
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif pk != prev:
+                row[k + 1 :] = [pk * x // prev for x in row[k + 1 :]]
+        prev = pk
+    det = prev
+    # back substitution on det * x, exact because det * x is integral (Cramer)
+    sols = []
+    for c in range(len(columns)):
+        scaled = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            acc = det * row[m + c]
+            for j in range(i + 1, m):
+                acc -= row[j] * scaled[j]
+            scaled[i] = acc // row[i]
+        full = [0] * g.n
+        for i, v in enumerate(rest):
+            full[v] = scaled[i]
+        sols.append(full)
+    return det, sols
 
 
-def solve_integer(a: IntMatrix, d: IntVector) -> IntVector | None:
-    """Some integer x with a @ x == d, or None when no integer solution exists.
+def _shift_congruence(
+    num: list[int], ker: list[int], comp: Sequence[int], det: int
+) -> int | None:
+    """Some integer y with det dividing num[v] + y * ker[v] for all v in comp.
 
-    Reduces the column lattice of ``a`` to Hermite form and expresses d in
-    it, so cost is polynomial in the bit length of the entries.
+    The solutions y form one residue class modulo ``step``, a divisor of
+    det; each vertex adds a linear congruence that refines it.  None when
+    the congruences are inconsistent.
     """
-    m = len(a)
-    if len(d) != m:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    ncols = len(a[0]) if m else 0
-    # rows of b are the columns of a; the column lattice becomes a row lattice
-    b = tuple(tuple(a[i][j] for i in range(m)) for j in range(ncols))
-    h, u = hermite_row_reduce(b)
-    residual = list(d)
-    coeff = [0] * ncols
-    for i in range(ncols):
-        pivot_col = next((j for j, val in enumerate(h[i]) if val), None)
-        if pivot_col is None:
-            continue
-        if residual[pivot_col] == 0:
-            continue
-        q, rem = divmod(residual[pivot_col], h[i][pivot_col])
-        if rem:
+    y, step = 0, 1
+    for v in comp:
+        a = step * ker[v] % det
+        b = -(num[v] + y * ker[v]) % det
+        common = gcd(a, det)
+        if b % common:
             return None
-        coeff[i] = q
-        residual = [p - q * s for p, s in zip(residual, h[i])]
-    if any(residual):
-        return None
-    # d == coeff @ h == coeff @ u @ b, so x = u^T @ coeff solves a @ x == d
-    return tuple(sum(coeff[i] * u[i][j] for i in range(ncols)) for j in range(ncols))
+        modulus = det // common
+        y += step * ((b // common) * pow(a // common, -1, modulus) % modulus)
+        step *= modulus
+    return y
+
+
+def _shift_down(out: list[int], comp: Sequence[int], step: Sequence[int]) -> None:
+    """Subtract the multiple of ``step`` on ``comp`` that makes out reduced there."""
+    shift = min(out[v] // step[v] for v in comp)
+    if shift:
+        for v in comp:
+            out[v] -= shift * step[v]
 
 
 def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """The unique positive coprime vector p with laplacian(g) @ p == 0.
 
     Only strongly connected graphs have one; a single isolated vertex
-    yields (1,).
+    yields (1,).  With vertex 0 as root, det times the reduced solution
+    for column 0 of the Laplacian, completed by p(0) = det, is a kernel
+    vector (the arborescence counts of the matrix-tree theorem); dividing
+    by its gcd makes it primitive.
     """
     if not is_strongly_connected(g):
         raise ValueError("period vector requires a strongly connected graph")
-    n = g.n
-    if n == 1:
-        return (1,)
-    rows = [[Fraction(x) for x in row] for row in g.laplacian()]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        raise ArithmeticError("Laplacian kernel of a strongly connected graph must be one-dimensional")
-    sol = [Fraction(0)] * n
-    sol[free[0]] = Fraction(1)
-    for i, c in enumerate(pivots):
-        sol[c] = -rows[i][free[0]]
-    denom = lcm(*(x.denominator for x in sol))
-    ints = [int(x * denom) for x in sol]
-    common = gcd(*ints)
-    ints = [x // common for x in ints]
-    if ints[free[0]] < 0:
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
+    det, (ker,) = _solve_reduced(g, (0,), (g.mult[0],))
+    ker[0] = det
+    common = gcd(*ker)
+    p = tuple(x // common for x in ker)
+    if any(x <= 0 for x in p):
         raise ArithmeticError("primitive period vector must be positive on a strongly connected graph")
-    return tuple(ints)
+    return p
 
 
 @dataclass(frozen=True)
@@ -208,30 +179,47 @@ def period_basis(g: DirectedMultigraph) -> PeriodBasis:
 def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | None:
     """The unique reduced f >= 0 with laplacian(g) @ f == d, or None.
 
-    Entries outside sink components are forced; inside each sink component
-    the solution is shifted by the component's period vector until it is
-    nonnegative and does not dominate it.
+    One elimination of the reduced Laplacian (one root per sink
+    component) yields det times a rational solution f0 that is zero at
+    the roots, and det times each sink component's kernel vector.  The
+    deleted root rows decide rational solvability.  Entries outside sink
+    components are forced and must be integral and nonnegative; inside
+    sink component i every solution is f0 + t * p_i, and integrality is a
+    set of linear congruences in the one unknown shift, solved with gcd
+    and modular inverses.  Finally each sink component is shifted by
+    its period vector until it is nonnegative and does not dominate it.
     """
-    if len(d) != g.n:
+    n = g.n
+    if len(d) != n:
         raise ValueError("dimension mismatch between graph and right-hand side")
-    f = solve_integer(g.laplacian(), d)
-    if f is None:
-        return None
-    basis = period_basis(g)
-    out = list(f)
-    in_sink = [False] * g.n
-    for i in basis.sink_indices:
-        for v in basis.scc.components[i]:
-            in_sink[v] = True
-    if any(out[v] < 0 for v in range(g.n) if not in_sink[v]):
-        return None
-    for i in basis.sink_indices:
-        p = basis.component_vectors[i]
-        comp = basis.scc.components[i]
-        shift = min(out[v] // p[v] for v in comp)
-        if shift:
-            for v in comp:
-                out[v] -= shift * p[v]
+    scc = scc_decompose(g)
+    sinks = [scc.components[i] for i in scc.sink_component_ids()]
+    roots = [comp[0] for comp in sinks]
+    det, (num, *kers) = _solve_reduced(
+        g, roots, [[-x for x in d]] + [g.mult[s] for s in roots]
+    )
+    mult = g.mult
+    for s in roots:
+        if sum(mult[v][s] * num[v] for v in range(n)) != det * d[s]:
+            return None
+    out = [0] * n
+    for v in range(n):
+        if not scc.is_sink[scc.component_of[v]]:
+            q, r = divmod(num[v], det)
+            if r or q < 0:
+                return None
+            out[v] = q
+    p = [0] * n
+    for comp, s, ker in zip(sinks, roots, kers):
+        ker[s] = det
+        y = _shift_congruence(num, ker, comp, det)
+        if y is None:
+            return None
+        common = gcd(*(ker[v] for v in comp))
+        for v in comp:
+            out[v] = (num[v] + y * ker[v]) // det
+            p[v] = ker[v] // common
+        _shift_down(out, comp, p)
     return tuple(out)
 
 
@@ -275,12 +263,7 @@ def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:
     basis = period_basis(g)
     out = list(f)
     for i in basis.sink_indices:
-        p = basis.component_vectors[i]
-        comp = basis.scc.components[i]
-        shift = min(out[v] // p[v] for v in comp)
-        if shift:
-            for v in comp:
-                out[v] -= shift * p[v]
+        _shift_down(out, basis.scc.components[i], basis.component_vectors[i])
     return tuple(out)
 
 
@@ -294,11 +277,7 @@ def reduce_routing_vector(g: DirectedMultigraph, r: IntVector) -> IntVector:
         if basis.scc.is_trivial[i]:
             continue
         p = basis.component_vectors[i]
-        comp = basis.scc.components[i]
-        shift = min(out[v] // (p[v] * degs[v]) for v in comp)
-        if shift:
-            for v in comp:
-                out[v] -= shift * p[v] * degs[v]
+        _shift_down(out, basis.scc.components[i], [x * deg for x, deg in zip(p, degs)])
     return tuple(out)
 
 

@@ -8,14 +8,16 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedMultigraph:
     """Loopless directed multigraph on vertices ``0..n-1``.
 
     ``mult[u][v]`` counts the parallel edges u -> v.  Entries are plain
     Python ints, so multiplicities far beyond machine word size stay
     exact; all derived quantities (degrees, Laplacian) inherit that.
-    Instances are immutable; the build helpers return new graphs.
+    Instances are immutable; the build helpers return new graphs.  They
+    use slots, because sweeps and benchmarks hold thousands of small
+    graphs at once.
     """
 
     n: int

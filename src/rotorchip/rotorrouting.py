@@ -229,7 +229,7 @@ def route_many(
     return pi_r(ribbon, config, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotorGameTrace:
     """A legal rotor game as batches: route ``vertex`` ``count`` times."""
 
@@ -381,16 +381,17 @@ def reachability_sets(
     return s1, t, s2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotorReachVerdict:
     """Outcome of a rotor reachability query.
 
     decision is "YES" or "NO" (the procedure is polynomial and always
     conclusive).  On YES, ``routing_vector`` is the reduced odometer of
     a legal game from source to target, and ``trace`` replays one such
-    game when the trace budget allowed producing it.  On NO, ``reason``
-    says whether unconstrained routing already fails or which
-    obstruction set is nonempty.
+    game when the trace budget allowed producing it; otherwise ``reason``
+    is "trace-budget-exceeded".  On NO, ``reason`` says whether
+    unconstrained routing already fails or which obstruction set is
+    nonempty.
     """
 
     decision: str
@@ -414,7 +415,8 @@ def reach_rotor(
     Reachable iff c2 is the unconstrained image under the reduced r and
     both obstruction sets for that r are empty.  On YES the r-bounded
     game achieves odometer r, so its trace is a legal witness; if the
-    trace budget runs out the decision stands with trace = None.
+    trace budget runs out the decision stands with trace = None and
+    reason "trace-budget-exceeded".
     """
     r = unconstrained_reach(g, ribbon, c1, c2)
     if r is None:
@@ -432,7 +434,9 @@ def reach_rotor(
     try:
         trace = bounded_rotor_game(ribbon, c1, r, max_batches=max_batches).trace
     except BudgetExceededError:
-        trace = None
+        return RotorReachVerdict(
+            "YES", routing_vector=r, t=t, reason="trace-budget-exceeded"
+        )
     return RotorReachVerdict("YES", routing_vector=r, t=t, trace=trace)
 
 

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import enumerate_digraphs
+from rotorchip.bruteforce import enumerate_digraphs, hermite_row_reduce, solve_integer
+from rotorchip.generators import gen_graph
 from rotorchip.intlinalg import (
-    hermite_row_reduce,
     is_reduced,
     is_routing_reduced,
     nonneg_reduced_solution,
@@ -16,7 +17,6 @@ from rotorchip.intlinalg import (
     primitive_period_vector,
     reduce_routing_vector,
     reduce_vector,
-    solve_integer,
 )
 from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected, scc_decompose
 
@@ -152,6 +152,51 @@ class TestNonnegReducedSolution:
                 if got is not None:
                     assert mat_vec(lap, got) == d
                     assert is_reduced(g, got)
+
+
+# every loop-free graph on 3 vertices with multiplicities up to 2: several
+# sink components, trivial (out-degree-0) sinks and non-strongly-connected
+# graphs among them
+_DESK_GRAPHS = tuple(enumerate_digraphs(3, 2))
+
+
+@st.composite
+def _graphs(draw) -> DirectedMultigraph:
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_DESK_GRAPHS))
+    size = draw(st.integers(min_value=2, max_value=6))
+    return gen_graph("random", size, Random(draw(st.integers(min_value=0, max_value=2**32))))
+
+
+def _oracle_reduced_solution(g: DirectedMultigraph, d: tuple[int, ...]) -> tuple[int, ...] | None:
+    """HNF solve, nonnegativity outside the sinks, then reduce_vector."""
+    f = solve_integer(g.laplacian(), d)
+    if f is None:
+        return None
+    scc = scc_decompose(g)
+    in_sink = {v for i in scc.sink_component_ids() for v in scc.components[i]}
+    if any(f[v] < 0 for v in range(g.n) if v not in in_sink):
+        return None
+    # adding period vectors makes the sink entries nonnegative, as
+    # reduce_vector requires, without changing the reduced representative
+    lift = max(0, -min(f))
+    for vec in period_basis(g).kernel_vectors():
+        f = tuple(a + lift * b for a, b in zip(f, vec))
+    return reduce_vector(g, f)
+
+
+class TestSolverMatchesHnfOracle:
+    @given(_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_and_perturbed_right_hand_sides(self, g: DirectedMultigraph, data) -> None:
+        vec = st.lists(st.integers(min_value=-4, max_value=4), min_size=g.n, max_size=g.n)
+        d = mat_vec(g.laplacian(), tuple(data.draw(vec)))
+        perturbed = tuple(a + b for a, b in zip(d, data.draw(vec)))
+        for rhs in (d, perturbed):
+            got = nonneg_reduced_solution(g, rhs)
+            assert got == _oracle_reduced_solution(g, rhs), (g.mult, rhs)
+            if got is not None:
+                assert mat_vec(g.laplacian(), got) == rhs
 
 
 class TestReduced:

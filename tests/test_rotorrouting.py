@@ -286,6 +286,15 @@ class TestReachRotor:
         assert v.trace is not None and v.trace.replay(d21_ribbon)
         assert v.trace.final == c2
 
+    def test_yes_names_exhausted_trace_budget(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
+        c1 = ChipRotorConfig((1, 0), (0, 0))
+        c2 = ChipRotorConfig((0, 1), (1, 0))
+        v = reach_rotor(d21, d21_ribbon, c1, c2, max_batches=0)
+        assert v.decision == "YES"
+        assert v.routing_vector == (1, 0)
+        assert v.trace is None
+        assert v.reason == "trace-budget-exceeded"
+
     def test_no_not_unconstrained(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
         c1 = ChipRotorConfig((0, 0), (0, 0))
         c2 = ChipRotorConfig((1, 0), (0, 0))
