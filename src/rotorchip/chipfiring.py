@@ -6,15 +6,23 @@ is x(v) >= outdeg(v).  All game procedures are deterministic (smallest
 eligible vertex first); the bounded-game abelian property makes the
 outcome schedule-independent, so determinism costs nothing and buys
 reproducible traces.
+
+The games keep their eligible vertices in a min-heap instead of
+rescanning all n: a firing at v takes chips only from v and gives them
+only to v's heads, so only those can change eligibility.  A firing or
+batch costs O(out-support(v) + log n) over the graph's cached
+adjacency; ``halts`` adds the O(n) snapshot of the configuration that
+its exact cycle detection keeps per firing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution, primitive_period_vector
-from .multigraph import DirectedMultigraph, IntVector, is_strongly_connected
+from .multigraph import DirectedMultigraph, IntVector, OutEdges, is_strongly_connected
 
 ChipConfig = IntVector
 CountVector = IntVector
@@ -24,14 +32,17 @@ DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_STATES = 500_000
 
 
+def _fire_in_place(chips: list[int], out: OutEdges, v: int, k: int) -> None:
+    """Fire v k times on ``chips``: O(out-support(v)) operations."""
+    deg, edges = out
+    chips[v] -= k * deg
+    for u, m in edges:
+        chips[u] += k * m
+
+
 def fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> ChipConfig:
     """Unconstrained firing: v sends one chip along each outgoing edge."""
-    out = list(x)
-    out[v] -= g.out_degree(v)
-    for u, m in enumerate(g.mult[v]):
-        if m:
-            out[u] += m
-    return tuple(out)
+    return fire_many(g, x, v, 1)
 
 
 def is_legal_fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> bool:
@@ -43,10 +54,7 @@ def fire_many(g: DirectedMultigraph, x: ChipConfig, v: int, k: int) -> ChipConfi
     if k < 0:
         raise ValueError("repetition count must be nonnegative")
     out = list(x)
-    out[v] -= k * g.out_degree(v)
-    for u, m in enumerate(g.mult[v]):
-        if m:
-            out[u] += k * m
+    _fire_in_place(out, g.adjacency()[v], v, k)
     return tuple(out)
 
 
@@ -60,21 +68,27 @@ class ChipGameTrace:
     firing_vector: CountVector
 
     def replay(self, g: DirectedMultigraph) -> bool:
-        """Re-run the batches, checking legality of every single firing."""
-        cur = self.initial
+        """Re-run the batches, checking legality of every single firing.
+
+        Each batch costs O(out-support) over the graph's adjacency.
+        """
+        adj = g.adjacency()
+        cur = list(self.initial)
         fired = [0] * g.n
         for v, k in self.batches:
-            deg = g.out_degree(v)
+            if not 0 <= v < g.n:
+                return False
+            deg = adj[v].degree
             # within a batch v only loses chips, so checking the k-th
             # firing's precondition covers all k of them
             if k < 1 or cur[v] < (k * deg if deg else 0):
                 return False
-            cur = fire_many(g, cur, v, k)
+            _fire_in_place(cur, adj[v], v, k)
             fired[v] += k
-        return cur == self.final and tuple(fired) == self.firing_vector
+        return tuple(cur) == self.final and tuple(fired) == self.firing_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedChipResult:
     firing_vector: CountVector
     final: ChipConfig
@@ -91,41 +105,38 @@ def bounded_chip_game(
 
     The firing vector and final configuration are the same for every
     maximal bounded schedule, so the deterministic greedy one (smallest
-    eligible vertex, largest safe batch) is canonical.  Raises
+    eligible vertex, largest safe batch) is canonical.  A batch spends
+    v's remaining bound or its pile, so v leaves the worklist and only
+    its heads can join: O(out-support(v) + log n) per batch.  Raises
     BudgetExceededError when more than ``max_batches`` batches are needed.
     """
     _check_count_vector(g, bound)
     if len(x) != g.n:
         raise ValueError("chip configuration length must match the vertex count")
-    degs = g.out_degrees()
+    adj = g.adjacency()
+    degs = [out.degree for out in adj]
     cur = list(x)
     fired = [0] * g.n
+    queued = [b > 0 and c >= d for b, c, d in zip(bound, cur, degs)]
+    heap = [v for v in range(g.n) if queued[v]]  # ascending, so a heap
     batches: list[tuple[int, int]] = []
-    while True:
-        batch = None
-        for v in range(g.n):
-            remaining = bound[v] - fired[v]
-            if remaining <= 0 or cur[v] < degs[v]:
-                continue
-            if degs[v] == 0:
-                # firing a sink moves nothing; burn the whole bound at once
-                batch = (v, remaining)
-            else:
-                batch = (v, min(remaining, cur[v] // degs[v]))
-            break
-        if batch is None:
-            break
+    while heap:
+        v = heappop(heap)
+        queued[v] = False
+        remaining = bound[v] - fired[v]
+        # firing a sink moves nothing; burn the whole bound at once
+        k = min(remaining, cur[v] // degs[v]) if degs[v] else remaining
         if len(batches) >= max_batches:
             raise BudgetExceededError(
                 f"bounded chip game exceeded {max_batches} batches"
             )
-        v, k = batch
-        cur[v] -= k * degs[v]
-        for u, m in enumerate(g.mult[v]):
-            if m:
-                cur[u] += k * m
+        _fire_in_place(cur, adj[v], v, k)
         fired[v] += k
-        batches.append(batch)
+        batches.append((v, k))
+        for u, _ in adj[v].edges:
+            if not queued[u] and cur[u] >= degs[u] and fired[u] < bound[u]:
+                queued[u] = True
+                heappush(heap, u)
     final = tuple(cur)
     return BoundedChipResult(
         firing_vector=tuple(fired),
@@ -253,31 +264,47 @@ def halts(
     The visited space is finite (piles never drop below min(x(v), 0) and
     the total is conserved), so on a non-halting instance some
     configuration repeats; that repeat is the non-halting certificate.
+    The legal vertices sit in a min-heap, smallest fired first; a
+    firing costs O(out-support(v) + log n) plus the O(n) snapshot of
+    the configuration that exact cycle detection keeps.
     """
     if not is_strongly_connected(g):
         raise ValueError("halting analysis requires a strongly connected graph")
     if len(x) != g.n:
         raise ValueError("configuration length must match the vertex count")
-    cur = tuple(x)
+    adj = g.adjacency()
+    degs = [out.degree for out in adj]
+    cur = list(x)
+    state = tuple(cur)
     fired = [0] * g.n
-    seen: dict[ChipConfig, CountVector] = {cur: tuple(fired)}
+    seen: dict[ChipConfig, CountVector] = {state: tuple(fired)}
+    queued = [c >= d for c, d in zip(cur, degs)]
+    heap = [v for v in range(g.n) if queued[v]]  # ascending, so a heap
     for _ in range(max_steps):
-        v = next((u for u in range(g.n) if is_legal_fire(g, cur, u)), None)
-        if v is None:
-            return HaltingVerdict("halts", final=cur, firing_vector=tuple(fired))
-        cur = fire(g, cur, v)
+        if not heap:
+            return HaltingVerdict("halts", final=state, firing_vector=tuple(fired))
+        v = heap[0]
+        _fire_in_place(cur, adj[v], v, 1)
         fired[v] += 1
-        if cur in seen:
-            first = seen[cur]
+        if cur[v] < degs[v]:
+            queued[v] = False
+            heappop(heap)
+        for u, _ in adj[v].edges:
+            if not queued[u] and cur[u] >= degs[u]:
+                queued[u] = True
+                heappush(heap, u)
+        state = tuple(cur)
+        if state in seen:
+            first = seen[state]
             return HaltingVerdict(
                 "non-halting",
-                certificate=cur,
+                certificate=state,
                 witness_to_certificate=first,
                 witness_cycle=tuple(b - a for a, b in zip(first, fired)),
             )
         if len(seen) >= max_states:
             return HaltingVerdict("budget-exceeded")
-        seen[cur] = tuple(fired)
+        seen[state] = tuple(fired)
     return HaltingVerdict("budget-exceeded")
 
 

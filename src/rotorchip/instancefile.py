@@ -9,7 +9,10 @@ ignored):
     chips [<name> :] <c0> <c1> ... <c_{n-1}>
     rotor [<name> :] <v> <position>
 
-The ``graph`` line comes first.  Multiplicities and chip counts are
+The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices:
+the graph is stored as a dense n x n matrix, so a larger count is
+rejected with InstanceFormatError (CLI exit 2) before anything is
+allocated.  Multiplicities and chip counts are
 unbounded decimals; chips may be negative.  A ``ribbon`` line fixes the
 cyclic out-edge order at one vertex; vertices without one get the
 default order (heads ascending, parallel edges consecutive).  ``chips``
@@ -26,9 +29,13 @@ from dataclasses import dataclass, field
 
 from .errors import InstanceFormatError
 from .multigraph import DirectedMultigraph
-from .rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
+from .rotorrouting import ChipRotorConfig, RibbonStructure
 
 DEFAULT_CONFIG_NAME = "default"
+
+# the dense multiplicity matrix holds n^2 entries: 4096 vertices take
+# about 130 MB
+MAX_VERTICES = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 
@@ -91,6 +98,10 @@ def parse_instance(text: str) -> Instance:
             n = _int(tokens[1], "vertex count", lineno)
             if n < 1:
                 raise InstanceFormatError("vertex count must be >= 1", lineno)
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
+                )
             mult = [[0] * n for _ in range(n)]
             continue
         if n is None or mult is None:
@@ -209,9 +220,13 @@ def parse_instance(text: str) -> Instance:
                 f"ribbon runs at vertex {v} do not match edge multiplicities",
                 ribbon_line_nos[v],
             )
-    runs = list(default_ribbon(graph).runs)
-    for v, rs in ribbon_lines.items():
-        runs[v] = rs
+    # the default order, only where no ribbon line gives one: heads
+    # ascending, parallel edges consecutive
+    runs = [
+        ribbon_lines[v] if v in ribbon_lines
+        else tuple((u, m) for u, m in enumerate(row) if m)
+        for v, row in enumerate(mult)
+    ]
     ribbon = RibbonStructure(tuple(runs))
 
     degs = ribbon.degrees

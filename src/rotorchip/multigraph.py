@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
+from typing import NamedTuple
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
+
+# graphs on at most this many vertices share one OutEdges per distinct row
+# and keep no per-graph copy, and ribbons that small share their vertex
+# orders: sweeps and benchmarks hold thousands of them, with only a few
+# hundred distinct rows among them
+_SHARED_ROW_MAX = 16
+
+
+class OutEdges(NamedTuple):
+    """One vertex's out-degree and its (head, mult) pairs, heads ascending."""
+
+    degree: int
+    edges: tuple[tuple[int, int], ...]
+
+
+def _out_edges(row: IntVector) -> OutEdges:
+    heads = tuple(compress(range(len(row)), row))
+    return OutEdges(sum(row), tuple(zip(heads, map(row.__getitem__, heads))))
+
+
+_shared_out_edges = lru_cache(maxsize=1024)(_out_edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -17,11 +41,15 @@ class DirectedMultigraph:
     exact; all derived quantities (degrees, Laplacian) inherit that.
     Instances are immutable; the build helpers return new graphs.  They
     use slots, because sweeps and benchmarks hold thousands of small
-    graphs at once.
+    graphs at once.  ``adjacency()`` is built on first use and kept in
+    the one cache slot, except on small graphs, which share it row by row.
     """
 
     n: int
     mult: IntMatrix
+    _adjacency: tuple[OutEdges, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -29,12 +57,14 @@ class DirectedMultigraph:
         mult = tuple(tuple(row) for row in self.mult)
         if len(mult) != self.n or any(len(row) != self.n for row in mult):
             raise ValueError("multiplicity matrix must be n x n")
-        for u, row in enumerate(mult):
-            for v, m in enumerate(row):
-                if m < 0:
-                    raise ValueError(f"negative multiplicity on edge {u}->{v}")
-                if u == v and m != 0:
-                    raise ValueError(f"loop at vertex {u} is not allowed")
+        # scan in C; name the first bad entry only when there is one
+        if min(map(min, mult)) < 0 or any(row[u] for u, row in enumerate(mult)):
+            for u, row in enumerate(mult):
+                for v, m in enumerate(row):
+                    if m < 0:
+                        raise ValueError(f"negative multiplicity on edge {u}->{v}")
+                    if u == v and m != 0:
+                        raise ValueError(f"loop at vertex {u} is not allowed")
         object.__setattr__(self, "mult", mult)
 
     @classmethod
@@ -57,18 +87,34 @@ class DirectedMultigraph:
         rows[u][v] += m
         return DirectedMultigraph(self.n, tuple(tuple(r) for r in rows))
 
+    def adjacency(self) -> tuple[OutEdges, ...]:
+        """Per vertex, its out-degree and nonzero (head, mult) pairs.
+
+        Built in O(n^2) on the first call and kept in the cache slot, so
+        every later walk over v's out-edges costs O(out-support(v)).
+        Small graphs instead look each row up in a bounded cache shared by
+        all graphs, in O(n^2) per call.
+        """
+        adj = self._adjacency
+        if adj is None:
+            if self.n <= _SHARED_ROW_MAX:
+                return tuple(map(_shared_out_edges, self.mult))
+            adj = tuple(map(_out_edges, self.mult))
+            object.__setattr__(self, "_adjacency", adj)
+        return adj
+
     def out_degree(self, v: int) -> int:
-        return sum(self.mult[v])
+        return self.adjacency()[v].degree
 
     def in_degree(self, v: int) -> int:
         return sum(row[v] for row in self.mult)
 
     def out_degrees(self) -> IntVector:
-        return tuple(sum(row) for row in self.mult)
+        return tuple(out.degree for out in self.adjacency())
 
     def successors(self, v: int) -> tuple[int, ...]:
         """Support successors: heads u with at least one edge v -> u."""
-        return tuple(u for u, m in enumerate(self.mult[v]) if m)
+        return tuple(u for u, _ in self.adjacency()[v].edges)
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u in range(self.n) if self.mult[u][v])
@@ -101,7 +147,7 @@ def _check_edge(n: int, u: int, v: int, m: int) -> None:
         raise ValueError(f"negative multiplicity on edge {u}->{v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SccDecomposition:
     """Strongly connected components of the support digraph.
 
@@ -123,9 +169,11 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     """Tarjan's algorithm over the support digraph, iteratively.
 
     Iterative on purpose: path-like graphs would otherwise hit the
-    recursion limit.
+    recursion limit.  Walks the cached adjacency, so it costs
+    O(n + support edges) once the adjacency exists.
     """
     n = g.n
+    adj = g.adjacency()
     index: list[int | None] = [None] * n
     low = [0] * n
     on_stack = [False] * n
@@ -141,17 +189,17 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(g.successors(root)))]
+        work = [(root, iter(adj[root].edges))]
         while work:
             v, succ_it = work[-1]
             descended = False
-            for w in succ_it:
+            for w, _ in succ_it:
                 if index[w] is None:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(g.successors(w))))
+                    work.append((w, iter(adj[w].edges)))
                     descended = True
                     break
                 if on_stack[w] and index[w] < low[v]:
@@ -178,7 +226,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     is_sink = [True] * k
     for u in range(n):
         cu = component_of[u]
-        for w in g.successors(u):
+        for w, _ in adj[u].edges:
             if component_of[w] != cu:
                 is_sink[cu] = False
     is_trivial = [len(c) == 1 for c in components]

@@ -4,7 +4,12 @@ A ribbon structure fixes, for every vertex, a cyclic order of its
 outgoing edges.  Orders are stored as runs (head, count): ``count``
 consecutive parallel edges to ``head``.  All closed-form operations cost
 O(number of runs) arbitrary-precision operations, never O(degree), so
-multiplicities around 10**18 stay cheap.
+multiplicities around 10**18 stay cheap.  One in-place kernel,
+``_route_vertex``, routes a single vertex k times in O(runs(v));
+``pi_r`` loops over it, ``route_many`` calls it once, and the bounded
+game and trace replay call it on their own lists.  The bounded game
+keeps its eligible vertices in a min-heap (smallest routed first), so a
+batch costs O(runs(v) + log n).
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -15,12 +20,14 @@ chip.  Sinks have no rotor and are never routed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
-from .multigraph import DirectedMultigraph, IntVector
+from .multigraph import _SHARED_ROW_MAX, DirectedMultigraph, IntVector
 
 CountVector = IntVector
 
@@ -29,24 +36,38 @@ DEFAULT_MAX_BATCHES = 1_000_000
 Run = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1024)
+def _shared_runs(runs_v: tuple[Run, ...]) -> tuple[Run, ...]:
+    """The first equal vertex order seen, so that equal orders share memory.
+
+    Ribbons on a few vertices are held by the thousand in sweeps and
+    benchmarks, and repeat a few hundred distinct vertex orders.
+    """
+    return runs_v
+
+
+@dataclass(frozen=True, slots=True)
 class RibbonStructure:
     """Cyclic out-edge orders, one run list per vertex.
 
     ``runs[v]`` lists (head, count) pairs; position i in [0, degree(v))
     refers to the i-th edge when the runs are laid out in order.  The
     cyclic order wraps from the last position back to position 0.
-    Construction validates shape only; ``validate_against`` ties the run
-    totals to a graph's edge multiplicities.
+    Construction validates shape only, in one pass per vertex;
+    ``validate_against`` ties the run totals to a graph's edge
+    multiplicities.
     """
 
     runs: tuple[tuple[Run, ...], ...]
+    degrees: IntVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        runs = tuple(tuple((int(h), int(c)) for h, c in rs) for rs in self.runs)
-        object.__setattr__(self, "runs", runs)
-        n = len(runs)
-        for v, rs in enumerate(runs):
+        n = len(self.runs)
+        runs = []
+        degrees = []
+        for v, rs in enumerate(self.runs):
+            rs = tuple((int(h), int(c)) for h, c in rs)
+            degree = 0
             for head, count in rs:
                 if not 0 <= head < n:
                     raise ValueError(f"run head {head} out of range at vertex {v}")
@@ -54,9 +75,11 @@ class RibbonStructure:
                     raise ValueError(f"self-loop run at vertex {v}")
                 if count < 1:
                     raise ValueError(f"run count must be positive at vertex {v}")
-        object.__setattr__(
-            self, "degrees", tuple(sum(c for _, c in rs) for rs in runs)
-        )
+                degree += count
+            runs.append(_shared_runs(rs) if n <= _SHARED_ROW_MAX else rs)
+            degrees.append(degree)
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "degrees", tuple(degrees))
 
     @property
     def n(self) -> int:
@@ -108,12 +131,7 @@ class RibbonStructure:
 
 def default_ribbon(g: DirectedMultigraph) -> RibbonStructure:
     """One run per distinct successor, heads in ascending order."""
-    return RibbonStructure(
-        tuple(
-            tuple((u, m) for u, m in enumerate(g.mult[v]) if m)
-            for v in range(g.n)
-        )
-    )
+    return RibbonStructure(tuple(out.edges for out in g.adjacency()))
 
 
 class ChipRotorConfig(NamedTuple):
@@ -172,14 +190,50 @@ def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotor
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
 
-def _window_overlap(a: int, c: int, w0: int, w: int, d: int) -> int:
-    """Size of [a, a+c) meeting the cyclic window [w0, w0+w) modulo d."""
-    if w == 0:
-        return 0
-    hi = w0 + w
-    if hi <= d:
-        return max(0, min(a + c, hi) - max(a, w0))
-    return max(0, min(a + c, d) - max(a, w0)) + max(0, min(a + c, hi - d) - a)
+def _send_positions(runs_v: tuple[Run, ...], chips: list[int], a: int, b: int) -> None:
+    """Send one chip along each out-edge at flat positions a..b-1, a < b.
+
+    Walks the runs only up to position b.
+    """
+    start = 0
+    for head, count in runs_v:
+        end = start + count
+        if end > a:
+            chips[head] += min(end, b) - max(start, a)
+            if end >= b:
+                return
+        start = end
+
+
+def _route_vertex(
+    runs_v: tuple[Run, ...],
+    degree: int,
+    chips: list[int],
+    rotors: list[int | None],
+    v: int,
+    k: int,
+) -> None:
+    """Route non-sink v k times in place, ignoring legality.
+
+    Each full rotor turn sends one chip along every out-edge; the partial
+    turn sends one along each of the k % degree positions stepped onto,
+    a cyclic window starting just after the rotor.  Cost is O(runs(v))
+    big-integer operations.
+    """
+    pos = rotors[v]
+    full, rem = divmod(k, degree)
+    chips[v] -= k
+    rotors[v] = (pos + k) % degree
+    if full:
+        for head, count in runs_v:
+            chips[head] += full * count
+    if rem:
+        w0 = (pos + 1) % degree
+        if w0 + rem <= degree:
+            _send_positions(runs_v, chips, w0, w0 + rem)
+        else:
+            _send_positions(runs_v, chips, w0, degree)
+            _send_positions(runs_v, chips, 0, w0 + rem - degree)
 
 
 def pi_r(
@@ -190,29 +244,14 @@ def pi_r(
     """Route each vertex v exactly r(v) times, ignoring legality.
 
     Unconstrained routings commute, so the result is order-independent.
-    Each full rotor turn sends one chip along every out-edge; the partial
-    turn covers the cyclic window of the r(v) % degree(v) positions
-    stepped onto.  Cost is O(total runs) big-integer operations.
+    Cost is O(total runs) big-integer operations.
     """
     _check_routing_vector(ribbon, r)
     chips = list(config.chips)
     rotors = list(config.rotors)
-    for v in range(ribbon.n):
-        rv = r[v]
-        if rv == 0:
-            continue
-        d = ribbon.degrees[v]
-        pos = rotors[v]
-        full, rem = divmod(rv, d)
-        chips[v] -= rv
-        w0 = (pos + 1) % d
-        start = 0
-        for head, count in ribbon.runs[v]:
-            gain = full * count + _window_overlap(start, count, w0, rem, d)
-            if gain:
-                chips[head] += gain
-            start += count
-        rotors[v] = (pos + rv) % d
+    for v, rv in enumerate(r):
+        if rv:
+            _route_vertex(ribbon.runs[v], ribbon.degrees[v], chips, rotors, v, rv)
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
 
@@ -222,11 +261,22 @@ def route_many(
     v: int,
     k: int,
 ) -> ChipRotorConfig:
-    """k unconstrained routings at a single vertex, in closed form."""
+    """k unconstrained routings at a single vertex, in closed form.
+
+    O(runs(v)) big-integer operations, plus copying the configuration.
+    """
     if k < 0:
         raise ValueError("repetition count must be nonnegative")
-    r = tuple(k if u == v else 0 for u in range(ribbon.n))
-    return pi_r(ribbon, config, r)
+    if not 0 <= v < ribbon.n:
+        raise ValueError(f"vertex {v} out of range")
+    if k == 0:
+        return config
+    if ribbon.is_sink(v):
+        raise ValueError(f"routing vector positive at sink vertex {v}")
+    chips = list(config.chips)
+    rotors = list(config.rotors)
+    _route_vertex(ribbon.runs[v], ribbon.degrees[v], chips, rotors, v, k)
+    return ChipRotorConfig(tuple(chips), tuple(rotors))
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,19 +292,23 @@ class RotorGameTrace:
         """Re-run the batches, checking legality of every single routing.
 
         Within a batch only v loses chips and loses exactly one per
-        routing, so chips(v) >= k certifies all k leg checks.
+        routing, so chips(v) >= k certifies all k leg checks.  Each
+        batch costs O(runs(v)).
         """
-        cur = self.initial
+        degs = ribbon.degrees
+        chips = list(self.initial.chips)
+        rotors = list(self.initial.rotors)
         routed = [0] * ribbon.n
         for v, k in self.batches:
-            if k < 1 or ribbon.is_sink(v) or cur.chips[v] < k:
+            if not 0 <= v < ribbon.n or k < 1 or degs[v] == 0 or chips[v] < k:
                 return False
-            cur = route_many(ribbon, cur, v, k)
+            _route_vertex(ribbon.runs[v], degs[v], chips, rotors, v, k)
             routed[v] += k
-        return cur == self.final and tuple(routed) == self.routing_vector
+        final = ChipRotorConfig(tuple(chips), tuple(rotors))
+        return final == self.final and tuple(routed) == self.routing_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedRotorResult:
     routing_vector: CountVector
     final: ChipRotorConfig
@@ -271,38 +325,37 @@ def bounded_rotor_game(
 
     Bounded rotor games are abelian, so the deterministic greedy schedule
     (smallest eligible vertex, largest safe batch) yields the canonical
-    routing vector, the game's odometer.
+    routing vector, the game's odometer.  A batch spends v's remaining
+    bound or its pile, so v leaves the worklist and only its heads can
+    join: O(runs(v) + log n) per batch.
     """
     validate_config(ribbon, config)
     if len(bound) != ribbon.n:
         raise ValueError("bound length must match the vertex count")
     if any(b < 0 for b in bound):
         raise ValueError("bound must be nonnegative")
+    runs, degs = ribbon.runs, ribbon.degrees
     chips = list(config.chips)
     rotors = list(config.rotors)
     routed = [0] * ribbon.n
+    queued = [d > 0 and b > 0 and c > 0 for d, b, c in zip(degs, bound, chips)]
+    heap = [v for v in range(ribbon.n) if queued[v]]  # ascending, so a heap
     batches: list[tuple[int, int]] = []
-    while True:
-        batch = None
-        for v in range(ribbon.n):
-            if ribbon.degrees[v] == 0:
-                continue
-            remaining = bound[v] - routed[v]
-            if remaining > 0 and chips[v] > 0:
-                batch = (v, min(remaining, chips[v]))
-                break
-        if batch is None:
-            break
+    while heap:
+        v = heappop(heap)
+        queued[v] = False
+        k = min(bound[v] - routed[v], chips[v])
         if len(batches) >= max_batches:
             raise BudgetExceededError(
                 f"bounded rotor game exceeded {max_batches} batches"
             )
-        v, k = batch
-        cur = route_many(ribbon, ChipRotorConfig(tuple(chips), tuple(rotors)), v, k)
-        chips = list(cur.chips)
-        rotors = list(cur.rotors)
+        _route_vertex(runs[v], degs[v], chips, rotors, v, k)
         routed[v] += k
-        batches.append(batch)
+        batches.append((v, k))
+        for u, _ in runs[v]:
+            if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
+                queued[u] = True
+                heappush(heap, u)
     final = ChipRotorConfig(tuple(chips), tuple(rotors))
     return BoundedRotorResult(
         routing_vector=tuple(routed),

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from rotorchip.bruteforce import (
     bfs_reach_chip,
+    enumerate_digraphs,
     oracle_is_recurrent,
     random_maximal_bounded_chip_game,
 )
 from rotorchip.chipfiring import (
+    HaltingVerdict,
     bounded_chip_game,
     fire,
     fire_many,
@@ -25,8 +27,9 @@ from rotorchip.chipfiring import (
     verify_nonhalting_certificate,
 )
 from rotorchip.errors import BudgetExceededError
+from rotorchip.generators import gen_graph
 from rotorchip.intlinalg import primitive_period_vector
-from rotorchip.multigraph import DirectedMultigraph
+from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected
 
 
 class TestFire:
@@ -272,3 +275,112 @@ def _after(g: DirectedMultigraph, x: tuple[int, ...], seq: list[int]) -> tuple[i
     for v in seq:
         cur = fire(g, cur, v)
     return cur
+
+
+# ---------------------------------------------------------------------------
+# The worklist engines against dense references: the loops they replaced,
+# which rescan from vertex 0 for the smallest eligible vertex.
+
+# one vertex (a sink), every 2-vertex graph with multiplicities up to 2,
+# every simple 3-vertex graph: sinks, sources and disconnected pieces
+_ENUMERATED = (
+    list(enumerate_digraphs(1, 0))
+    + list(enumerate_digraphs(2, 2))
+    + list(enumerate_digraphs(3, 1))
+)
+
+
+@st.composite
+def small_graphs(draw) -> DirectedMultigraph:
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_ENUMERATED))
+    family = draw(st.sampled_from(("random", "eulerian")))
+    size = draw(st.integers(min_value=2, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32))
+    return gen_graph(family, size, random.Random(seed))
+
+
+def _dense_fire(g: DirectedMultigraph, x, v: int, k: int) -> list[int]:
+    out = [c + k * m for c, m in zip(x, g.mult[v])]
+    out[v] -= k * sum(g.mult[v])
+    return out
+
+
+def _dense_halts(g: DirectedMultigraph, x, max_steps: int, max_states: int) -> HaltingVerdict:
+    cur = tuple(x)
+    fired = [0] * g.n
+    seen = {cur: tuple(fired)}
+    for _ in range(max_steps):
+        v = next((u for u in range(g.n) if cur[u] >= sum(g.mult[u])), None)
+        if v is None:
+            return HaltingVerdict("halts", final=cur, firing_vector=tuple(fired))
+        cur = tuple(_dense_fire(g, cur, v, 1))
+        fired[v] += 1
+        if cur in seen:
+            first = seen[cur]
+            return HaltingVerdict(
+                "non-halting",
+                certificate=cur,
+                witness_to_certificate=first,
+                witness_cycle=tuple(b - a for a, b in zip(first, fired)),
+            )
+        if len(seen) >= max_states:
+            return HaltingVerdict("budget-exceeded")
+        seen[cur] = tuple(fired)
+    return HaltingVerdict("budget-exceeded")
+
+
+def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
+    """(firing vector, final, batches); raises BudgetExceededError like the engine."""
+    cur = list(x)
+    fired = [0] * g.n
+    batches = []
+    while True:
+        for v in range(g.n):
+            deg = sum(g.mult[v])
+            remaining = bound[v] - fired[v]
+            if remaining > 0 and cur[v] >= deg:
+                break
+        else:
+            return tuple(fired), tuple(cur), tuple(batches)
+        k = min(remaining, cur[v] // deg) if deg else remaining
+        if len(batches) >= max_batches:
+            raise BudgetExceededError("dense reference")
+        cur = _dense_fire(g, cur, v, k)
+        fired[v] += k
+        batches.append((v, k))
+
+
+class TestScheduleMatchesDenseScan:
+    @given(
+        small_graphs(),
+        st.data(),
+        st.sampled_from((0, 1, 7, 1_000_000)),
+        st.sampled_from((1, 4, 500_000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_halts(self, g: DirectedMultigraph, data, max_steps: int, max_states: int) -> None:
+        degs = g.out_degrees()
+        x = tuple(data.draw(st.integers(min_value=-1, max_value=d + 1)) for d in degs)
+        if not is_strongly_connected(g):
+            with pytest.raises(ValueError):
+                halts(g, x, max_steps=max_steps, max_states=max_states)
+            return
+        expected = _dense_halts(g, x, max_steps, max_states)
+        assert halts(g, x, max_steps=max_steps, max_states=max_states) == expected
+
+    @given(small_graphs(), st.data(), st.sampled_from((0, 1, 3, 1_000_000)))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_chip_game(self, g: DirectedMultigraph, data, max_batches: int) -> None:
+        degs = g.out_degrees()
+        x = tuple(data.draw(st.integers(min_value=-1, max_value=3 * d + 1)) for d in degs)
+        bound = tuple(data.draw(st.integers(min_value=0, max_value=4)) for _ in degs)
+        try:
+            expected = _dense_bounded_chip_game(g, x, bound, max_batches)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                bounded_chip_game(g, x, bound, max_batches=max_batches)
+            return
+        res = bounded_chip_game(g, x, bound, max_batches=max_batches)
+        assert (res.firing_vector, res.final, res.trace.batches) == expected
+        assert res.trace.replay(g)

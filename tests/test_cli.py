@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 2" in err
+
+    def test_huge_vertex_count_exits_2_before_allocating(self, capsys, tmp_path: Path) -> None:
+        # a dense 100000 x 100000 matrix would exhaust memory
+        p = tmp_path / "huge.rcg"
+        p.write_text("graph 100000\n", encoding="utf-8")
+        start = time.perf_counter()
+        code = run_command(["chip-halting", str(p)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "exceeds the limit" in err and "line 1" in err
+        assert elapsed < 1.0
 
     def test_bad_vector_length(self, capsys, d21_path: str) -> None:
         code = run_command(["rotor-route", d21_path, "--config", "src", "--r", "1,2,3"])

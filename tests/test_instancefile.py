@@ -4,7 +4,12 @@ import pytest
 
 from rotorchip.errors import InstanceFormatError
 from rotorchip.generators import gen_instance
-from rotorchip.instancefile import Instance, parse_instance, serialize_instance
+from rotorchip.instancefile import (
+    MAX_VERTICES,
+    Instance,
+    parse_instance,
+    serialize_instance,
+)
 
 BASIC = """\
 # two-vertex example
@@ -94,6 +99,12 @@ class TestParseErrors:
         with pytest.raises(InstanceFormatError) as exc:
             parse_instance("graph 1\nbogus 1 2\n")
         assert exc.value.line == 2
+
+    def test_vertex_count_over_limit(self) -> None:
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(f"# too big\ngraph {MAX_VERTICES + 1}\nedge 0 1 1\n")
+        assert exc.value.line == 2
+        assert f"limit of {MAX_VERTICES}" in str(exc.value)
 
     def test_chip_count_mismatch(self) -> None:
         with pytest.raises(InstanceFormatError):

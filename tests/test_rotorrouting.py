@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import bfs_reach_rotor
+from rotorchip.bruteforce import bfs_reach_rotor, enumerate_digraphs
 from rotorchip.errors import BudgetExceededError
+from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import is_routing_reduced, primitive_period_vector
 from rotorchip.multigraph import DirectedMultigraph
 from rotorchip.rotorrouting import (
+    BoundedRotorResult,
     ChipRotorConfig,
     RibbonStructure,
     bounded_rotor_game,
@@ -405,3 +407,79 @@ class TestRotorDeletion:
         for v in trimmed:
             end_trim = route(rib, end_trim, v)
         assert end_full == end_trim
+
+
+# ---------------------------------------------------------------------------
+# The worklist engine against a dense reference: the loop it replaced,
+# rescanning from vertex 0, with each batch as k single routings.
+
+_ENUMERATED = (
+    list(enumerate_digraphs(1, 0))
+    + list(enumerate_digraphs(2, 2))
+    + list(enumerate_digraphs(3, 1))
+)
+
+
+@st.composite
+def small_ribbons(draw) -> RibbonStructure:
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(_ENUMERATED))
+    else:
+        family = draw(st.sampled_from(("random", "eulerian")))
+        size = draw(st.integers(min_value=2, max_value=8))
+        g = gen_graph(family, size, random.Random(draw(st.integers(0, 2 ** 32))))
+    return random_ribbon(g, random.Random(draw(st.integers(0, 2 ** 32))))
+
+
+def _dense_bounded_rotor_game(ribbon: RibbonStructure, config, bound, max_batches: int):
+    """(routing vector, final, batches); raises BudgetExceededError like the engine."""
+    cur = config
+    routed = [0] * ribbon.n
+    batches = []
+    while True:
+        for v in range(ribbon.n):
+            remaining = bound[v] - routed[v]
+            if not ribbon.is_sink(v) and remaining > 0 and cur.chips[v] > 0:
+                break
+        else:
+            return tuple(routed), cur, tuple(batches)
+        k = min(remaining, cur.chips[v])
+        if len(batches) >= max_batches:
+            raise BudgetExceededError("dense reference")
+        for _ in range(k):
+            cur = route(ribbon, cur, v)
+        routed[v] += k
+        batches.append((v, k))
+
+
+class TestScheduleMatchesDenseScan:
+    @given(small_ribbons(), st.data(), st.sampled_from((0, 1, 3, 1_000_000)))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_rotor_game(self, ribbon: RibbonStructure, data, max_batches: int) -> None:
+        degs = ribbon.degrees
+        chips = tuple(data.draw(st.integers(min_value=-1, max_value=2 * d + 1)) for d in degs)
+        rotors = tuple(data.draw(st.integers(0, d - 1)) if d else None for d in degs)
+        bound = tuple(data.draw(st.integers(0, 2 * d + 2)) if d else 0 for d in degs)
+        config = ChipRotorConfig(chips, rotors)
+        try:
+            expected = _dense_bounded_rotor_game(ribbon, config, bound, max_batches)
+        except BudgetExceededError:
+            with pytest.raises(BudgetExceededError):
+                bounded_rotor_game(ribbon, config, bound, max_batches=max_batches)
+            return
+        res = bounded_rotor_game(ribbon, config, bound, max_batches=max_batches)
+        assert isinstance(res, BoundedRotorResult)
+        assert (res.routing_vector, res.final, res.trace.batches) == expected
+        assert res.trace.replay(ribbon)
+
+    @given(small_ribbons(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_route_many_is_k_single_routings(self, ribbon: RibbonStructure, data) -> None:
+        v = data.draw(st.integers(0, ribbon.n - 1))
+        d = ribbon.degree(v)
+        k = data.draw(st.integers(0, 3 * d + 2)) if d else 0
+        rotors = tuple(data.draw(st.integers(0, dv - 1)) if dv else None for dv in ribbon.degrees)
+        cur = config = ChipRotorConfig(tuple(range(ribbon.n)), rotors)
+        for _ in range(k):
+            cur = route(ribbon, cur, v)
+        assert route_many(ribbon, config, v, k) == cur

@@ -1,8 +1,9 @@
-"""Scale tier: exact solves well past desk scale, under explicit bounds.
+"""Scale tier: exact solves and games well past desk scale, under explicit bounds.
 
 Wall-time bounds are several times the measured time on a 2-core Xeon
 KVM guest, whose speed drifts up to 2x; they catch a return to
-exponential bit growth, not small slowdowns.
+exponential bit growth or to O(n) work per game step, not small
+slowdowns.
 """
 
 from __future__ import annotations
@@ -14,10 +15,16 @@ from random import Random
 import pytest
 
 from rotorchip.bruteforce import random_legal_chip_sequence
-from rotorchip.chipfiring import fire, reach_chip
-from rotorchip.generators import gen_graph
+from rotorchip.chipfiring import fire, halts, reach_chip
+from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
+from rotorchip.rotorrouting import (
+    ChipRotorConfig,
+    bounded_rotor_game,
+    odometer_equals_bound,
+    pi_r,
+)
 
 
 def _rollout(g: DirectedMultigraph, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -86,3 +93,61 @@ def test_solution_and_periods_within_hadamard_bound(family: str, n: int) -> None
         assert max(abs(v) for v in f).bit_length() <= bits
         for p in period_basis(g).kernel_vectors():
             assert max(p).bit_length() <= bits
+
+
+def _apply_laplacian(g: DirectedMultigraph, x, f) -> tuple[int, ...]:
+    """x + L f, straight from the multiplicity matrix."""
+    out = list(x)
+    for v, k in enumerate(f):
+        out[v] -= k * sum(g.mult[v])
+        for u, m in enumerate(g.mult[v]):
+            out[u] += k * m
+    return tuple(out)
+
+
+def test_halts_cycling_start_eulerian_n300_within_wall_bound() -> None:
+    # one chip above the largest stable total, so the game never halts;
+    # from this start it fires 6,875 times before entering its orbit
+    # (measured 0.16 s for 7,175 firings)
+    g = gen_graph("eulerian", 300, Random(7))
+    x = [deg - 1 for deg in g.out_degrees()]
+    x[60] += 1
+    start = time.perf_counter()
+    verdict = halts(g, tuple(x))
+    elapsed = time.perf_counter() - start
+    assert verdict.kind == "non-halting"
+    assert sum(verdict.witness_to_certificate) > 5 * g.n
+    assert _apply_laplacian(g, x, verdict.witness_to_certificate) == verdict.certificate
+    # an Eulerian graph's period vector is all ones
+    assert len(set(verdict.witness_cycle)) == 1 and verdict.witness_cycle[0] > 0
+    assert elapsed < 2.0, f"halts n=300: {elapsed:.2f}s >= 2.0s"
+
+
+def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
+    # every edge carries about 10^18 parallel edges; about one turn of
+    # chips against a bound of ten turns, so most vertices wait for inflow
+    # and the games play 1,700-3,300 batches each (measured 0.08 s in all)
+    rng = Random(300)
+    g = gen_graph("heavy-multiplicity", 300, rng)
+    assert all(m == 0 or m >= 10 ** 17 for row in g.mult for m in row)
+    ribbon = random_ribbon(g, rng)
+    degs = ribbon.degrees
+    cases = []
+    for _ in range(10):
+        config = ChipRotorConfig(
+            tuple(rng.randint(0, d) for d in degs),
+            tuple(rng.randrange(d) for d in degs),
+        )
+        cases.append((config, tuple(10 * d + rng.randrange(d) for d in degs)))
+    start = time.perf_counter()
+    results = [bounded_rotor_game(ribbon, config, bound) for config, bound in cases]
+    elapsed = time.perf_counter() - start
+    for (config, bound), res in zip(cases, results):
+        odometer = res.routing_vector
+        assert len(res.trace.batches) > 1000
+        assert res.trace.replay(ribbon)
+        assert res.final == pi_r(ribbon, config, odometer)
+        # maximal: every vertex spent its bound or its chips
+        assert all(o == b or c <= 0 for o, b, c in zip(odometer, bound, res.final.chips))
+        assert odometer_equals_bound(ribbon, config, bound) == (odometer == bound)
+    assert elapsed < 1.0, f"bounded_rotor_game n=300: {elapsed:.2f}s >= 1.0s"
