@@ -220,12 +220,11 @@ def parse_instance(text: str) -> Instance:
                 f"ribbon runs at vertex {v} do not match edge multiplicities",
                 ribbon_line_nos[v],
             )
-    # the default order, only where no ribbon line gives one: heads
-    # ascending, parallel edges consecutive
+    # the default order (the graph's adjacency), only where no ribbon line
+    # gives one
+    adj = graph.adjacency()
     runs = [
-        ribbon_lines[v] if v in ribbon_lines
-        else tuple((u, m) for u, m in enumerate(row) if m)
-        for v, row in enumerate(mult)
+        ribbon_lines[v] if v in ribbon_lines else adj[v].edges for v in range(n)
     ]
     ribbon = RibbonStructure(tuple(runs))
 

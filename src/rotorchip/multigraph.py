@@ -10,11 +10,13 @@ from typing import NamedTuple
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
-# graphs on at most this many vertices share one OutEdges per distinct row
-# and keep no per-graph copy, and ribbons that small share their vertex
-# orders: sweeps and benchmarks hold thousands of them, with only a few
-# hundred distinct rows among them
-_SHARED_ROW_MAX = 16
+# Graphs and ribbons on at most this many vertices keep no adjacency or
+# vertex order of their own: equal rows share one entry through a bounded
+# cache.  The oracle sweeps and the case streams hold thousands of them
+# on 2-4 vertices at once, with a few hundred distinct rows among them,
+# where a copy per graph would cost about 650 bytes each.  Larger graphs
+# rarely repeat a row and keep their adjacency in the graph.
+SMALL_GRAPH_MAX_N = 8
 
 
 class OutEdges(NamedTuple):
@@ -42,7 +44,8 @@ class DirectedMultigraph:
     Instances are immutable; the build helpers return new graphs.  They
     use slots, because sweeps and benchmarks hold thousands of small
     graphs at once.  ``adjacency()`` is built on first use and kept in
-    the one cache slot, except on small graphs, which share it row by row.
+    the one cache slot, except on graphs of at most ``SMALL_GRAPH_MAX_N``
+    vertices, which share it row by row with other graphs.
     """
 
     n: int
@@ -57,14 +60,12 @@ class DirectedMultigraph:
         mult = tuple(tuple(row) for row in self.mult)
         if len(mult) != self.n or any(len(row) != self.n for row in mult):
             raise ValueError("multiplicity matrix must be n x n")
-        # scan in C; name the first bad entry only when there is one
-        if min(map(min, mult)) < 0 or any(row[u] for u, row in enumerate(mult)):
-            for u, row in enumerate(mult):
-                for v, m in enumerate(row):
-                    if m < 0:
-                        raise ValueError(f"negative multiplicity on edge {u}->{v}")
-                    if u == v and m != 0:
-                        raise ValueError(f"loop at vertex {u} is not allowed")
+        for u, row in enumerate(mult):
+            for v, m in enumerate(row):
+                if m < 0:
+                    raise ValueError(f"negative multiplicity on edge {u}->{v}")
+                if u == v and m != 0:
+                    raise ValueError(f"loop at vertex {u} is not allowed")
         object.__setattr__(self, "mult", mult)
 
     @classmethod
@@ -91,20 +92,19 @@ class DirectedMultigraph:
         """Per vertex, its out-degree and nonzero (head, mult) pairs.
 
         Built in O(n^2) on the first call and kept in the cache slot, so
-        every later walk over v's out-edges costs O(out-support(v)).
-        Small graphs instead look each row up in a bounded cache shared by
-        all graphs, in O(n^2) per call.
+        every later walk over v's out-edges costs O(out-support(v)).  On
+        small graphs each call looks the rows up in the shared cache.
         """
         adj = self._adjacency
         if adj is None:
-            if self.n <= _SHARED_ROW_MAX:
+            if self.n <= SMALL_GRAPH_MAX_N:
                 return tuple(map(_shared_out_edges, self.mult))
             adj = tuple(map(_out_edges, self.mult))
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def out_degree(self, v: int) -> int:
-        return self.adjacency()[v].degree
+        return sum(self.mult[v])
 
     def in_degree(self, v: int) -> int:
         return sum(row[v] for row in self.mult)
@@ -114,7 +114,7 @@ class DirectedMultigraph:
 
     def successors(self, v: int) -> tuple[int, ...]:
         """Support successors: heads u with at least one edge v -> u."""
-        return tuple(u for u, _ in self.adjacency()[v].edges)
+        return tuple(u for u, m in enumerate(self.mult[v]) if m)
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         return tuple(u for u in range(self.n) if self.mult[u][v])

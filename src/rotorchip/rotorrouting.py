@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
-from .multigraph import _SHARED_ROW_MAX, DirectedMultigraph, IntVector
+from .multigraph import SMALL_GRAPH_MAX_N, DirectedMultigraph, IntVector
 
 CountVector = IntVector
 
@@ -38,11 +38,7 @@ Run = tuple[int, int]
 
 @lru_cache(maxsize=1024)
 def _shared_runs(runs_v: tuple[Run, ...]) -> tuple[Run, ...]:
-    """The first equal vertex order seen, so that equal orders share memory.
-
-    Ribbons on a few vertices are held by the thousand in sweeps and
-    benchmarks, and repeat a few hundred distinct vertex orders.
-    """
+    """The first equal vertex order seen, so that small ribbons share it."""
     return runs_v
 
 
@@ -76,7 +72,7 @@ class RibbonStructure:
                 if count < 1:
                     raise ValueError(f"run count must be positive at vertex {v}")
                 degree += count
-            runs.append(_shared_runs(rs) if n <= _SHARED_ROW_MAX else rs)
+            runs.append(_shared_runs(rs) if n <= SMALL_GRAPH_MAX_N else rs)
             degrees.append(degree)
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "degrees", tuple(degrees))

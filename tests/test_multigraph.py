@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rotorchip.bruteforce import enumerate_digraphs, reachability_matrix
 from rotorchip.multigraph import (
+    SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
     induced_subgraph,
     is_eulerian,
@@ -64,6 +65,24 @@ class TestConstruction:
         assert g.edge_count() == 4
         assert g.is_sink_vertex(2)
         assert not g.is_sink_vertex(0)
+
+    @given(small_graphs(max_n=12, max_mult=10**18))
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matches_matrix(self, g: DirectedMultigraph) -> None:
+        # max_n straddles SMALL_GRAPH_MAX_N: shared rows below, kept above
+        adj = g.adjacency()
+        for row, out in zip(g.mult, adj):
+            assert out.degree == sum(row)
+            assert out.edges == tuple((u, m) for u, m in enumerate(row) if m)
+        assert g.adjacency() == adj
+
+    def test_adjacency_kept_or_shared(self) -> None:
+        n = SMALL_GRAPH_MAX_N + 1
+        big = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
+        assert big.adjacency() is big.adjacency()
+        g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        h = DirectedMultigraph.from_edges(3, [(0, 1, 2), (2, 1, 1)])
+        assert g.adjacency()[0] is h.adjacency()[0]
 
 
 class TestLaplacian:
