@@ -242,7 +242,9 @@ class HaltingVerdict:
     verdict carries a certificate: a configuration seen twice, hence
     recurrent and linearly equivalent to x.  ``witness_to_certificate``
     counts the firings from x to the certificate's first visit and
-    ``witness_cycle`` the firings around the observed loop.
+    ``witness_cycle`` the firings around the observed loop.  A
+    budget-exceeded verdict names the budget that ran out in ``reason``:
+    "max-steps" or "max-states".
     """
 
     kind: str
@@ -251,6 +253,7 @@ class HaltingVerdict:
     certificate: ChipConfig | None = None
     witness_to_certificate: CountVector | None = None
     witness_cycle: CountVector | None = None
+    reason: str | None = None
 
 
 def halts(
@@ -303,9 +306,9 @@ def halts(
                 witness_cycle=tuple(b - a for a, b in zip(first, fired)),
             )
         if len(seen) >= max_states:
-            return HaltingVerdict("budget-exceeded")
+            return HaltingVerdict("budget-exceeded", reason="max-states")
         seen[state] = tuple(fired)
-    return HaltingVerdict("budget-exceeded")
+    return HaltingVerdict("budget-exceeded", reason="max-steps")
 
 
 def verify_nonhalting_certificate(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> bool:

@@ -12,29 +12,35 @@ ignored):
 The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices:
 the graph is stored as a dense n x n matrix, so a larger count is
 rejected with InstanceFormatError (CLI exit 2) before anything is
-allocated.  Multiplicities and chip counts are
-unbounded decimals; chips may be negative.  A ``ribbon`` line fixes the
-cyclic out-edge order at one vertex; vertices without one get the
-default order (heads ascending, parallel edges consecutive).  ``chips``
-and ``rotor`` lines without a name belong to the configuration named
-"default".  Rotor positions are flat indices into the cyclic order;
-non-sink vertices without a ``rotor`` line sit at position 0, sinks
-carry no rotor.
+allocated.  Loading an instance costs time linear in the file plus
+O(n^2) for that matrix, which takes 8 bytes per entry of every row with
+an out-edge; rows without one share a single zero row
+(``scripts/parse_timing.py`` measures both).  Multiplicities and chip
+counts are unbounded decimals; chips may be negative.  A ``ribbon`` line
+fixes the cyclic out-edge order at one vertex; vertices without one get
+the default order (heads ascending, parallel edges consecutive).
+``chips`` and ``rotor`` lines without a name belong to the configuration
+named "default".  Rotor positions are flat indices into the cyclic
+order; non-sink vertices without a ``rotor`` line sit at position 0,
+sinks carry no rotor.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import InstanceFormatError
-from .multigraph import DirectedMultigraph
-from .rotorrouting import ChipRotorConfig, RibbonStructure
+from .multigraph import DirectedMultigraph, out_edges
+from .rotorrouting import ChipRotorConfig, RibbonStructure, runs_match_row
 
 DEFAULT_CONFIG_NAME = "default"
 
-# the dense multiplicity matrix holds n^2 entries: 4096 vertices take
-# about 130 MB
+# the dense multiplicity matrix holds n^2 entries of 8 bytes: at 4096
+# vertices with an edge out of every one, the parse peaks at 136 MB
+# (tracemalloc); a file without edges shares one zero row and peaks
+# under 1 MB
 MAX_VERTICES = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -75,96 +81,162 @@ def _int(token: str, what: str, line: int) -> int:
         raise InstanceFormatError(f"{what} must be an integer, got {token!r}", line)
 
 
-def parse_instance(text: str) -> Instance:
-    n: int | None = None
-    mult: list[list[int]] | None = None
-    ribbon_lines: dict[int, tuple[tuple[int, int], ...]] = {}
-    chip_lines: dict[str, list[int]] = {}
-    rotor_lines: dict[str, dict[int, int]] = {}
-    config_order: list[str] = []
-    ribbon_line_nos: dict[int, int] = {}
+def _vertex_count(tokens: list[str], lineno: int) -> int:
+    if len(tokens) != 2:
+        raise InstanceFormatError("expected: graph <n>", lineno)
+    n = _int(tokens[1], "vertex count", lineno)
+    if n < 1:
+        raise InstanceFormatError("vertex count must be >= 1", lineno)
+    if n > MAX_VERTICES:
+        raise InstanceFormatError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
+        )
+    return n
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive = tokens[0]
-        if directive == "graph":
-            if n is not None:
-                raise InstanceFormatError("duplicate graph line", lineno)
-            if len(tokens) != 2:
-                raise InstanceFormatError("expected: graph <n>", lineno)
-            n = _int(tokens[1], "vertex count", lineno)
-            if n < 1:
-                raise InstanceFormatError("vertex count must be >= 1", lineno)
-            if n > MAX_VERTICES:
-                raise InstanceFormatError(
-                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", lineno
-                )
-            mult = [[0] * n for _ in range(n)]
-            continue
-        if n is None or mult is None:
+
+def _edge(tokens: list[str], n: int, lineno: int) -> tuple[int, int, int]:
+    """Every check of an edge line, in order: the first failure is raised."""
+    u = _int(tokens[1], "edge tail", lineno)
+    v = _int(tokens[2], "edge head", lineno)
+    m = _int(tokens[3], "edge multiplicity", lineno)
+    if not (0 <= u < n and 0 <= v < n):
+        raise InstanceFormatError("edge endpoint out of range", lineno)
+    if u == v:
+        raise InstanceFormatError("loops are not allowed", lineno)
+    if m < 0:
+        raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
+    return u, v, m
+
+
+def _runs(
+    tokens: list[str], ids: dict[str, int], v: int, lineno: int
+) -> tuple[tuple[int, int], ...]:
+    """The runs of a ribbon line at v, checked token by token in order.
+
+    The fast path converts all tokens at once, at C level; only a line
+    that fails it (a bad token, or a head spelled other than ``str(i)``)
+    takes the per-token loop, which raises the first error or accepts it.
+    Counts below n are looked up in ``ids`` too; larger ones take ``int``.
+    """
+    run_tokens = tokens[3:]
+    heads_s, seps, counts_s = zip(*map(str.partition, run_tokens, repeat(":")))
+    heads = tuple(map(ids.get, heads_s))
+    counts = tuple(map(ids.get, counts_s))
+    if None in counts:
+        try:
+            counts = tuple(map(int, counts_s))
+        except ValueError:
+            counts = (0,)
+    if "" not in seps and None not in heads and v not in heads and min(counts) >= 1:
+        return tuple(zip(heads, counts))
+    n = len(ids)
+    runs: list[tuple[int, int]] = []
+    for tok in run_tokens:
+        head_s, sep, count_s = tok.partition(":")
+        if not sep:
             raise InstanceFormatError(
-                f"{directive} line before the graph line", lineno
+                f"ribbon run {tok!r} must look like <head>:<count>", lineno
             )
-        if directive == "edge":
+        head = _int(head_s, "run head", lineno)
+        count = _int(count_s, "run count", lineno)
+        if not 0 <= head < n:
+            raise InstanceFormatError("run head out of range", lineno)
+        if head == v:
+            raise InstanceFormatError("loops are not allowed", lineno)
+        if count < 1:
+            raise InstanceFormatError("run count must be >= 1", lineno)
+        runs.append((head, count))
+    return tuple(runs)
+
+
+def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[str]]:
+    """Split an optional ``<name> :`` prefix off a chips or rotor line."""
+    if ":" not in rest:
+        return DEFAULT_CONFIG_NAME, rest
+    if rest.index(":") != 1:
+        raise InstanceFormatError(f"expected: {usage}", lineno)
+    name = rest[0]
+    if not _NAME_RE.match(name):
+        raise InstanceFormatError(f"bad configuration name {name!r}", lineno)
+    return name, rest[2:]
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse and check an instance file in one pass over its lines.
+
+    Each token is converted once.  Vertex tokens are looked up in a table
+    of the canonical spellings ``str(i)``, ``0 <= i < n``: a hit is the
+    integer and its range check at once, and any other spelling (``+3``,
+    ``007``) takes the ``int`` path with the same checks and messages.
+    The first error in file order is raised with its line number; the
+    graph and ribbon are then built without the constructors' checks,
+    which the parser has already made.
+    """
+    n: int | None = None
+    ids: dict[str, int] = {}
+    rows: list = []
+    out_degrees: list[int] = []
+    ribbon_lines: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+    chip_lines: dict[str, tuple[int, ...]] = {}
+    rotor_lines: dict[str, dict[int, int]] = {}
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            continue
+        directive = tokens[0]
+        if n is None:
+            if directive != "graph":
+                raise InstanceFormatError(
+                    f"{directive} line before the graph line", lineno
+                )
+            n = _vertex_count(tokens, lineno)
+            # canonical spellings of 0..n-1: vertices, and small counts
+            ids = {str(i): i for i in range(n)}
+            # a row is allocated at its first edge; edgeless rows share one
+            rows = [None] * n
+            out_degrees = [0] * n
+        elif directive == "edge":
             if len(tokens) != 4:
                 raise InstanceFormatError("expected: edge <u> <v> <mult>", lineno)
-            u = _int(tokens[1], "edge tail", lineno)
-            v = _int(tokens[2], "edge head", lineno)
-            m = _int(tokens[3], "edge multiplicity", lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InstanceFormatError("edge endpoint out of range", lineno)
-            if u == v:
-                raise InstanceFormatError("loops are not allowed", lineno)
-            if m < 0:
-                raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
-            mult[u][v] += m
+            u = ids.get(tokens[1])
+            v = ids.get(tokens[2])
+            if u is None or v is None or u == v:
+                u, v, m = _edge(tokens, n, lineno)
+            else:
+                m = ids.get(tokens[3])
+                if m is None:
+                    m = _int(tokens[3], "edge multiplicity", lineno)
+                    if m < 0:
+                        raise InstanceFormatError(
+                            "edge multiplicity must be >= 0", lineno
+                        )
+            row = rows[u]
+            if row is None:
+                row = rows[u] = [0] * n
+            row[v] += m
+            out_degrees[u] += m
         elif directive == "ribbon":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise InstanceFormatError(
                     "expected: ribbon <v> : <head>:<count> ...", lineno
                 )
-            v = _int(tokens[1], "ribbon vertex", lineno)
-            if not 0 <= v < n:
-                raise InstanceFormatError("ribbon vertex out of range", lineno)
+            v = ids.get(tokens[1])
+            if v is None:
+                v = _int(tokens[1], "ribbon vertex", lineno)
+                if not 0 <= v < n:
+                    raise InstanceFormatError("ribbon vertex out of range", lineno)
             if v in ribbon_lines:
                 raise InstanceFormatError(
                     f"duplicate ribbon line for vertex {v}", lineno
                 )
-            runs: list[tuple[int, int]] = []
-            for tok in tokens[3:]:
-                head_s, sep, count_s = tok.partition(":")
-                if not sep:
-                    raise InstanceFormatError(
-                        f"ribbon run {tok!r} must look like <head>:<count>", lineno
-                    )
-                head = _int(head_s, "run head", lineno)
-                count = _int(count_s, "run count", lineno)
-                if not 0 <= head < n:
-                    raise InstanceFormatError("run head out of range", lineno)
-                if head == v:
-                    raise InstanceFormatError("loops are not allowed", lineno)
-                if count < 1:
-                    raise InstanceFormatError("run count must be >= 1", lineno)
-                runs.append((head, count))
-            ribbon_lines[v] = tuple(runs)
-            ribbon_line_nos[v] = lineno
+            ribbon_lines[v] = (_runs(tokens, ids, v, lineno), lineno)
         elif directive == "chips":
-            rest = tokens[1:]
-            name = DEFAULT_CONFIG_NAME
-            if ":" in rest:
-                if rest.index(":") != 1:
-                    raise InstanceFormatError(
-                        "expected: chips [<name> :] <c0> ...", lineno
-                    )
-                name = rest[0]
-                if not _NAME_RE.match(name):
-                    raise InstanceFormatError(
-                        f"bad configuration name {name!r}", lineno
-                    )
-                rest = rest[2:]
+            name, rest = _config_name(
+                tokens[1:], "chips [<name> :] <c0> ...", lineno
+            )
             if name in chip_lines:
                 raise InstanceFormatError(
                     f"duplicate chips line for configuration {name!r}", lineno
@@ -173,27 +245,19 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     f"chips line needs {n} values, got {len(rest)}", lineno
                 )
-            chip_lines[name] = [_int(t, "chip count", lineno) for t in rest]
-            config_order.append(name)
+            try:
+                chip_lines[name] = tuple(map(int, rest))
+            except ValueError:
+                for tok in rest:
+                    _int(tok, "chip count", lineno)
         elif directive == "rotor":
-            rest = tokens[1:]
-            name = DEFAULT_CONFIG_NAME
-            if ":" in rest:
-                if rest.index(":") != 1:
-                    raise InstanceFormatError(
-                        "expected: rotor [<name> :] <v> <position>", lineno
-                    )
-                name = rest[0]
-                if not _NAME_RE.match(name):
-                    raise InstanceFormatError(
-                        f"bad configuration name {name!r}", lineno
-                    )
-                rest = rest[2:]
+            usage = "rotor [<name> :] <v> <position>"
+            name, rest = _config_name(tokens[1:], usage, lineno)
             if len(rest) != 2:
-                raise InstanceFormatError(
-                    "expected: rotor [<name> :] <v> <position>", lineno
-                )
-            v = _int(rest[0], "rotor vertex", lineno)
+                raise InstanceFormatError(f"expected: {usage}", lineno)
+            v = ids.get(rest[0])
+            if v is None:
+                v = _int(rest[0], "rotor vertex", lineno)
             pos = _int(rest[1], "rotor position", lineno)
             if not 0 <= v < n:
                 raise InstanceFormatError("rotor vertex out of range", lineno)
@@ -204,31 +268,40 @@ def parse_instance(text: str) -> Instance:
                     lineno,
                 )
             positions[v] = pos
+        elif directive == "graph":
+            raise InstanceFormatError("duplicate graph line", lineno)
         else:
             raise InstanceFormatError(f"unknown directive {directive!r}", lineno)
 
-    if n is None or mult is None:
+    if n is None:
         raise InstanceFormatError("missing graph line")
-    graph = DirectedMultigraph(n, tuple(tuple(row) for row in mult))
+    # each list row becomes its tuple and is freed at once, so the matrix
+    # is never held twice
+    zero = (0,) * n
+    for u, row in enumerate(rows):
+        rows[u] = zero if row is None else tuple(row)
+    mult = tuple(rows)
+    del rows
 
-    for v, rs in ribbon_lines.items():
-        totals = [0] * n
-        for head, count in rs:
-            totals[head] += count
-        if totals != mult[v]:
+    for v, (runs_v, lineno) in ribbon_lines.items():
+        if not runs_match_row(runs_v, mult[v], out_degrees[v]):
             raise InstanceFormatError(
                 f"ribbon runs at vertex {v} do not match edge multiplicities",
-                ribbon_line_nos[v],
+                lineno,
             )
-    # the default order (the graph's adjacency), only where no ribbon line
-    # gives one
-    adj = graph.adjacency()
-    runs = [
-        ribbon_lines[v] if v in ribbon_lines else adj[v].edges for v in range(n)
-    ]
-    ribbon = RibbonStructure(tuple(runs))
+    # the default order (heads ascending), only where no ribbon line gives one
+    runs = []
+    for v, row in enumerate(mult):
+        if v in ribbon_lines:
+            runs.append(ribbon_lines[v][0])
+        elif row is zero:
+            runs.append(())
+        else:
+            runs.append(out_edges(row).edges)
+    degs = tuple(out_degrees)
+    graph = DirectedMultigraph.from_checked_rows(n, mult)
+    ribbon = RibbonStructure.from_checked_runs(tuple(runs), degs)
 
-    degs = ribbon.degrees
     for name, positions in rotor_lines.items():
         if name not in chip_lines:
             raise InstanceFormatError(
@@ -246,12 +319,12 @@ def parse_instance(text: str) -> Instance:
                 )
 
     configs: dict[str, ChipRotorConfig] = {}
-    for name in config_order:
+    for name, chips in chip_lines.items():
         positions = rotor_lines.get(name, {})
         rotors = tuple(
             None if degs[v] == 0 else positions.get(v, 0) for v in range(n)
         )
-        configs[name] = ChipRotorConfig(tuple(chip_lines[name]), rotors)
+        configs[name] = ChipRotorConfig(chips, rotors)
     return Instance(graph, ribbon, configs)
 
 

@@ -26,12 +26,13 @@ class OutEdges(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
-def _out_edges(row: IntVector) -> OutEdges:
+def out_edges(row: IntVector) -> OutEdges:
+    """The adjacency entry of one multiplicity row, in O(n)."""
     heads = tuple(compress(range(len(row)), row))
     return OutEdges(sum(row), tuple(zip(heads, map(row.__getitem__, heads))))
 
 
-_shared_out_edges = lru_cache(maxsize=1024)(_out_edges)
+_shared_out_edges = lru_cache(maxsize=1024)(out_edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +70,21 @@ class DirectedMultigraph:
         object.__setattr__(self, "mult", mult)
 
     @classmethod
+    def from_checked_rows(cls, n: int, mult: IntMatrix) -> DirectedMultigraph:
+        """Wrap n rows of n ints without checking them again.
+
+        For callers that have already made the constructor's checks
+        (nonnegative entries, zero diagonal) and report failures their
+        own way, as the instance parser does with line numbers.  The rows
+        must be tuples; equal rows may be one shared tuple.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "mult", mult)
+        object.__setattr__(g, "_adjacency", None)
+        return g
+
+    @classmethod
     def empty(cls, n: int) -> DirectedMultigraph:
         return cls(n, tuple((0,) * n for _ in range(n)))
 
@@ -99,7 +115,7 @@ class DirectedMultigraph:
         if adj is None:
             if self.n <= SMALL_GRAPH_MAX_N:
                 return tuple(map(_shared_out_edges, self.mult))
-            adj = tuple(map(_out_edges, self.mult))
+            adj = tuple(map(out_edges, self.mult))
             object.__setattr__(self, "_adjacency", adj)
         return adj
 

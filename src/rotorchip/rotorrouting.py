@@ -51,7 +51,7 @@ class RibbonStructure:
     cyclic order wraps from the last position back to position 0.
     Construction validates shape only, in one pass per vertex;
     ``validate_against`` ties the run totals to a graph's edge
-    multiplicities.
+    multiplicities, one ``runs_match_row`` call per vertex.
     """
 
     runs: tuple[tuple[Run, ...], ...]
@@ -76,6 +76,23 @@ class RibbonStructure:
             degrees.append(degree)
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "degrees", tuple(degrees))
+
+    @classmethod
+    def from_checked_runs(
+        cls, runs: tuple[tuple[Run, ...], ...], degrees: IntVector
+    ) -> RibbonStructure:
+        """Wrap int runs and their degrees without checking them again.
+
+        For callers that have already made the constructor's checks
+        (heads in range, no loops, positive counts) and report failures
+        their own way, as the instance parser does with line numbers.
+        """
+        if len(runs) <= SMALL_GRAPH_MAX_N:
+            runs = tuple(map(_shared_runs, runs))
+        ribbon = object.__new__(cls)
+        object.__setattr__(ribbon, "runs", runs)
+        object.__setattr__(ribbon, "degrees", degrees)
+        return ribbon
 
     @property
     def n(self) -> int:
@@ -102,11 +119,8 @@ class RibbonStructure:
         """Require run totals per head to equal the graph's multiplicities."""
         if self.n != g.n:
             raise ValueError("ribbon vertex count differs from the graph")
-        for v in range(g.n):
-            totals = [0] * g.n
-            for head, count in self.runs[v]:
-                totals[head] += count
-            if tuple(totals) != g.mult[v]:
+        for v, degree in enumerate(g.out_degrees()):
+            if not runs_match_row(self.runs[v], g.mult[v], degree):
                 raise ValueError(
                     f"ribbon runs at vertex {v} do not match edge multiplicities"
                 )
@@ -123,6 +137,21 @@ class RibbonStructure:
                     out.append((head, count))
             merged.append(tuple(out))
         return RibbonStructure(tuple(merged))
+
+
+def runs_match_row(runs_v: Iterable[Run], row: IntVector, degree: int) -> bool:
+    """True when the runs put exactly ``row[h]`` edges on every head h.
+
+    ``row`` is nonnegative with sum ``degree``, so matching the heads the
+    runs name and the total settles every other entry at zero: the check
+    costs O(runs), not O(n).
+    """
+    totals = dict.fromkeys([head for head, _ in runs_v], 0)
+    for head, count in runs_v:
+        totals[head] += count
+    return sum(totals.values()) == degree and list(
+        map(row.__getitem__, totals)
+    ) == list(totals.values())
 
 
 def default_ribbon(g: DirectedMultigraph) -> RibbonStructure:

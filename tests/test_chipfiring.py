@@ -221,6 +221,17 @@ class TestHalting:
     def test_budget_verdict(self, c2: DirectedMultigraph) -> None:
         v = halts(c2, (5, 5), max_steps=2)
         assert v.kind == "budget-exceeded"
+        assert v.reason == "max-steps"
+
+    def test_state_budget_verdict(self, c2: DirectedMultigraph) -> None:
+        # (5, 5) alternates firings forever; two stored states run out first
+        v = halts(c2, (5, 5), max_states=2)
+        assert v.kind == "budget-exceeded"
+        assert v.reason == "max-states"
+
+    def test_verdicts_with_a_result_carry_no_reason(self, c2: DirectedMultigraph) -> None:
+        assert halts(c2, (0, 0)).reason is None
+        assert halts(c2, (1, 1)).reason is None
 
 
 class TestSequences:
@@ -325,9 +336,9 @@ def _dense_halts(g: DirectedMultigraph, x, max_steps: int, max_states: int) -> H
                 witness_cycle=tuple(b - a for a, b in zip(first, fired)),
             )
         if len(seen) >= max_states:
-            return HaltingVerdict("budget-exceeded")
+            return HaltingVerdict("budget-exceeded", reason="max-states")
         seen[cur] = tuple(fired)
-    return HaltingVerdict("budget-exceeded")
+    return HaltingVerdict("budget-exceeded", reason="max-steps")
 
 
 def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):

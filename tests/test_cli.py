@@ -289,4 +289,10 @@ class TestExitCodes:
         code = run_command(["chip-halting", c2_path, "--budget-steps", "0"])
         out = capsys.readouterr().out
         assert code == 3
-        assert "budget-exceeded" in out
+        assert out == "status=budget-exceeded reason=max-steps\n"
+
+    def test_state_budget_exit(self, capsys, c2_path: str) -> None:
+        code = run_command(["chip-halting", c2_path, "--budget-states", "1"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out == "status=budget-exceeded reason=max-states\n"

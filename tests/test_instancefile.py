@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from parser_reference import parse_instance as reference_parse
 
 from rotorchip.errors import InstanceFormatError
-from rotorchip.generators import gen_instance
+from rotorchip.generators import FAMILIES, gen_instance
 from rotorchip.instancefile import (
     MAX_VERTICES,
     Instance,
@@ -74,6 +79,14 @@ class TestParseErrors:
             parse_instance(text)
         assert exc.value.line == 4
 
+    def test_ribbon_missing_a_head_reports_ribbon_line(self) -> None:
+        # the run totals match every head they name, but 0 -> 2 has no run
+        text = "graph 3\nribbon 0 : 1:2\nedge 0 1 2\nedge 0 2 1\n"
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert exc.value.line == 2
+        assert "vertex 0 do not match" in str(exc.value)
+
     def test_edge_before_graph(self) -> None:
         with pytest.raises(InstanceFormatError) as exc:
             parse_instance("edge 0 1 1\ngraph 2\n")
@@ -114,6 +127,27 @@ class TestParseErrors:
         inst = parse_instance(BASIC)
         with pytest.raises(InstanceFormatError):
             inst.config("nope")
+
+
+def _parse_peak_bytes(text: str) -> int:
+    tracemalloc.start()
+    try:
+        parse_instance(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParseMemory:
+    def test_dense_matrix_is_held_once(self) -> None:
+        # a cycle gives every row an edge, so every row is allocated
+        n = 1024
+        text = f"graph {n}\n" + "".join(f"edge {u} {(u + 1) % n} 1\n" for u in range(n))
+        assert _parse_peak_bytes(text) < 1.5 * 8 * n * n
+
+    def test_edgeless_rows_share_one_row(self) -> None:
+        n = MAX_VERTICES
+        assert _parse_peak_bytes(f"graph {n}\n") < 8 * n * n / 50
 
 
 class TestRoundTrip:
@@ -160,3 +194,132 @@ class TestSingleConfig:
         assert isinstance(inst, Instance)
         with pytest.raises(InstanceFormatError):
             inst.single_config()
+
+
+# ---------------------------------------------------------------------------
+# The parser against its verbatim predecessor, on mutated generated files
+
+# tokens that are integers only by a lenient reading, or not at all
+_ODD_TOKENS = ("+3", "007", "1_0", "-0", "0x1", "1.0", "", "x", ":", "1:", ":1", "1:2:3")
+
+
+def _outcome(parse, text: str):
+    try:
+        inst = parse(text)
+    except Exception as exc:  # any divergence in type, message or line fails
+        return ("raised", type(exc).__name__, str(exc), getattr(exc, "line", None))
+    return (
+        "parsed",
+        inst,
+        repr(inst),
+        inst.ribbon.degrees,
+        inst.graph.adjacency(),
+    )
+
+
+def _replacement(draw, n: int) -> str:
+    kind = draw(st.sampled_from(("out-of-range", "odd", "small", "huge")))
+    if kind == "out-of-range":
+        return str(draw(st.sampled_from((n, n + 1, -1, -n, MAX_VERTICES + 1))))
+    if kind == "odd":
+        return draw(st.sampled_from(_ODD_TOKENS))
+    if kind == "small":
+        return str(draw(st.integers(min_value=0, max_value=n + 1)))
+    return str(draw(st.integers(min_value=2 ** 62, max_value=2 ** 70)))
+
+
+def _mutate(draw, lines: list[list[str]], n: int) -> None:
+    """One in-place edit of a tokenized file."""
+    op = draw(st.sampled_from((
+        "drop-line", "dup-line", "swap-lines", "drop-token", "dup-token",
+        "swap-tokens", "replace-token", "replace-run-part", "comment", "blank",
+    )))
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    line = lines[i]
+    if op == "drop-line":
+        del lines[i]
+    elif op == "dup-line":
+        lines.insert(i, list(line))
+    elif op == "swap-lines":
+        j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif op == "comment":
+        where = draw(st.sampled_from(("before", "after", "inline")))
+        if where == "inline":
+            k = draw(st.integers(min_value=0, max_value=len(line)))
+            line.insert(k, "#" + draw(st.sampled_from(("", " 1 2", "edge 0 1 1"))))
+        else:
+            lines.insert(i + (where == "after"), ["#", "comment"])
+    elif op == "blank":
+        lines.insert(i, draw(st.sampled_from(([], [" "], ["\t"]))))
+    elif line:
+        k = draw(st.integers(min_value=0, max_value=len(line) - 1))
+        if op == "drop-token":
+            del line[k]
+        elif op == "dup-token":
+            line.insert(k, line[k])
+        elif op == "swap-tokens":
+            j = draw(st.integers(min_value=0, max_value=len(line) - 1))
+            line[k], line[j] = line[j], line[k]
+        elif op == "replace-token":
+            line[k] = _replacement(draw, n)
+        else:
+            head, sep, count = line[k].partition(":")
+            if draw(st.booleans()):
+                head = _replacement(draw, n)
+            else:
+                count = _replacement(draw, n)
+            line[k] = head + sep + count
+
+
+@st.composite
+def _mutated_files(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    size = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    inst = gen_instance(family, size, seed, digits=draw(st.sampled_from((1, 18))))
+    text = serialize_instance(inst)
+    if draw(st.booleans()):
+        # a named configuration too, so the name paths are exercised
+        chips = " ".join(str(draw(st.integers(-2, 3))) for _ in range(inst.graph.n))
+        text += f"chips src : {chips}\nrotor src : 0 0\n"
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if lines:
+            _mutate(draw, lines, inst.graph.n)
+    sep = draw(st.sampled_from((" ", "  ", "\t")))
+    return "\n".join(sep.join(line) for line in lines) + "\n"
+
+
+class TestAgainstReferenceParser:
+    @given(_mutated_files())
+    @settings(max_examples=600, deadline=None)
+    def test_same_instance_or_same_error(self, text: str) -> None:
+        assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("token", _ODD_TOKENS)
+    @pytest.mark.parametrize("slot", range(6))
+    def test_odd_token_in_every_vertex_slot(self, token: str, slot: int) -> None:
+        lines = BASIC.splitlines()
+        edits = {
+            0: (2, "edge {} 1 2"),
+            1: (2, "edge 0 {} 2"),
+            2: (2, "edge 0 1 {}"),
+            3: (4, "ribbon {} : 1:2"),
+            4: (4, "ribbon 0 : {}:2"),
+            5: (7, "rotor {} 1"),
+        }
+        index, template = edits[slot]
+        lines[index] = template.format(token)
+        text = "\n".join(lines) + "\n"
+        assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("line", (
+        "edge 9 1 x", "edge 0 9 x", "edge 1 1 x", "edge 1 1 -1", "edge 9 9 -1",
+        "ribbon 9 : 1:x", "ribbon 0 : 9:x", "ribbon 0 : 0:x", "ribbon 0 : 0:0",
+        "ribbon 0 : 9:0 x", "rotor 9 x", "rotor src : 9 x", "chips alt : 1 x",
+    ))
+    def test_two_faults_in_one_line(self, line: str) -> None:
+        # the reference decides which of the two faults is reported
+        text = BASIC.replace("ribbon 0 : 1:2\n", "") + line + "\n"
+        assert _outcome(parse_instance, text) == _outcome(reference_parse, text)

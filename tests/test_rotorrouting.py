@@ -65,6 +65,13 @@ class TestRibbon:
         with pytest.raises(ValueError):
             bad.validate_against(g)
 
+    def test_validate_against_missing_head(self) -> None:
+        # Every head the runs name matches; the edge 0 -> 2 has no run.
+        g = DirectedMultigraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 0, 1), (2, 0, 1)])
+        bad = RibbonStructure(runs=(((1, 1),), ((0, 1),), ((0, 1),)))
+        with pytest.raises(ValueError, match="vertex 0"):
+            bad.validate_against(g)
+
     def test_default_ribbon(self, fig1: DirectedMultigraph) -> None:
         rib = default_ribbon(fig1)
         rib.validate_against(fig1)
