@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .errors import InstanceFormatError
 from .multigraph import DirectedMultigraph, out_edges
@@ -108,45 +107,22 @@ def _edge(tokens: list[str], n: int, lineno: int) -> tuple[int, int, int]:
     return u, v, m
 
 
-def _runs(
-    tokens: list[str], ids: dict[str, int], v: int, lineno: int
-) -> tuple[tuple[int, int], ...]:
-    """The runs of a ribbon line at v, checked token by token in order.
-
-    The fast path converts all tokens at once, at C level; only a line
-    that fails it (a bad token, or a head spelled other than ``str(i)``)
-    takes the per-token loop, which raises the first error or accepts it.
-    Counts below n are looked up in ``ids`` too; larger ones take ``int``.
-    """
-    run_tokens = tokens[3:]
-    heads_s, seps, counts_s = zip(*map(str.partition, run_tokens, repeat(":")))
-    heads = tuple(map(ids.get, heads_s))
-    counts = tuple(map(ids.get, counts_s))
-    if None in counts:
-        try:
-            counts = tuple(map(int, counts_s))
-        except ValueError:
-            counts = (0,)
-    if "" not in seps and None not in heads and v not in heads and min(counts) >= 1:
-        return tuple(zip(heads, counts))
-    n = len(ids)
-    runs: list[tuple[int, int]] = []
-    for tok in run_tokens:
-        head_s, sep, count_s = tok.partition(":")
-        if not sep:
-            raise InstanceFormatError(
-                f"ribbon run {tok!r} must look like <head>:<count>", lineno
-            )
-        head = _int(head_s, "run head", lineno)
-        count = _int(count_s, "run count", lineno)
-        if not 0 <= head < n:
-            raise InstanceFormatError("run head out of range", lineno)
-        if head == v:
-            raise InstanceFormatError("loops are not allowed", lineno)
-        if count < 1:
-            raise InstanceFormatError("run count must be >= 1", lineno)
-        runs.append((head, count))
-    return tuple(runs)
+def _run(tok: str, n: int, v: int, lineno: int) -> tuple[int, int]:
+    """Every check of one ribbon run at v, in order: the first failure is raised."""
+    head_s, sep, count_s = tok.partition(":")
+    if not sep:
+        raise InstanceFormatError(
+            f"ribbon run {tok!r} must look like <head>:<count>", lineno
+        )
+    head = _int(head_s, "run head", lineno)
+    count = _int(count_s, "run count", lineno)
+    if not 0 <= head < n:
+        raise InstanceFormatError("run head out of range", lineno)
+    if head == v:
+        raise InstanceFormatError("loops are not allowed", lineno)
+    if count < 1:
+        raise InstanceFormatError("run count must be >= 1", lineno)
+    return head, count
 
 
 def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[str]]:
@@ -232,7 +208,20 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     f"duplicate ribbon line for vertex {v}", lineno
                 )
-            ribbon_lines[v] = (_runs(tokens, ids, v, lineno), lineno)
+            runs_v = []
+            for tok in tokens[3:]:
+                head_s, sep, count_s = tok.partition(":")
+                head = ids.get(head_s)
+                if head is None or head == v or not sep:
+                    runs_v.append(_run(tok, n, v, lineno))
+                    continue
+                count = ids.get(count_s)
+                if count is None:
+                    count = _int(count_s, "run count", lineno)
+                if count < 1:
+                    raise InstanceFormatError("run count must be >= 1", lineno)
+                runs_v.append((head, count))
+            ribbon_lines[v] = (tuple(runs_v), lineno)
         elif directive == "chips":
             name, rest = _config_name(
                 tokens[1:], "chips [<name> :] <c0> ...", lineno
@@ -248,7 +237,7 @@ def parse_instance(text: str) -> Instance:
             try:
                 chip_lines[name] = tuple(map(int, rest))
             except ValueError:
-                for tok in rest:
+                for tok in rest:  # raises at the first bad token
                     _int(tok, "chip count", lineno)
         elif directive == "rotor":
             usage = "rotor [<name> :] <v> <position>"
@@ -281,7 +270,6 @@ def parse_instance(text: str) -> Instance:
     for u, row in enumerate(rows):
         rows[u] = zero if row is None else tuple(row)
     mult = tuple(rows)
-    del rows
 
     for v, (runs_v, lineno) in ribbon_lines.items():
         if not runs_match_row(runs_v, mult[v], out_degrees[v]):

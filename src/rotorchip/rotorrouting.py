@@ -139,7 +139,7 @@ class RibbonStructure:
         return RibbonStructure(tuple(merged))
 
 
-def runs_match_row(runs_v: Iterable[Run], row: IntVector, degree: int) -> bool:
+def runs_match_row(runs_v: tuple[Run, ...], row: IntVector, degree: int) -> bool:
     """True when the runs put exactly ``row[h]`` edges on every head h.
 
     ``row`` is nonnegative with sum ``degree``, so matching the heads the
