@@ -352,11 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    # The parser is rebuilt on every call on purpose.  Caching it doubled
-    # in-process throughput on small queries (about 2.5 ms of a 5 ms call),
-    # but raised peak RSS by 9% (22.3 to 24.3 MB over a few hundred calls):
-    # without argparse's cyclic garbage, full collections stop running and
-    # CPython's tuple free lists fill up instead.
+    # The parser is rebuilt on every call on purpose.  Caching it took the
+    # solve-mid benchmark (small in-process queries) from 392 to 868
+    # queries/s, but its peak RSS from 22.2 to 23.4 MB, over that
+    # benchmark's 5% bound: without argparse's cyclic garbage no full
+    # collection ran in 20 passes (17 did with it), and RSS stayed about
+    # 1 MB higher at an equal pass count.
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

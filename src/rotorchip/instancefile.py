@@ -140,10 +140,11 @@ def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[st
 def parse_instance(text: str) -> Instance:
     """Parse and check an instance file in one pass over its lines.
 
-    Each token is converted once.  Vertex tokens are looked up in a table
-    of the canonical spellings ``str(i)``, ``0 <= i < n``: a hit is the
-    integer and its range check at once, and any other spelling (``+3``,
-    ``007``) takes the ``int`` path with the same checks and messages.
+    Each token is converted once.  Vertex tokens, multiplicities and run
+    counts are looked up in a table of the canonical spellings ``str(i)``,
+    ``0 <= i < n``: a hit is the integer and its range check at once, and
+    any other spelling (``+3``, ``007``, a count of n or more) takes the
+    ``int`` path with the same checks and messages.
     The first error in file order is raised with its line number; the
     graph and ribbon are then built without the constructors' checks,
     which the parser has already made.

@@ -297,13 +297,13 @@ class TestAgainstReferenceParser:
     def test_same_instance_or_same_error(self, text: str) -> None:
         assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
 
-    @pytest.mark.parametrize("token", _ODD_TOKENS)
+    @pytest.mark.parametrize("token", _ODD_TOKENS + ("-1", "2", str(10 ** 20)))
     @pytest.mark.parametrize("index, template", (
         (2, "edge {} 1 2"), (2, "edge 0 {} 2"), (2, "edge 0 1 {}"),
         (4, "ribbon {} : 1:2"), (4, "ribbon 0 : {}:2"), (4, "ribbon 0 : 1:{}"),
         (6, "chips {} 0"), (7, "rotor {} 1"), (7, "rotor 0 {}"),
     ))
-    def test_odd_token_in_every_integer_slot(self, token: str, index: int, template: str) -> None:
+    def test_token_in_every_integer_slot(self, token: str, index: int, template: str) -> None:
         lines = BASIC.splitlines()
         lines[index] = template.format(token)
         text = "\n".join(lines) + "\n"
