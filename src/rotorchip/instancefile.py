@@ -15,10 +15,11 @@ rejected with InstanceFormatError (CLI exit 2) before anything is
 allocated.  Loading an instance costs time linear in the file plus
 O(n^2) for that matrix, which takes 8 bytes per entry of every row with
 an out-edge; rows without one share a single zero row
-(``scripts/parse_timing.py`` measures both).  Multiplicities and chip
-counts are unbounded decimals; chips may be negative.  A ``ribbon`` line
-fixes the cyclic out-edge order at one vertex; vertices without one get
-the default order (heads ascending, parallel edges consecutive).
+(``scripts/parse_timing.py`` measures time and peak).  Multiplicities
+and chip counts are unbounded decimals; chips may be negative.  A
+``ribbon`` line fixes the cyclic out-edge order at one vertex; vertices
+without one get the default order (heads ascending, parallel edges
+consecutive).
 ``chips`` and ``rotor`` lines without a name belong to the configuration
 named "default".  Rotor positions are flat indices into the cyclic
 order; non-sink vertices without a ``rotor`` line sit at position 0,
