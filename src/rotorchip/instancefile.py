@@ -13,9 +13,8 @@ The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices:
 the graph is stored as a dense n x n matrix, so a larger count is
 rejected with InstanceFormatError (CLI exit 2) before anything is
 allocated.  Loading an instance costs time linear in the file plus
-O(n^2) for that matrix, which takes 8 bytes per entry of every row with
-an out-edge; rows without one share a single zero row
-(``scripts/parse_timing.py`` measures time and peak).  Multiplicities
+O(n^2) for that matrix, 8 bytes per entry (``scripts/parse_timing.py``
+measures time and peak).  Multiplicities
 and chip counts are unbounded decimals; chips may be negative.  A
 ``ribbon`` line fixes the cyclic out-edge order at one vertex; vertices
 without one get the default order (heads ascending, parallel edges
@@ -38,9 +37,7 @@ from .rotorrouting import ChipRotorConfig, RibbonStructure, runs_match_row
 DEFAULT_CONFIG_NAME = "default"
 
 # the dense multiplicity matrix holds n^2 entries of 8 bytes: at 4096
-# vertices with an edge out of every one, the parse peaks at 136 MB
-# (tracemalloc); a file without edges shares one zero row and peaks
-# under 1 MB
+# vertices a parse peaks at 135 MB (tracemalloc), edges or none
 MAX_VERTICES = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -94,38 +91,6 @@ def _vertex_count(tokens: list[str], lineno: int) -> int:
     return n
 
 
-def _edge(tokens: list[str], n: int, lineno: int) -> tuple[int, int, int]:
-    """Every check of an edge line, in order: the first failure is raised."""
-    u = _int(tokens[1], "edge tail", lineno)
-    v = _int(tokens[2], "edge head", lineno)
-    m = _int(tokens[3], "edge multiplicity", lineno)
-    if not (0 <= u < n and 0 <= v < n):
-        raise InstanceFormatError("edge endpoint out of range", lineno)
-    if u == v:
-        raise InstanceFormatError("loops are not allowed", lineno)
-    if m < 0:
-        raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
-    return u, v, m
-
-
-def _run(tok: str, n: int, v: int, lineno: int) -> tuple[int, int]:
-    """Every check of one ribbon run at v, in order: the first failure is raised."""
-    head_s, sep, count_s = tok.partition(":")
-    if not sep:
-        raise InstanceFormatError(
-            f"ribbon run {tok!r} must look like <head>:<count>", lineno
-        )
-    head = _int(head_s, "run head", lineno)
-    count = _int(count_s, "run count", lineno)
-    if not 0 <= head < n:
-        raise InstanceFormatError("run head out of range", lineno)
-    if head == v:
-        raise InstanceFormatError("loops are not allowed", lineno)
-    if count < 1:
-        raise InstanceFormatError("run count must be >= 1", lineno)
-    return head, count
-
-
 def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[str]]:
     """Split an optional ``<name> :`` prefix off a chips or rotor line."""
     if ":" not in rest:
@@ -173,28 +138,27 @@ def parse_instance(text: str) -> Instance:
             n = _vertex_count(tokens, lineno)
             # canonical spellings of 0..n-1: vertices, and small counts
             ids = {str(i): i for i in range(n)}
-            # a row is allocated at its first edge; edgeless rows share one
-            rows = [None] * n
+            rows = [[0] * n for _ in range(n)]
             out_degrees = [0] * n
         elif directive == "edge":
             if len(tokens) != 4:
                 raise InstanceFormatError("expected: edge <u> <v> <mult>", lineno)
             u = ids.get(tokens[1])
+            if u is None:
+                u = _int(tokens[1], "edge tail", lineno)
             v = ids.get(tokens[2])
-            if u is None or v is None or u == v:
-                u, v, m = _edge(tokens, n, lineno)
-            else:
-                m = ids.get(tokens[3])
-                if m is None:
-                    m = _int(tokens[3], "edge multiplicity", lineno)
-                    if m < 0:
-                        raise InstanceFormatError(
-                            "edge multiplicity must be >= 0", lineno
-                        )
-            row = rows[u]
-            if row is None:
-                row = rows[u] = [0] * n
-            row[v] += m
+            if v is None:
+                v = _int(tokens[2], "edge head", lineno)
+            m = ids.get(tokens[3])
+            if m is None:
+                m = _int(tokens[3], "edge multiplicity", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise InstanceFormatError("edge endpoint out of range", lineno)
+            if u == v:
+                raise InstanceFormatError("loops are not allowed", lineno)
+            if m < 0:
+                raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
+            rows[u][v] += m
             out_degrees[u] += m
         elif directive == "ribbon":
             if len(tokens) < 4 or tokens[2] != ":":
@@ -213,13 +177,20 @@ def parse_instance(text: str) -> Instance:
             runs_v = []
             for tok in tokens[3:]:
                 head_s, sep, count_s = tok.partition(":")
+                if not sep:
+                    raise InstanceFormatError(
+                        f"ribbon run {tok!r} must look like <head>:<count>", lineno
+                    )
                 head = ids.get(head_s)
-                if head is None or head == v or not sep:
-                    runs_v.append(_run(tok, n, v, lineno))
-                    continue
+                if head is None:
+                    head = _int(head_s, "run head", lineno)
                 count = ids.get(count_s)
                 if count is None:
                     count = _int(count_s, "run count", lineno)
+                if not 0 <= head < n:
+                    raise InstanceFormatError("run head out of range", lineno)
+                if head == v:
+                    raise InstanceFormatError("loops are not allowed", lineno)
                 if count < 1:
                     raise InstanceFormatError("run count must be >= 1", lineno)
                 runs_v.append((head, count))
@@ -236,11 +207,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     f"chips line needs {n} values, got {len(rest)}", lineno
                 )
-            try:
-                chip_lines[name] = tuple(map(int, rest))
-            except ValueError:
-                for tok in rest:  # raises at the first bad token
-                    _int(tok, "chip count", lineno)
+            chip_lines[name] = tuple(_int(t, "chip count", lineno) for t in rest)
         elif directive == "rotor":
             usage = "rotor [<name> :] <v> <position>"
             name, rest = _config_name(tokens[1:], usage, lineno)
@@ -268,9 +235,8 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("missing graph line")
     # each list row becomes its tuple and is freed at once, so the matrix
     # is never held twice
-    zero = (0,) * n
     for u, row in enumerate(rows):
-        rows[u] = zero if row is None else tuple(row)
+        rows[u] = tuple(row)
     mult = tuple(rows)
 
     for v, (runs_v, lineno) in ribbon_lines.items():
@@ -284,8 +250,6 @@ def parse_instance(text: str) -> Instance:
     for v, row in enumerate(mult):
         if v in ribbon_lines:
             runs.append(ribbon_lines[v][0])
-        elif row is zero:
-            runs.append(())
         else:
             runs.append(out_edges(row).edges)
     degs = tuple(out_degrees)

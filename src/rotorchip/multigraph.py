@@ -76,7 +76,7 @@ class DirectedMultigraph:
         For callers that have already made the constructor's checks
         (nonnegative entries, zero diagonal) and report failures their
         own way, as the instance parser does with line numbers.  The rows
-        must be tuples; equal rows may be one shared tuple.
+        must be tuples.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)

@@ -42,6 +42,13 @@ def _shared_runs(runs_v: tuple[Run, ...]) -> tuple[Run, ...]:
     return runs_v
 
 
+def _share(runs: tuple[tuple[Run, ...], ...]) -> tuple[tuple[Run, ...], ...]:
+    """Small ribbons share equal vertex orders; larger ones keep their own."""
+    if len(runs) <= SMALL_GRAPH_MAX_N:
+        return tuple(map(_shared_runs, runs))
+    return runs
+
+
 @dataclass(frozen=True, slots=True)
 class RibbonStructure:
     """Cyclic out-edge orders, one run list per vertex.
@@ -72,9 +79,9 @@ class RibbonStructure:
                 if count < 1:
                     raise ValueError(f"run count must be positive at vertex {v}")
                 degree += count
-            runs.append(_shared_runs(rs) if n <= SMALL_GRAPH_MAX_N else rs)
+            runs.append(rs)
             degrees.append(degree)
-        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "runs", _share(tuple(runs)))
         object.__setattr__(self, "degrees", tuple(degrees))
 
     @classmethod
@@ -87,10 +94,8 @@ class RibbonStructure:
         (heads in range, no loops, positive counts) and report failures
         their own way, as the instance parser does with line numbers.
         """
-        if len(runs) <= SMALL_GRAPH_MAX_N:
-            runs = tuple(map(_shared_runs, runs))
         ribbon = object.__new__(cls)
-        object.__setattr__(ribbon, "runs", runs)
+        object.__setattr__(ribbon, "runs", _share(runs))
         object.__setattr__(ribbon, "degrees", degrees)
         return ribbon
 
