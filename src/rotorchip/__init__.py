@@ -14,7 +14,6 @@ from .errors import BudgetExceededError, InstanceFormatError
 from .multigraph import (
     DirectedMultigraph,
     SccDecomposition,
-    induced_subgraph,
     is_eulerian,
     is_strongly_connected,
     scc_decompose,
@@ -73,7 +72,6 @@ __all__ = [
     "InstanceFormatError",
     "DirectedMultigraph",
     "SccDecomposition",
-    "induced_subgraph",
     "is_eulerian",
     "is_strongly_connected",
     "scc_decompose",

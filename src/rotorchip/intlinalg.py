@@ -11,41 +11,48 @@ entry the elimination produces, and every returned value, is a minor of
 the reduced Laplacian with its right-hand sides appended, so it stays
 within that matrix's Hadamard bound; back substitution multiplies two
 such minors, which at most doubles the bit length.
+
+Every period vector comes from that one elimination, run on a strongly
+connected component C in place at O(|C|^3).  Each entry point decomposes
+the graph once: ``period_basis`` eliminates once per component,
+O(sum |C|^3), and the reductions once per sink component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
     SccDecomposition,
-    induced_subgraph,
     is_strongly_connected,
     scc_decompose,
 )
 
 
 def _solve_reduced(
-    g: DirectedMultigraph, roots: Sequence[int], columns: Sequence[Sequence[int]]
+    g: DirectedMultigraph,
+    verts: Sequence[int],
+    degs: Sequence[int],
+    roots: Sequence[int],
+    columns: Sequence[Sequence[int]],
 ) -> tuple[int, list[list[int]]]:
-    """Solve the reduced system for several right-hand sides at once.
+    """Solve the reduced system on ``verts`` for several right-hand sides.
 
-    The matrix is minus the Laplacian with the rows and columns of
-    ``roots`` deleted; every vertex must reach a root, so it is
-    nonsingular and all its leading principal minors are positive
-    (matrix-tree theorem).  Returns ``(det, sols)``: ``det`` is its
-    determinant and ``sols[c]`` is the full-length integer vector
-    ``det * x`` with x solving the system for ``columns[c]`` restricted to
-    the non-roots, zero at the roots.
+    The matrix is minus the Laplacian on ``verts``, with out-degrees
+    ``degs[v]``, with the rows and columns of ``roots`` deleted; every
+    vertex must reach a root, so it is nonsingular and all its leading
+    principal minors are positive (matrix-tree theorem).  Returns
+    ``(det, sols)``: ``det`` is its determinant and ``sols[c]`` is the
+    full-length integer vector ``det * x`` with x solving the system for
+    ``columns[c]`` on the non-roots, zero elsewhere.
     """
     root_set = set(roots)
-    rest = [v for v in range(g.n) if v not in root_set]
+    rest = [v for v in verts if v not in root_set]
     m = len(rest)
-    degs = g.out_degrees()
     mult = g.mult
     rows = [
         [degs[u] if u == v else -mult[v][u] for v in rest] + [col[u] for col in columns]
@@ -115,24 +122,36 @@ def _shift_down(out: list[int], comp: Sequence[int], step: Sequence[int]) -> Non
             out[v] -= shift * step[v]
 
 
+def _primitive(det: int, ker: list[int], comp: Sequence[int]) -> IntVector:
+    """The primitive period vector of comp, zero elsewhere, from its kernel column.
+
+    ``ker`` is det times the reduced solution for the Laplacian column of
+    the root comp[0], zero outside comp; with ker[root] = det it is a kernel
+    vector (matrix-tree theorem), and dividing by its gcd makes it primitive.
+    """
+    ker[comp[0]] = det
+    common = gcd(*ker)
+    p = tuple(x // common for x in ker)
+    if any(p[v] <= 0 for v in comp):
+        raise ArithmeticError("primitive period vector must be positive on a strongly connected graph")
+    return p
+
+
+def _component_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
+    """One elimination on the strongly connected comp; degs counts edges inside it."""
+    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (g.mult[comp[0]],))
+    return _primitive(det, ker, comp)
+
+
 def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """The unique positive coprime vector p with laplacian(g) @ p == 0.
 
     Only strongly connected graphs have one; a single isolated vertex
-    yields (1,).  With vertex 0 as root, det times the reduced solution
-    for column 0 of the Laplacian, completed by p(0) = det, is a kernel
-    vector (the arborescence counts of the matrix-tree theorem); dividing
-    by its gcd makes it primitive.
+    yields (1,).  One elimination with vertex 0 as root.
     """
     if not is_strongly_connected(g):
         raise ValueError("period vector requires a strongly connected graph")
-    det, (ker,) = _solve_reduced(g, (0,), (g.mult[0],))
-    ker[0] = det
-    common = gcd(*ker)
-    p = tuple(x // common for x in ker)
-    if any(x <= 0 for x in p):
-        raise ArithmeticError("primitive period vector must be positive on a strongly connected graph")
-    return p
+    return _component_period(g, range(g.n), g.out_degrees())
 
 
 @dataclass(frozen=True)
@@ -158,21 +177,18 @@ class PeriodBasis:
 
 def period_basis(g: DirectedMultigraph) -> PeriodBasis:
     scc = scc_decompose(g)
-    vectors = []
-    total = 0
-    for comp in scc.components:
-        sub, remap = induced_subgraph(g, comp)
-        p = primitive_period_vector(sub)
-        embedded = [0] * g.n
-        for v in comp:
-            embedded[v] = p[remap[v]]
-        vectors.append(tuple(embedded))
-        total += sum(p)
+    comp_of = scc.component_of
+    # a component taken alone ignores the edges that leave it
+    degs = [
+        sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
+        for u, out in enumerate(g.adjacency())
+    ]
+    vectors = tuple(_component_period(g, comp, degs) for comp in scc.components)
     return PeriodBasis(
         scc=scc,
-        component_vectors=tuple(vectors),
+        component_vectors=vectors,
         sink_indices=scc.sink_component_ids(),
-        per=total,
+        per=sum(map(sum, vectors)),
     )
 
 
@@ -196,7 +212,7 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
     sinks = [scc.components[i] for i in scc.sink_component_ids()]
     roots = [comp[0] for comp in sinks]
     det, (num, *kers) = _solve_reduced(
-        g, roots, [[-x for x in d]] + [g.mult[s] for s in roots]
+        g, range(n), g.out_degrees(), roots, [[-x for x in d]] + [g.mult[s] for s in roots]
     )
     mult = g.mult
     for s in roots:
@@ -209,18 +225,33 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
             if r or q < 0:
                 return None
             out[v] = q
-    p = [0] * n
-    for comp, s, ker in zip(sinks, roots, kers):
-        ker[s] = det
+    for comp, ker in zip(sinks, kers):
+        p = _primitive(det, ker, comp)
         y = _shift_congruence(num, ker, comp, det)
         if y is None:
             return None
-        common = gcd(*(ker[v] for v in comp))
         for v in comp:
             out[v] = (num[v] + y * ker[v]) // det
-            p[v] = ker[v] // common
         _shift_down(out, comp, p)
     return tuple(out)
+
+
+def _sink_steps(
+    g: DirectedMultigraph, scale: Sequence[int]
+) -> Iterator[tuple[IntVector, list[int]]]:
+    """Each sink component with its period vector times ``scale`` per vertex.
+
+    A sink component has no leaving edges, so its out-degrees are its
+    own.  Zero steps, the trivial sinks under the routing scale (the
+    out-degree), constrain nothing and are skipped.
+    """
+    scc = scc_decompose(g)
+    degs = g.out_degrees()
+    for i in scc.sink_component_ids():
+        comp = scc.components[i]
+        step = [x * k for x, k in zip(_component_period(g, comp, degs), scale)]
+        if any(step):
+            yield comp, step
 
 
 def is_reduced(g: DirectedMultigraph, f: IntVector) -> bool:
@@ -230,12 +261,9 @@ def is_reduced(g: DirectedMultigraph, f: IntVector) -> bool:
     component's primitive period vector.
     """
     _check_nonneg(g, f)
-    basis = period_basis(g)
-    for i in basis.sink_indices:
-        p = basis.component_vectors[i]
-        if all(f[v] >= p[v] for v in basis.scc.components[i]):
-            return False
-    return True
+    return not any(
+        all(f[v] >= p[v] for v in comp) for comp, p in _sink_steps(g, (1,) * g.n)
+    )
 
 
 def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
@@ -246,38 +274,26 @@ def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
     the zero routing period vector and impose no constraint.
     """
     _check_nonneg(g, r)
-    degs = g.out_degrees()
-    basis = period_basis(g)
-    for i in basis.sink_indices:
-        if basis.scc.is_trivial[i]:
-            continue
-        p = basis.component_vectors[i]
-        if all(r[v] >= p[v] * degs[v] for v in basis.scc.components[i]):
-            return False
-    return True
+    return not any(
+        all(r[v] >= p[v] for v in comp) for comp, p in _sink_steps(g, g.out_degrees())
+    )
 
 
 def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:
     """The reduced representative of f >= 0 modulo the period lattice."""
     _check_nonneg(g, f)
-    basis = period_basis(g)
     out = list(f)
-    for i in basis.sink_indices:
-        _shift_down(out, basis.scc.components[i], basis.component_vectors[i])
+    for comp, p in _sink_steps(g, (1,) * g.n):
+        _shift_down(out, comp, p)
     return tuple(out)
 
 
 def reduce_routing_vector(g: DirectedMultigraph, r: IntVector) -> IntVector:
     """The routing-reduced representative of r >= 0 modulo routing periods."""
     _check_nonneg(g, r)
-    degs = g.out_degrees()
-    basis = period_basis(g)
     out = list(r)
-    for i in basis.sink_indices:
-        if basis.scc.is_trivial[i]:
-            continue
-        p = basis.component_vectors[i]
-        _shift_down(out, basis.scc.components[i], [x * deg for x, deg in zip(p, degs)])
+    for comp, p in _sink_steps(g, g.out_degrees()):
+        _shift_down(out, comp, p)
     return tuple(out)
 
 

@@ -263,18 +263,3 @@ def is_eulerian(g: DirectedMultigraph) -> bool:
     """Degree balance at every vertex: in-degree equals out-degree."""
     return all(g.in_degree(v) == g.out_degree(v) for v in range(g.n))
 
-
-def induced_subgraph(g: DirectedMultigraph, vertices) -> tuple[DirectedMultigraph, dict[int, int]]:
-    """Subgraph on ``vertices`` keeping only internal edges.
-
-    Returns the subgraph (re-indexed 0..k-1) and the old->new index map.
-    """
-    verts = sorted(vertices)
-    remap = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    rows = [[0] * k for _ in range(k)]
-    for u in verts:
-        for w in verts:
-            if u != w:
-                rows[remap[u]][remap[w]] = g.mult[u][w]
-    return DirectedMultigraph(k, tuple(tuple(r) for r in rows)), remap

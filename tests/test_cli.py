@@ -291,6 +291,13 @@ class TestExitCodes:
         assert code == 3
         assert out == "status=budget-exceeded reason=max-steps\n"
 
+    def test_recurrent_budget_exit(self, capsys, c2_path: str) -> None:
+        code = run_command(["chip-recurrent", c2_path, "--budget-steps", "0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error=bounded chip game exceeded 0 batches\n"
+
     def test_state_budget_exit(self, capsys, c2_path: str) -> None:
         code = run_command(["chip-halting", c2_path, "--budget-states", "1"])
         out = capsys.readouterr().out

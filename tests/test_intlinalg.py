@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotorchip import intlinalg, multigraph
 from rotorchip.bruteforce import enumerate_digraphs, hermite_row_reduce, solve_integer
 from rotorchip.generators import gen_graph
 from rotorchip.intlinalg import (
+    PeriodBasis,
     is_reduced,
     is_routing_reduced,
     nonneg_reduced_solution,
@@ -18,7 +21,12 @@ from rotorchip.intlinalg import (
     reduce_routing_vector,
     reduce_vector,
 )
-from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected, scc_decompose
+from rotorchip.multigraph import (
+    DirectedMultigraph,
+    SccDecomposition,
+    is_strongly_connected,
+    scc_decompose,
+)
 
 
 def mat_vec(a: tuple[tuple[int, ...], ...], x: tuple[int, ...]) -> tuple[int, ...]:
@@ -168,21 +176,81 @@ def _graphs(draw) -> DirectedMultigraph:
     return gen_graph("random", size, Random(draw(st.integers(min_value=0, max_value=2**32))))
 
 
+def _component_laplacian(
+    g: DirectedMultigraph, comp: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The Laplacian of comp taken as a standalone graph, from g.mult."""
+    return tuple(
+        tuple(-sum(g.mult[v][w] for w in comp) if u == v else g.mult[v][u] for v in comp)
+        for u in comp
+    )
+
+
+def _checked_period_basis(g: DirectedMultigraph) -> PeriodBasis:
+    """period_basis(g), after checking every vector against its definition.
+
+    A strongly connected component's Laplacian has a one-dimensional
+    kernel, so the vector that is positive and primitive on the
+    component, zero outside it and annihilated by that Laplacian is
+    unique.
+    """
+    basis = period_basis(g)
+    scc = scc_decompose(g)
+    assert basis.scc == scc
+    assert basis.sink_indices == scc.sink_component_ids()
+    assert len(basis.component_vectors) == len(scc.components)
+    for comp, vec in zip(scc.components, basis.component_vectors):
+        assert all(vec[v] > 0 for v in comp), (g.mult, comp, vec)
+        assert all(vec[v] == 0 for v in range(g.n) if v not in comp), (g.mult, comp, vec)
+        assert gcd(*vec) == 1, (g.mult, comp, vec)
+        lap = _component_laplacian(g, comp)
+        assert mat_vec(lap, tuple(vec[v] for v in comp)) == (0,) * len(comp), (g.mult, comp, vec)
+    assert basis.per == sum(sum(vec) for vec in basis.component_vectors)
+    return basis
+
+
+def _reference_reduce(
+    g: DirectedMultigraph, basis: PeriodBasis, f: tuple[int, ...], routing: bool
+) -> tuple[int, ...]:
+    """Subtract each sink component's period step from f >= 0 while f dominates it.
+
+    The routing step scales each entry by the out-degree; a trivial sink
+    then has the zero step and is left unconstrained.
+    """
+    degs = g.out_degrees()
+    out = list(f)
+    for i in basis.sink_indices:
+        if routing and basis.scc.is_trivial[i]:
+            continue
+        comp = basis.scc.components[i]
+        step = {v: basis.component_vectors[i][v] * (degs[v] if routing else 1) for v in comp}
+        while all(out[v] >= step[v] for v in comp):
+            for v in comp:
+                out[v] -= step[v]
+    return tuple(out)
+
+
 def _oracle_reduced_solution(g: DirectedMultigraph, d: tuple[int, ...]) -> tuple[int, ...] | None:
-    """HNF solve, nonnegativity outside the sinks, then reduce_vector."""
+    """HNF solve, then on each sink the least shift that is nonnegative there.
+
+    The solutions are f + sum of t_i * p_i over the sink components i;
+    the reduced one takes on each sink the least t_i that makes it
+    nonnegative there.  The entries outside the sinks are fixed and must
+    be nonnegative.
+    """
     f = solve_integer(g.laplacian(), d)
     if f is None:
         return None
-    scc = scc_decompose(g)
-    in_sink = {v for i in scc.sink_component_ids() for v in scc.components[i]}
-    if any(f[v] < 0 for v in range(g.n) if v not in in_sink):
+    basis = _checked_period_basis(g)
+    out = list(f)
+    for i in basis.sink_indices:
+        comp, p = basis.scc.components[i], basis.component_vectors[i]
+        t = max(-(f[v] // p[v]) for v in comp)
+        for v in comp:
+            out[v] += t * p[v]
+    if any(x < 0 for x in out):
         return None
-    # adding period vectors makes the sink entries nonnegative, as
-    # reduce_vector requires, without changing the reduced representative
-    lift = max(0, -min(f))
-    for vec in period_basis(g).kernel_vectors():
-        f = tuple(a + lift * b for a, b in zip(f, vec))
-    return reduce_vector(g, f)
+    return tuple(out)
 
 
 class TestSolverMatchesHnfOracle:
@@ -197,6 +265,62 @@ class TestSolverMatchesHnfOracle:
             assert got == _oracle_reduced_solution(g, rhs), (g.mult, rhs)
             if got is not None:
                 assert mat_vec(g.laplacian(), got) == rhs
+
+
+class TestReductionsMatchReference:
+    @given(_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chip_and_routing_reductions(self, g: DirectedMultigraph, data) -> None:
+        basis = _checked_period_basis(g)
+        vec = st.lists(st.integers(min_value=0, max_value=12), min_size=g.n, max_size=g.n)
+        f = tuple(data.draw(vec))
+        for routing, reduce, reduced in (
+            (False, reduce_vector, is_reduced),
+            (True, reduce_routing_vector, is_routing_reduced),
+        ):
+            want = _reference_reduce(g, basis, f, routing)
+            assert reduce(g, f) == want, (g.mult, f, routing)
+            assert reduced(g, f) == (want == f), (g.mult, f, routing)
+
+
+# cycle {0, 1} -> vertex 2 -> sink cycle {3, 4}, and {0, 1} -> sink vertex 5
+_FOUR_COMPONENTS = DirectedMultigraph.from_edges(
+    6, [(0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 3, 3), (0, 5, 1)]
+)
+
+
+class TestOneSccPass:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: period_basis(g),
+            lambda g: reduce_vector(g, (5,) * g.n),
+            lambda g: reduce_routing_vector(g, (5,) * g.n),
+            lambda g: is_reduced(g, (5,) * g.n),
+            lambda g: is_routing_reduced(g, (5,) * g.n),
+        ],
+        ids=[
+            "period_basis",
+            "reduce_vector",
+            "reduce_routing_vector",
+            "is_reduced",
+            "is_routing_reduced",
+        ],
+    )
+    def test_one_decomposition_per_call(self, monkeypatch, fig1: DirectedMultigraph, call) -> None:
+        assert len(scc_decompose(_FOUR_COMPONENTS).components) == 4
+        calls = []
+
+        def counting(g: DirectedMultigraph) -> SccDecomposition:
+            calls.append(g)
+            return scc_decompose(g)
+
+        monkeypatch.setattr(multigraph, "scc_decompose", counting)
+        monkeypatch.setattr(intlinalg, "scc_decompose", counting)
+        for g in (fig1, _FOUR_COMPONENTS):
+            calls.clear()
+            call(g)
+            assert len(calls) == 1
 
 
 class TestReduced:

@@ -8,7 +8,6 @@ from rotorchip.bruteforce import enumerate_digraphs, reachability_matrix
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
-    induced_subgraph,
     is_eulerian,
     is_strongly_connected,
     scc_decompose,
@@ -155,11 +154,3 @@ class TestPredicates:
     def test_eulerian_balance(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
         assert is_eulerian(c2)
         assert not is_eulerian(d21)
-
-    def test_induced_subgraph(self, fig1: DirectedMultigraph) -> None:
-        sub, remap = induced_subgraph(fig1, [0, 1, 2])
-        assert sub.n == 3
-        assert remap == {0: 0, 1: 1, 2: 2}
-        # The sink column vanished; remaining multiplicities survive.
-        assert sub.mult[0][1] == 1 and sub.mult[2][0] == 1
-        assert sub.out_degree(0) == 2
