@@ -1,8 +1,10 @@
 """Command-line interface: one subcommand per decision procedure.
 
 Output is machine-parseable key=value tokens, one verdict per line.
-Exit status: 0 for any computed verdict (YES and NO alike), 2 for input
-errors, 3 when a budget ran out before a verdict.
+Exit status: 0 for any computed verdict (YES and NO alike), 1 when an
+``oracle-check`` sweep records a failure, 2 for input errors (an option
+the subcommand does not read included), 3 when a budget ran out before
+a verdict.
 """
 
 from __future__ import annotations
@@ -12,20 +14,17 @@ import sys
 
 from . import chipfiring, rotorrouting
 from .bruteforce import bfs_reach_chip, bfs_reach_rotor
-from .errors import BudgetExceededError, InstanceFormatError
+from .errors import BudgetExceededError
 from .generators import FAMILIES, gen_instance
-from .instancefile import Instance, parse_instance, serialize_instance
+from .instancefile import MAX_VERTICES, Instance, parse_instance, serialize_instance
 from .intlinalg import period_basis
 from .multigraph import scc_decompose
 from .sweeps import SWEEPS
 
 EXIT_OK = 0
+EXIT_SWEEP_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-
-class _InputError(Exception):
-    pass
 
 
 def _fmt_vec(vec) -> str:
@@ -40,9 +39,9 @@ def _parse_vec(text: str, n: int, what: str) -> tuple[int, ...]:
     try:
         vec = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise _InputError(f"{what} must be comma-separated integers")
+        raise ValueError(f"{what} must be comma-separated integers")
     if len(vec) != n:
-        raise _InputError(f"{what} needs {n} entries, got {len(vec)}")
+        raise ValueError(f"{what} needs {n} entries, got {len(vec)}")
     return vec
 
 
@@ -51,7 +50,7 @@ def _load(path: str) -> Instance:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}")
+        raise ValueError(f"cannot read {path}: {exc.strerror}")
     return parse_instance(text)
 
 
@@ -61,34 +60,34 @@ def _config(instance: Instance, name: str | None):
     return instance.config(name)
 
 
-def _cmd_period(args, out) -> int:
+def _cmd_period(args) -> int:
     basis = period_basis(_load(args.instance).graph)
     if len(basis.scc.components) == 1:
-        out(f"p={_fmt_vec(basis.component_vectors[0])} per={basis.per}")
+        print(f"p={_fmt_vec(basis.component_vectors[0])} per={basis.per}")
     else:
-        out(f"per={basis.per}")
+        print(f"per={basis.per}")
     for comp_id in basis.sink_indices:
         vertices = basis.scc.components[comp_id]
         vec = basis.component_vectors[comp_id]
-        out(f"sink_component={_fmt_vec(vertices)} p_i={_fmt_vec(vec)}")
+        print(f"sink_component={_fmt_vec(vertices)} p_i={_fmt_vec(vec)}")
     return EXIT_OK
 
 
-def _cmd_scc(args, out) -> int:
+def _cmd_scc(args) -> int:
     instance = _load(args.instance)
     scc = scc_decompose(instance.graph)
-    out(f"components={len(scc.components)}")
+    print(f"components={len(scc.components)}")
     for cid, vertices in enumerate(scc.components):
         sink = "yes" if scc.is_sink[cid] else "no"
         trivial = "yes" if scc.is_trivial[cid] else "no"
-        out(
+        print(
             f"component={cid} vertices={_fmt_vec(vertices)} "
             f"sink={sink} trivial={trivial}"
         )
     return EXIT_OK
 
 
-def _cmd_chip_reach(args, out) -> int:
+def _cmd_chip_reach(args) -> int:
     instance = _load(args.instance)
     x = instance.config(args.source).chips
     y = instance.config(args.target).chips
@@ -100,23 +99,23 @@ def _cmd_chip_reach(args, out) -> int:
         line += f" f={_fmt_vec(verdict.firing_vector)}"
     if verdict.reason:
         line += f" reason={verdict.reason}"
-    out(line)
+    print(line)
     if args.trace and verdict.trace is not None:
-        out(f"trace={_fmt_batches(verdict.trace.batches)}")
+        print(f"trace={_fmt_batches(verdict.trace.batches)}")
     return EXIT_BUDGET if verdict.decision == "UNKNOWN" else EXIT_OK
 
 
-def _cmd_chip_recurrent(args, out) -> int:
+def _cmd_chip_recurrent(args) -> int:
     instance = _load(args.instance)
     chips = _config(instance, args.config).chips
     result = chipfiring.is_recurrent(
         instance.graph, chips, max_batches=args.budget_steps
     )
-    out(f"recurrent={'yes' if result else 'no'}")
+    print(f"recurrent={'yes' if result else 'no'}")
     return EXIT_OK
 
 
-def _cmd_chip_halting(args, out) -> int:
+def _cmd_chip_halting(args) -> int:
     instance = _load(args.instance)
     chips = _config(instance, args.config).chips
     verdict = chipfiring.halts(
@@ -126,69 +125,69 @@ def _cmd_chip_halting(args, out) -> int:
         max_states=args.budget_states,
     )
     if verdict.kind == "halts":
-        out(
+        print(
             f"status=halts final={_fmt_vec(verdict.final)} "
             f"f={_fmt_vec(verdict.firing_vector)}"
         )
         return EXIT_OK
     if verdict.kind == "non-halting":
-        out(f"status=non-halting certificate={_fmt_vec(verdict.certificate)}")
+        print(f"status=non-halting certificate={_fmt_vec(verdict.certificate)}")
         return EXIT_OK
-    out(f"status=budget-exceeded reason={verdict.reason}")
+    print(f"status=budget-exceeded reason={verdict.reason}")
     return EXIT_BUDGET
 
 
-def _cmd_lin_equiv(args, out) -> int:
+def _cmd_lin_equiv(args) -> int:
     instance = _load(args.instance)
     x = instance.config(args.source).chips
     y = instance.config(args.target).chips
     f = chipfiring.lin_equiv(instance.graph, x, y)
     if f is None:
-        out("equivalent=no")
+        print("equivalent=no")
     else:
-        out(f"equivalent=yes f={_fmt_vec(f)}")
+        print(f"equivalent=yes f={_fmt_vec(f)}")
     return EXIT_OK
 
 
-def _cmd_rotor_route(args, out) -> int:
+def _cmd_rotor_route(args) -> int:
     instance = _load(args.instance)
     config = _config(instance, args.config)
     r = _parse_vec(args.r, instance.graph.n, "r")
     result = rotorrouting.pi_r(instance.ribbon, config, r)
-    out(f"chips={_fmt_vec(result.chips)} rotors={_fmt_vec(result.rotors)}")
+    print(f"chips={_fmt_vec(result.chips)} rotors={_fmt_vec(result.rotors)}")
     return EXIT_OK
 
 
-def _cmd_rotor_odom(args, out) -> int:
+def _cmd_rotor_odom(args) -> int:
     instance = _load(args.instance)
     config = _config(instance, args.config)
     r = _parse_vec(args.r, instance.graph.n, "r")
     result = rotorrouting.bounded_rotor_game(
         instance.ribbon, config, r, max_batches=args.budget_steps
     )
-    out(
+    print(
         f"odometer={_fmt_vec(result.routing_vector)} "
         f"chips={_fmt_vec(result.final.chips)} "
         f"rotors={_fmt_vec(result.final.rotors)}"
     )
     if args.trace:
-        out(f"trace={_fmt_batches(result.trace.batches)}")
+        print(f"trace={_fmt_batches(result.trace.batches)}")
     return EXIT_OK
 
 
-def _cmd_rotor_unconstrained(args, out) -> int:
+def _cmd_rotor_unconstrained(args) -> int:
     instance = _load(args.instance)
     c1 = instance.config(args.source)
     c2 = instance.config(args.target)
     r = rotorrouting.unconstrained_reach(instance.graph, instance.ribbon, c1, c2)
     if r is None:
-        out("reachable=no")
+        print("reachable=no")
     else:
-        out(f"reachable=yes r={_fmt_vec(r)}")
+        print(f"reachable=yes r={_fmt_vec(r)}")
     return EXIT_OK
 
 
-def _cmd_rotor_reach(args, out) -> int:
+def _cmd_rotor_reach(args) -> int:
     instance = _load(args.instance)
     c1 = instance.config(args.source)
     c2 = instance.config(args.target)
@@ -202,44 +201,50 @@ def _cmd_rotor_reach(args, out) -> int:
         line += f" reason={verdict.reason}"
     if verdict.decision == "NO" and verdict.routing_vector is not None:
         line += f" s1={_fmt_vec(verdict.s1)} s2={_fmt_vec(verdict.s2)}"
-    out(line)
+    print(line)
     if args.trace and verdict.trace is not None:
-        out(f"trace={_fmt_batches(verdict.trace.batches)}")
+        print(f"trace={_fmt_batches(verdict.trace.batches)}")
     return EXIT_OK
 
 
-def _cmd_oracle_check(args, out) -> int:
-    try:
-        sweep = SWEEPS[args.sweep]
-    except KeyError:
-        raise _InputError(
+def _cmd_oracle_check(args) -> int:
+    if args.sweep != "all" and args.sweep not in SWEEPS:
+        raise ValueError(
             f"unknown sweep {args.sweep!r} (choose from {', '.join(sorted(SWEEPS))})"
         )
-    report = sweep(args.count, args.seed)
-    out(report.summary())
-    for failure in report.failures:
-        out(f"failure={failure!r}")
-    return EXIT_OK
+    names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
+    ok = True
+    for name in names:
+        report = SWEEPS[name](args.count, args.seed)
+        print(report.summary())
+        for failure in report.failures:
+            print(f"failure={failure!r}")
+        ok = ok and report.ok
+    return EXIT_OK if ok else EXIT_SWEEP_FAILED
 
 
-def _cmd_gen(args, out) -> int:
-    try:
-        instance = gen_instance(
-            args.family, args.size, args.seed, digits=args.digits
+def _cmd_gen(args) -> int:
+    if args.size > MAX_VERTICES:
+        raise ValueError(
+            f"--size {args.size} exceeds the limit of {MAX_VERTICES} vertices"
         )
-    except ValueError as exc:
-        raise _InputError(str(exc))
+    if args.digits < 1:
+        raise ValueError(f"--digits must be at least 1, got {args.digits}")
+    instance = gen_instance(args.family, args.size, args.seed, digits=args.digits)
     text = serialize_instance(instance)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out(f"written={args.out}")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}")
+        print(f"written={args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _cmd_bfs_reach(args, out) -> int:
+def _cmd_bfs_reach(args) -> int:
     """Direct oracle run on one instance, for spot checks."""
     instance = _load(args.instance)
     c1 = instance.config(args.source)
@@ -250,8 +255,40 @@ def _cmd_bfs_reach(args, out) -> int:
         )
     else:
         result = bfs_reach_rotor(instance.ribbon, c1, c2, args.budget_states)
-    out(f"reachable={'yes' if result else 'no'}")
+    print(f"reachable={'yes' if result else 'no'}")
     return EXIT_OK
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the budgets and counts: 0 is valid, negatives exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+# Options that several subcommands take; each subcommand lists the ones
+# its handler reads, and an option it does not read exits 2.
+_SHARED_OPTIONS = {
+    "--source": {"default": "src"},
+    "--target": {"default": "dst"},
+    "--config": {"default": None},
+    "--budget-steps": {
+        "type": _nonnegative_int,
+        "default": 1_000_000,
+        "help": "cap on game batches/steps before giving up (exit 3)",
+    },
+    "--budget-states": {
+        "type": _nonnegative_int,
+        "default": 500_000,
+        "help": "cap on visited configurations in searches (exit 3)",
+    },
+    "--trace": {"action": "store_true", "help": "also print the legal game trace"},
+    "--seed": {"type": int, "default": 0, "help": "random seed"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,87 +299,49 @@ def build_parser() -> argparse.ArgumentParser:
             "for chip-firing and rotor-routing games."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget-steps",
-        type=int,
-        default=1_000_000,
-        help="cap on game batches/steps before giving up (exit 3)",
-    )
-    common.add_argument(
-        "--budget-states",
-        type=int,
-        default=500_000,
-        help="cap on visited configurations in searches (exit 3)",
-    )
-    common.add_argument(
-        "--trace", action="store_true", help="also print the legal game trace"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized subcommands"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, instance=True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name, func, help_text, *options, instance=True):
+        # allow_abbrev=False: a prefix such as --budget must not select
+        # --budget-steps just because --budget-states is absent here
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
         if instance:
             p.add_argument("instance", help="instance file path")
+        for option in options:
+            p.add_argument(option, **_SHARED_OPTIONS[option])
         return p
 
     add("period", _cmd_period, "period vectors and per(G)")
     add("scc", _cmd_scc, "strongly connected components")
-
-    p = add("chip-reach", _cmd_chip_reach, "chip-firing reachability")
-    p.add_argument("--source", default="src")
-    p.add_argument("--target", default="dst")
-
-    p = add("chip-recurrent", _cmd_chip_recurrent, "chip recurrence test")
-    p.add_argument("--config", default=None)
-
-    p = add("chip-halting", _cmd_chip_halting, "desk-scale halting analysis")
-    p.add_argument("--config", default=None)
-
-    p = add("lin-equiv", _cmd_lin_equiv, "linear equivalence of chip configs")
-    p.add_argument("--source", default="src")
-    p.add_argument("--target", default="dst")
-
-    p = add("rotor-route", _cmd_rotor_route, "apply the closed-form routing map")
-    p.add_argument("--config", default=None)
+    add("chip-reach", _cmd_chip_reach, "chip-firing reachability",
+        "--source", "--target", "--budget-steps", "--trace")
+    add("chip-recurrent", _cmd_chip_recurrent, "chip recurrence test",
+        "--config", "--budget-steps")
+    add("chip-halting", _cmd_chip_halting, "desk-scale halting analysis",
+        "--config", "--budget-steps", "--budget-states")
+    add("lin-equiv", _cmd_lin_equiv, "linear equivalence of chip configs",
+        "--source", "--target")
+    p = add("rotor-route", _cmd_rotor_route, "apply the closed-form routing map",
+            "--config")
     p.add_argument("--r", required=True, help="routing vector, comma-separated")
-
-    p = add("rotor-odom", _cmd_rotor_odom, "simulate the r-bounded rotor game")
-    p.add_argument("--config", default=None)
+    p = add("rotor-odom", _cmd_rotor_odom, "simulate the r-bounded rotor game",
+            "--config", "--budget-steps", "--trace")
     p.add_argument("--r", required=True, help="bound vector, comma-separated")
-
-    p = add(
-        "rotor-unconstrained",
-        _cmd_rotor_unconstrained,
-        "unconstrained rotor reachability",
-    )
-    p.add_argument("--source", default="src")
-    p.add_argument("--target", default="dst")
-
-    p = add("rotor-reach", _cmd_rotor_reach, "legal rotor reachability")
-    p.add_argument("--source", default="src")
-    p.add_argument("--target", default="dst")
-
-    p = add("bfs-reach", _cmd_bfs_reach, "brute-force oracle on one instance")
+    add("rotor-unconstrained", _cmd_rotor_unconstrained,
+        "unconstrained rotor reachability", "--source", "--target")
+    add("rotor-reach", _cmd_rotor_reach, "legal rotor reachability",
+        "--source", "--target", "--budget-steps", "--trace")
+    p = add("bfs-reach", _cmd_bfs_reach, "brute-force oracle on one instance",
+            "--source", "--target", "--budget-states")
     p.add_argument("--game", choices=("chip", "rotor"), default="rotor")
-    p.add_argument("--source", default="src")
-    p.add_argument("--target", default="dst")
-
-    p = add(
-        "oracle-check",
-        _cmd_oracle_check,
-        "run an engine-versus-oracle sweep",
-        instance=False,
-    )
-    p.add_argument("--sweep", default="rotor-reach")
-    p.add_argument("--count", type=int, default=200)
-
-    p = add("gen", _cmd_gen, "generate a random instance", instance=False)
+    p = add("oracle-check", _cmd_oracle_check,
+            "run engine-versus-oracle sweeps (exit 1 if any case fails)",
+            "--seed", instance=False)
+    p.add_argument("--sweep", default="rotor-reach", help="a sweep name, or all")
+    p.add_argument("--count", type=_nonnegative_int, default=200)
+    p = add("gen", _cmd_gen, "generate a random instance", "--seed",
+            instance=False)
     p.add_argument("--family", choices=FAMILIES, default="strongly-connected")
     p.add_argument("--size", type=int, default=4)
     p.add_argument("--digits", type=int, default=18)
@@ -363,13 +362,10 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    def out(line: str) -> None:
-        print(line)
-
     try:
-        return args.func(args, out)
-    except (_InputError, InstanceFormatError, ValueError) as exc:
+        return args.func(args)
+    except ValueError as exc:
+        # InstanceFormatError is a ValueError too
         print(f"error={exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:

@@ -108,11 +108,7 @@ def gen_instance(
     g = gen_graph(family, size, rng, digits=digits)
     ribbon = random_ribbon(g, rng)
     chips = tuple(rng.randint(0, 2) for _ in range(g.n))
-    rotors = tuple(
-        rng.randrange(ribbon.degree(v)) if ribbon.degree(v) else None
-        for v in range(g.n)
-    )
-    config = ChipRotorConfig(chips, rotors)
+    config = ChipRotorConfig(chips, _random_rotors(ribbon, rng))
     return Instance(g, ribbon, {"default": config})
 
 

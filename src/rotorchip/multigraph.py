@@ -97,13 +97,6 @@ class DirectedMultigraph:
             rows[u][v] += m
         return cls(n, tuple(tuple(r) for r in rows))
 
-    def add_edge(self, u: int, v: int, m: int = 1) -> DirectedMultigraph:
-        """Return a copy with ``m`` additional edges u -> v."""
-        _check_edge(self.n, u, v, m)
-        rows = [list(r) for r in self.mult]
-        rows[u][v] += m
-        return DirectedMultigraph(self.n, tuple(tuple(r) for r in rows))
-
     def adjacency(self) -> tuple[OutEdges, ...]:
         """Per vertex, its out-degree and nonzero (head, mult) pairs.
 
@@ -131,12 +124,6 @@ class DirectedMultigraph:
     def successors(self, v: int) -> tuple[int, ...]:
         """Support successors: heads u with at least one edge v -> u."""
         return tuple(u for u, m in enumerate(self.mult[v]) if m)
-
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u in range(self.n) if self.mult[u][v])
-
-    def edge_count(self) -> int:
-        return sum(sum(row) for row in self.mult)
 
     def laplacian(self) -> IntMatrix:
         """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].

@@ -3,7 +3,10 @@
 Each sweep draws seeded random cases, runs a decision procedure and its
 independent ground truth, and reports counters plus verbatim failing
 cases.  The acceptance tests and the ``oracle-check`` subcommand both
-run these; a sweep passes only with zero failures.
+run these; a sweep passes only with zero failures.  A longer run of every
+sweep, which exits 1 if any of them records a failure:
+
+    rotorchip oracle-check --sweep all --count 10000 --seed 0
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from random import Random
 from . import bruteforce, chipfiring, intlinalg, rotorrouting
 from .errors import BudgetExceededError
 from .generators import (
+    _random_rotors,
     chip_case_stream,
     gen_graph,
     random_ribbon,
@@ -251,9 +255,7 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
         else:
             ribbon = random_ribbon(g, rng)
             rper = tuple(p[v] * degs[v] for v in range(g.n))
-            config = ChipRotorConfig(
-                rper, _random_rotor_positions(ribbon, rng)
-            )
+            config = ChipRotorConfig(rper, _random_rotors(ribbon, rng))
             seq = list(
                 _random_bounded_rotor_sequence(
                     ribbon, config, rper, Random(rng.getrandbits(64))
@@ -340,13 +342,6 @@ def _random_bounded_rotor_sequence(ribbon, config, bound, rng) -> tuple[int, ...
         cur = rotorrouting.route(ribbon, cur, v)
         left[v] -= 1
         seq.append(v)
-
-
-def _random_rotor_positions(ribbon, rng):
-    return tuple(
-        rng.randrange(ribbon.degree(v)) if ribbon.degree(v) else None
-        for v in range(ribbon.n)
-    )
 
 
 def run_eulerian_sweep(count: int, seed: int) -> SweepReport:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import time
 from pathlib import Path
 
 import pytest
 
-from rotorchip.cli import run_command
-from rotorchip.instancefile import parse_instance
+from rotorchip import cli
+from rotorchip.cli import build_parser, run_command
+from rotorchip.instancefile import MAX_VERTICES, parse_instance
+from rotorchip.sweeps import SWEEPS, SweepReport
 
 C2_TEXT = """\
 graph 2
@@ -92,6 +95,136 @@ def run(capsys, *argv: str) -> tuple[int, list[str]]:
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.splitlines()
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _option_actions(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [a for a in p._actions if a.option_strings and a.dest != "help"]
+
+
+# Every subcommand's options, -h and positionals aside: exactly the ones
+# its handler reads.
+OPTIONS = {
+    "period": set(),
+    "scc": set(),
+    "chip-reach": {"--source", "--target", "--budget-steps", "--trace"},
+    "chip-recurrent": {"--config", "--budget-steps"},
+    "chip-halting": {"--config", "--budget-steps", "--budget-states"},
+    "lin-equiv": {"--source", "--target"},
+    "rotor-route": {"--config", "--r"},
+    "rotor-odom": {"--config", "--r", "--budget-steps", "--trace"},
+    "rotor-unconstrained": {"--source", "--target"},
+    "rotor-reach": {"--source", "--target", "--budget-steps", "--trace"},
+    "bfs-reach": {"--game", "--source", "--target", "--budget-states"},
+    "oracle-check": {"--sweep", "--count", "--seed"},
+    "gen": {"--family", "--size", "--digits", "--out", "--seed"},
+}
+
+
+class _RecordingArgs:
+    """Forwards attribute reads to the parsed arguments and records them."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self._args = args
+        self.read: set[str] = set()
+
+    def __getattr__(self, name: str):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+class TestOptions:
+    def test_each_subcommand_takes_exactly_its_options(self) -> None:
+        found = {
+            name: {s for a in _option_actions(p) for s in a.option_strings}
+            for name, p in _subparsers().items()
+        }
+        assert found == OPTIONS
+        assert sum(len(opts) for opts in found.values()) == 35
+
+    def test_each_option_is_read_by_its_handler(
+        self, capsys, c2_path: str, d21_path: str, tmp_path: Path
+    ) -> None:
+        argv = {
+            "rotor-route": [d21_path, "--config", "src", "--r", "1,1"],
+            "rotor-odom": [d21_path, "--config", "go", "--r", "1,0"],
+            "rotor-unconstrained": [d21_path],
+            "rotor-reach": [d21_path],
+            "oracle-check": ["--count", "0"],
+            "gen": ["--out", str(tmp_path / "g.rcg")],
+        }
+        parsers = _subparsers()
+        for name, p in parsers.items():
+            args = p.parse_args(argv.get(name, [c2_path]))
+            recorder = _RecordingArgs(args)
+            assert args.func(recorder) == 0, name
+            dests = {a.dest for a in _option_actions(p)}
+            assert dests <= recorder.read, name
+        capsys.readouterr()
+
+    def test_unread_option_exits_2(self, capsys, c2_path: str) -> None:
+        for argv in (
+            ["period", c2_path, "--trace"],
+            ["period", c2_path, "--seed", "9"],
+            ["scc", c2_path, "--budget-states", "0"],
+            ["lin-equiv", c2_path, "--budget-steps", "5"],
+            ["chip-recurrent", c2_path, "--trace"],
+            ["chip-reach", c2_path, "--budget-states", "5"],
+            ["rotor-route", c2_path, "--r", "1,1", "--budget-steps", "5"],
+            ["bfs-reach", c2_path, "--budget-steps", "5"],
+            ["oracle-check", "--trace"],
+            ["gen", "--budget-steps", "5"],
+        ):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+            assert "unrecognized arguments" in captured.err
+
+    def test_option_prefix_exits_2(self, capsys, c2_path: str) -> None:
+        # --budget is a prefix of --budget-steps alone here; it must not
+        # silently select it
+        for argv in (
+            ["chip-reach", c2_path, "--budget", "5"],
+            ["chip-reach", c2_path, "--budget-step", "5"],
+            ["chip-reach", c2_path, "--trac"],
+            ["rotor-reach", c2_path, "--sour", "src"],
+            ["oracle-check", "--coun", "1"],
+        ):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chip-halting", "{c2}", "--budget-steps", "-1"],
+            ["chip-halting", "{c2}", "--budget-states", "-1"],
+            ["chip-reach", "{c2}", "--budget-steps", "-1"],
+            ["chip-recurrent", "{c2}", "--budget-steps", "-1"],
+            ["rotor-reach", "{c2}", "--budget-steps", "-1"],
+            ["rotor-odom", "{c2}", "--r", "1,1", "--budget-steps", "-1"],
+            ["bfs-reach", "{c2}", "--game", "chip", "--budget-states", "-1"],
+            ["oracle-check", "--count", "-5"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_negative_budget_or_count_exits_2(
+        self, capsys, c2_path: str, argv: list[str]
+    ) -> None:
+        code = run_command([a.format(c2=c2_path) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in captured.err
 
 
 class TestPeriod:
@@ -205,6 +338,28 @@ class TestOracleCheck:
         capsys.readouterr()
         assert code == 2
 
+    def test_failing_sweep_exits_1(self, capsys, monkeypatch) -> None:
+        def failing(count: int, seed: int) -> SweepReport:
+            report = SweepReport("broken", total=count)
+            report.fail("engine and oracle disagree")
+            return report
+
+        monkeypatch.setattr(cli, "SWEEPS", {"broken": failing})
+        code, lines = run(capsys, "oracle-check", "--sweep", "broken", "--count", "3")
+        assert code == 1
+        assert lines == [
+            "sweep=broken total=3 failures=1 elapsed=0.0s ok=no",
+            "failure='engine and oracle disagree'",
+        ]
+
+    def test_sweep_all_runs_every_sweep(self, capsys) -> None:
+        code, lines = run(capsys, "oracle-check", "--sweep", "all", "--count", "2")
+        assert code == 0
+        assert [line.split()[0] for line in lines] == [
+            f"sweep={name}" for name in SWEEPS
+        ]
+        assert all(line.endswith("ok=yes") for line in lines)
+
 
 class TestBfsReach:
     def test_chip_game(self, capsys, c2_path: str) -> None:
@@ -251,6 +406,35 @@ class TestGen:
             code, lines = run(capsys, "period", str(p))
             assert code == 0
             assert any("per=" in line for line in lines)
+
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path: Path) -> None:
+        path = tmp_path / "missing" / "g.rcg"
+        code = run_command(["gen", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error=cannot write {path}: No such file or directory\n"
+
+    def test_size_above_vertex_limit_exits_2_before_generating(self, capsys) -> None:
+        start = time.perf_counter()
+        code = run_command(["gen", "--size", str(MAX_VERTICES + 1)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error=--size {MAX_VERTICES + 1} exceeds the limit of "
+            f"{MAX_VERTICES} vertices\n"
+        )
+        assert elapsed < 1.0
+
+    def test_digits_below_one_exits_2(self, capsys) -> None:
+        code = run_command(["gen", "--family", "heavy-multiplicity", "--digits", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error=--digits must be at least 1, got 0\n"
 
 
 class TestExitCodes:

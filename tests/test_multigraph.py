@@ -49,19 +49,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedMultigraph(n=2, mult=((0, 1),))
 
-    def test_add_edge_returns_new_graph(self) -> None:
-        g = DirectedMultigraph.empty(2)
-        h = g.add_edge(0, 1, 2)
-        assert g.mult == ((0, 0), (0, 0))
-        assert h.mult == ((0, 2), (0, 0))
-
     def test_degrees_and_successors(self) -> None:
         g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (0, 2, 1), (1, 0, 1)])
         assert g.out_degree(0) == 3
         assert g.in_degree(0) == 1
         assert g.successors(0) == (1, 2)
-        assert g.predecessors(1) == (0,)
-        assert g.edge_count() == 4
         assert g.is_sink_vertex(2)
         assert not g.is_sink_vertex(0)
 
