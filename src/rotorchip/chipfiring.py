@@ -174,7 +174,7 @@ def reach_chip(
     """
     if len(x) != g.n or len(y) != g.n:
         raise ValueError("configuration length must match the vertex count")
-    d = tuple(b - a for a, b in zip(x, y))
+    d = tuple([b - a for a, b in zip(x, y)])
     f = nonneg_reduced_solution(g, d)
     if f is None:
         return ChipReachVerdict("NO", reason="no-nonneg-firing-vector")
@@ -216,7 +216,7 @@ def is_recurrent_via_reach(
     v = next((u for u in range(g.n) if is_legal_fire(g, x, u)), None)
     if v is None:
         return False
-    bound = tuple(p[u] - (1 if u == v else 0) for u in range(g.n))
+    bound = tuple([p[u] - (1 if u == v else 0) for u in range(g.n)])
     result = bounded_chip_game(g, fire(g, x, v), bound, max_batches=max_batches)
     return result.firing_vector == bound
 
@@ -231,7 +231,7 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
         raise ValueError("linear equivalence requires a strongly connected graph")
     if len(x) != g.n or len(y) != g.n:
         raise ValueError("configuration length must match the vertex count")
-    return nonneg_reduced_solution(g, tuple(b - a for a, b in zip(x, y)))
+    return nonneg_reduced_solution(g, tuple([b - a for a, b in zip(x, y)]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,7 +303,7 @@ def halts(
                 "non-halting",
                 certificate=state,
                 witness_to_certificate=first,
-                witness_cycle=tuple(b - a for a, b in zip(first, fired)),
+                witness_cycle=tuple([b - a for a, b in zip(first, fired)]),
             )
         if len(seen) >= max_states:
             return HaltingVerdict("budget-exceeded", reason="max-states")

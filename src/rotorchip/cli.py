@@ -37,7 +37,7 @@ def _fmt_batches(batches) -> str:
 
 def _parse_vec(text: str, n: int, what: str) -> tuple[int, ...]:
     try:
-        vec = tuple(int(tok) for tok in text.split(","))
+        vec = tuple([int(tok) for tok in text.split(",")])
     except ValueError:
         raise ValueError(f"{what} must be comma-separated integers")
     if len(vec) != n:
@@ -191,8 +191,10 @@ def _cmd_rotor_reach(args) -> int:
     instance = _load(args.instance)
     c1 = instance.config(args.source)
     c2 = instance.config(args.target)
+    # the witness game is played only for --trace; the verdict needs none
     verdict = rotorrouting.reach_rotor(
-        instance.graph, instance.ribbon, c1, c2, max_batches=args.budget_steps
+        instance.graph, instance.ribbon, c1, c2,
+        max_batches=args.budget_steps, trace=args.trace,
     )
     line = f"decision={verdict.decision}"
     if verdict.routing_vector is not None:
@@ -202,7 +204,7 @@ def _cmd_rotor_reach(args) -> int:
     if verdict.decision == "NO" and verdict.routing_vector is not None:
         line += f" s1={_fmt_vec(verdict.s1)} s2={_fmt_vec(verdict.s2)}"
     print(line)
-    if args.trace and verdict.trace is not None:
+    if verdict.trace is not None:
         print(f"trace={_fmt_batches(verdict.trace.batches)}")
     return EXIT_OK
 
@@ -210,7 +212,8 @@ def _cmd_rotor_reach(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.sweep != "all" and args.sweep not in SWEEPS:
         raise ValueError(
-            f"unknown sweep {args.sweep!r} (choose from {', '.join(sorted(SWEEPS))})"
+            f"unknown sweep {args.sweep!r} "
+            f"(choose from {', '.join(sorted(SWEEPS))}, or all)"
         )
     names = list(SWEEPS) if args.sweep == "all" else [args.sweep]
     ok = True
@@ -270,9 +273,10 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-# Options that several subcommands take; each subcommand lists the ones
+# Arguments that several subcommands take; each subcommand lists the ones
 # its handler reads, and an option it does not read exits 2.
-_SHARED_OPTIONS = {
+_SHARED_ARGUMENTS = {
+    "instance": {"help": "instance file path"},
     "--source": {"default": "src"},
     "--target": {"default": "dst"},
     "--config": {"default": None},
@@ -290,8 +294,76 @@ _SHARED_OPTIONS = {
     "--seed": {"type": int, "default": 0, "help": "random seed"},
 }
 
+# Each subcommand's handler, help line and arguments, in the order they
+# are added: a shared argument by name, or (name, keywords) for its own.
+_SUBCOMMANDS = {
+    "period": (_cmd_period, "period vectors and per(G)", ("instance",)),
+    "scc": (_cmd_scc, "strongly connected components", ("instance",)),
+    "chip-reach": (
+        _cmd_chip_reach, "chip-firing reachability",
+        ("instance", "--source", "--target", "--budget-steps", "--trace"),
+    ),
+    "chip-recurrent": (
+        _cmd_chip_recurrent, "chip recurrence test",
+        ("instance", "--config", "--budget-steps"),
+    ),
+    "chip-halting": (
+        _cmd_chip_halting, "desk-scale halting analysis",
+        ("instance", "--config", "--budget-steps", "--budget-states"),
+    ),
+    "lin-equiv": (
+        _cmd_lin_equiv, "linear equivalence of chip configs",
+        ("instance", "--source", "--target"),
+    ),
+    "rotor-route": (
+        _cmd_rotor_route, "apply the closed-form routing map",
+        ("instance", "--config",
+         ("--r", {"required": True, "help": "routing vector, comma-separated"})),
+    ),
+    "rotor-odom": (
+        _cmd_rotor_odom, "simulate the r-bounded rotor game",
+        ("instance", "--config", "--budget-steps", "--trace",
+         ("--r", {"required": True, "help": "bound vector, comma-separated"})),
+    ),
+    "rotor-unconstrained": (
+        _cmd_rotor_unconstrained, "unconstrained rotor reachability",
+        ("instance", "--source", "--target"),
+    ),
+    "rotor-reach": (
+        _cmd_rotor_reach, "legal rotor reachability",
+        ("instance", "--source", "--target", "--budget-steps", "--trace"),
+    ),
+    "bfs-reach": (
+        _cmd_bfs_reach, "brute-force oracle on one instance",
+        ("instance", "--source", "--target", "--budget-states",
+         ("--game", {"choices": ("chip", "rotor"), "default": "rotor"})),
+    ),
+    "oracle-check": (
+        _cmd_oracle_check,
+        "run engine-versus-oracle sweeps (exit 1 if any case fails)",
+        ("--seed",
+         ("--sweep", {"default": "rotor-reach", "help": "a sweep name, or all"}),
+         ("--count", {"type": _nonnegative_int, "default": 200})),
+    ),
+    "gen": (
+        _cmd_gen, "generate a random instance",
+        ("--seed",
+         ("--family", {"choices": FAMILIES, "default": "strongly-connected"}),
+         ("--size", {"type": int, "default": 4}),
+         ("--digits", {"type": int, "default": 18}),
+         ("--out", {"default": None, "help": "write to file instead of stdout"})),
+    ),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, or with ``command`` alone.
+
+    Parsing arguments that start with ``command`` gives the same result,
+    output and exit status either way: the one-subcommand parser still
+    names all of them in its usage line, which "unrecognized arguments"
+    errors print.
+    """
     parser = argparse.ArgumentParser(
         prog="rotorchip",
         description=(
@@ -300,66 +372,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *options, instance=True):
+    if command is None:
+        names = _SUBCOMMANDS
+    else:
+        names = (command,)
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    for name in names:
+        func, help_text, arguments = _SUBCOMMANDS[name]
         # allow_abbrev=False: a prefix such as --budget must not select
         # --budget-steps just because --budget-states is absent here
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
-        if instance:
-            p.add_argument("instance", help="instance file path")
-        for option in options:
-            p.add_argument(option, **_SHARED_OPTIONS[option])
-        return p
-
-    add("period", _cmd_period, "period vectors and per(G)")
-    add("scc", _cmd_scc, "strongly connected components")
-    add("chip-reach", _cmd_chip_reach, "chip-firing reachability",
-        "--source", "--target", "--budget-steps", "--trace")
-    add("chip-recurrent", _cmd_chip_recurrent, "chip recurrence test",
-        "--config", "--budget-steps")
-    add("chip-halting", _cmd_chip_halting, "desk-scale halting analysis",
-        "--config", "--budget-steps", "--budget-states")
-    add("lin-equiv", _cmd_lin_equiv, "linear equivalence of chip configs",
-        "--source", "--target")
-    p = add("rotor-route", _cmd_rotor_route, "apply the closed-form routing map",
-            "--config")
-    p.add_argument("--r", required=True, help="routing vector, comma-separated")
-    p = add("rotor-odom", _cmd_rotor_odom, "simulate the r-bounded rotor game",
-            "--config", "--budget-steps", "--trace")
-    p.add_argument("--r", required=True, help="bound vector, comma-separated")
-    add("rotor-unconstrained", _cmd_rotor_unconstrained,
-        "unconstrained rotor reachability", "--source", "--target")
-    add("rotor-reach", _cmd_rotor_reach, "legal rotor reachability",
-        "--source", "--target", "--budget-steps", "--trace")
-    p = add("bfs-reach", _cmd_bfs_reach, "brute-force oracle on one instance",
-            "--source", "--target", "--budget-states")
-    p.add_argument("--game", choices=("chip", "rotor"), default="rotor")
-    p = add("oracle-check", _cmd_oracle_check,
-            "run engine-versus-oracle sweeps (exit 1 if any case fails)",
-            "--seed", instance=False)
-    p.add_argument("--sweep", default="rotor-reach", help="a sweep name, or all")
-    p.add_argument("--count", type=_nonnegative_int, default=200)
-    p = add("gen", _cmd_gen, "generate a random instance", "--seed",
-            instance=False)
-    p.add_argument("--family", choices=FAMILIES, default="strongly-connected")
-    p.add_argument("--size", type=int, default=4)
-    p.add_argument("--digits", type=int, default=18)
-    p.add_argument("--out", default=None, help="write to file instead of stdout")
-
+        for argument in arguments:
+            if isinstance(argument, str):
+                p.add_argument(argument, **_SHARED_ARGUMENTS[argument])
+            else:
+                p.add_argument(argument[0], **argument[1])
     return parser
 
 
 def run_command(argv) -> int:
-    # The parser is rebuilt on every call on purpose.  Caching it took the
-    # solve-mid benchmark (small in-process queries) from 392 to 868
-    # queries/s, but its peak RSS from 22.2 to 23.4 MB, over that
-    # benchmark's 5% bound: without argparse's cyclic garbage no full
-    # collection ran in 20 passes (17 did with it), and RSS stayed about
-    # 1 MB higher at an equal pass count.
-    parser = build_parser()
+    # Each call builds the parser of the invoked subcommand alone: all 13
+    # took about 1.8 ms, most of a small solve-mid query.  argv that does
+    # not start with a subcommand ([], -h, a typo) gets the full parser,
+    # which lists them all.  Nothing is cached.  A cached full parser took
+    # solve-mid from 392 to 868 queries/s but raised its peak RSS by about
+    # 5%: without argparse's cyclic garbage hardly any full collection
+    # runs, and the engine's tuple free lists filled.  One small parser
+    # per call leaves as little garbage, so the engine builds its tuples
+    # at their final size (see multigraph.out_edges).
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -207,7 +207,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     f"chips line needs {n} values, got {len(rest)}", lineno
                 )
-            chip_lines[name] = tuple(_int(t, "chip count", lineno) for t in rest)
+            chip_lines[name] = tuple([_int(t, "chip count", lineno) for t in rest])
         elif directive == "rotor":
             usage = "rotor [<name> :] <v> <position>"
             name, rest = _config_name(tokens[1:], usage, lineno)
@@ -276,7 +276,7 @@ def parse_instance(text: str) -> Instance:
     for name, chips in chip_lines.items():
         positions = rotor_lines.get(name, {})
         rotors = tuple(
-            None if degs[v] == 0 else positions.get(v, 0) for v in range(n)
+            [None if degs[v] == 0 else positions.get(v, 0) for v in range(n)]
         )
         configs[name] = ChipRotorConfig(chips, rotors)
     return Instance(graph, ribbon, configs)

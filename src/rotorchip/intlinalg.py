@@ -131,7 +131,7 @@ def _primitive(det: int, ker: list[int], comp: Sequence[int]) -> IntVector:
     """
     ker[comp[0]] = det
     common = gcd(*ker)
-    p = tuple(x // common for x in ker)
+    p = tuple([x // common for x in ker])
     if any(p[v] <= 0 for v in comp):
         raise ArithmeticError("primitive period vector must be positive on a strongly connected graph")
     return p
@@ -172,7 +172,7 @@ class PeriodBasis:
     per: int
 
     def kernel_vectors(self) -> tuple[IntVector, ...]:
-        return tuple(self.component_vectors[i] for i in self.sink_indices)
+        return tuple([self.component_vectors[i] for i in self.sink_indices])
 
 
 def period_basis(g: DirectedMultigraph) -> PeriodBasis:
@@ -183,7 +183,7 @@ def period_basis(g: DirectedMultigraph) -> PeriodBasis:
         sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
         for u, out in enumerate(g.adjacency())
     ]
-    vectors = tuple(_component_period(g, comp, degs) for comp in scc.components)
+    vectors = tuple([_component_period(g, comp, degs) for comp in scc.components])
     return PeriodBasis(
         scc=scc,
         component_vectors=vectors,

@@ -28,8 +28,14 @@ class OutEdges(NamedTuple):
 
 def out_edges(row: IntVector) -> OutEdges:
     """The adjacency entry of one multiplicity row, in O(n)."""
-    heads = tuple(compress(range(len(row)), row))
-    return OutEdges(sum(row), tuple(zip(heads, map(row.__getitem__, heads))))
+    # Tuples here and on the other per-query paths are built from lists,
+    # never from a generator, map, zip or compress.  CPython (3.11) starts
+    # those at 10 slots, resizes them, and frees them onto the free list
+    # of their final size, which keeps up to 2,000 of each size 1-19 until
+    # a full collection; with few collections those lists fill to about
+    # 3 MB.  A tuple built from a list takes and returns one of its size.
+    heads = list(compress(range(len(row)), row))
+    return OutEdges(sum(row), tuple([(v, row[v]) for v in heads]))
 
 
 _shared_out_edges = lru_cache(maxsize=1024)(out_edges)
@@ -58,7 +64,7 @@ class DirectedMultigraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        mult = tuple(tuple(row) for row in self.mult)
+        mult = tuple([tuple(row) for row in self.mult])
         if len(mult) != self.n or any(len(row) != self.n for row in mult):
             raise ValueError("multiplicity matrix must be n x n")
         for u, row in enumerate(mult):
@@ -86,7 +92,7 @@ class DirectedMultigraph:
 
     @classmethod
     def empty(cls, n: int) -> DirectedMultigraph:
-        return cls(n, tuple((0,) * n for _ in range(n)))
+        return cls(n, ((0,) * n,) * n)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> DirectedMultigraph:
@@ -95,7 +101,7 @@ class DirectedMultigraph:
         for u, v, m in edges:
             _check_edge(n, u, v, m)
             rows[u][v] += m
-        return cls(n, tuple(tuple(r) for r in rows))
+        return cls(n, tuple([tuple(r) for r in rows]))
 
     def adjacency(self) -> tuple[OutEdges, ...]:
         """Per vertex, its out-degree and nonzero (head, mult) pairs.
@@ -107,8 +113,8 @@ class DirectedMultigraph:
         adj = self._adjacency
         if adj is None:
             if self.n <= SMALL_GRAPH_MAX_N:
-                return tuple(map(_shared_out_edges, self.mult))
-            adj = tuple(map(out_edges, self.mult))
+                return tuple([_shared_out_edges(row) for row in self.mult])
+            adj = tuple([out_edges(row) for row in self.mult])
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
@@ -119,11 +125,11 @@ class DirectedMultigraph:
         return sum(row[v] for row in self.mult)
 
     def out_degrees(self) -> IntVector:
-        return tuple(out.degree for out in self.adjacency())
+        return tuple([out.degree for out in self.adjacency()])
 
     def successors(self, v: int) -> tuple[int, ...]:
         """Support successors: heads u with at least one edge v -> u."""
-        return tuple(u for u, m in enumerate(self.mult[v]) if m)
+        return tuple([u for u, m in enumerate(self.mult[v]) if m])
 
     def laplacian(self) -> IntMatrix:
         """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].
@@ -132,10 +138,10 @@ class DirectedMultigraph:
         column sums to zero.
         """
         degs = self.out_degrees()
-        return tuple(
-            tuple(-degs[v] if u == v else self.mult[v][u] for v in range(self.n))
+        return tuple([
+            tuple([-degs[v] if u == v else self.mult[v][u] for v in range(self.n)])
             for u in range(self.n)
-        )
+        ])
 
     def is_sink_vertex(self, v: int) -> bool:
         return self.out_degree(v) == 0
@@ -165,7 +171,7 @@ class SccDecomposition:
     is_trivial: tuple[bool, ...]
 
     def sink_component_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.is_sink) if s)
+        return tuple([i for i, s in enumerate(self.is_sink) if s])
 
 
 def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:

@@ -45,7 +45,7 @@ def _shared_runs(runs_v: tuple[Run, ...]) -> tuple[Run, ...]:
 def _share(runs: tuple[tuple[Run, ...], ...]) -> tuple[tuple[Run, ...], ...]:
     """Small ribbons share equal vertex orders; larger ones keep their own."""
     if len(runs) <= SMALL_GRAPH_MAX_N:
-        return tuple(map(_shared_runs, runs))
+        return tuple([_shared_runs(runs_v) for runs_v in runs])
     return runs
 
 
@@ -69,7 +69,7 @@ class RibbonStructure:
         runs = []
         degrees = []
         for v, rs in enumerate(self.runs):
-            rs = tuple((int(h), int(c)) for h, c in rs)
+            rs = tuple([(int(h), int(c)) for h, c in rs])
             degree = 0
             for head, count in rs:
                 if not 0 <= head < n:
@@ -161,7 +161,7 @@ def runs_match_row(runs_v: tuple[Run, ...], row: IntVector, degree: int) -> bool
 
 def default_ribbon(g: DirectedMultigraph) -> RibbonStructure:
     """One run per distinct successor, heads in ascending order."""
-    return RibbonStructure(tuple(out.edges for out in g.adjacency()))
+    return RibbonStructure(tuple([out.edges for out in g.adjacency()]))
 
 
 class ChipRotorConfig(NamedTuple):
@@ -172,7 +172,7 @@ class ChipRotorConfig(NamedTuple):
 
 
 def default_rotors(ribbon: RibbonStructure) -> tuple[int | None, ...]:
-    return tuple(None if ribbon.is_sink(v) else 0 for v in range(ribbon.n))
+    return tuple([None if ribbon.is_sink(v) else 0 for v in range(ribbon.n)])
 
 
 def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
@@ -410,19 +410,19 @@ def unconstrained_reach(
     validate_config(ribbon, c1)
     validate_config(ribbon, c2)
     degs = ribbon.degrees
-    r1 = tuple(
+    r1 = tuple([
         0 if degs[v] == 0 else (c2.rotors[v] - c1.rotors[v]) % degs[v]
         for v in range(ribbon.n)
-    )
+    ])
     aligned = pi_r(ribbon, c1, r1)
     if aligned.rotors != c2.rotors:
         return None
     z = nonneg_reduced_solution(
-        g, tuple(b - a for a, b in zip(aligned.chips, c2.chips))
+        g, tuple([b - a for a, b in zip(aligned.chips, c2.chips)])
     )
     if z is None:
         return None
-    return tuple(r1[v] + z[v] * degs[v] for v in range(ribbon.n))
+    return tuple([r1[v] + z[v] * degs[v] for v in range(ribbon.n)])
 
 
 def reachability_sets(
@@ -441,8 +441,8 @@ def reachability_sets(
     r exists iff S1 and S2 are both empty.
     """
     y = target.chips
-    s1 = tuple(v for v in range(ribbon.n) if r[v] > 0 and y[v] < 0)
-    t = tuple(v for v in range(ribbon.n) if r[v] > 0 and y[v] == 0)
+    s1 = tuple([v for v in range(ribbon.n) if r[v] > 0 and y[v] < 0])
+    t = tuple([v for v in range(ribbon.n) if r[v] > 0 and y[v] == 0])
     tset = frozenset(t)
     succ = {v: ribbon.head_at(v, target.rotors[v]) for v in t}
     escaped = set()
@@ -460,7 +460,7 @@ def reachability_sets(
             if w not in escaped:
                 escaped.add(w)
                 stack.append(w)
-    s2 = tuple(v for v in t if v not in escaped)
+    s2 = tuple([v for v in t if v not in escaped])
     return s1, t, s2
 
 
@@ -471,8 +471,9 @@ class RotorReachVerdict:
     decision is "YES" or "NO" (the procedure is polynomial and always
     conclusive).  On YES, ``routing_vector`` is the reduced odometer of
     a legal game from source to target, and ``trace`` replays one such
-    game when the trace budget allowed producing it; otherwise ``reason``
-    is "trace-budget-exceeded".  On NO, ``reason`` says whether
+    game when a trace was asked for and its budget allowed producing it;
+    when the budget ran out ``reason`` is "trace-budget-exceeded".  On
+    NO, ``reason`` says whether
     unconstrained routing already fails or which obstruction set is
     nonempty.
     """
@@ -492,14 +493,17 @@ def reach_rotor(
     c1: ChipRotorConfig,
     c2: ChipRotorConfig,
     max_batches: int = DEFAULT_MAX_BATCHES,
+    trace: bool = True,
 ) -> RotorReachVerdict:
     """Decide whether some legal rotor game leads from c1 to c2.
 
     Reachable iff c2 is the unconstrained image under the reduced r and
-    both obstruction sets for that r are empty.  On YES the r-bounded
-    game achieves odometer r, so its trace is a legal witness; if the
-    trace budget runs out the decision stands with trace = None and
-    reason "trace-budget-exceeded".
+    both obstruction sets for that r are empty: one exact solve, ``pi_r``
+    and the O(n) sets.  On YES with ``trace`` the r-bounded game is
+    played as well; it achieves odometer r, so its trace is a legal
+    witness.  If its budget of ``max_batches`` runs out the decision
+    stands with trace = None and reason "trace-budget-exceeded".  Without
+    ``trace`` no game is played and ``max_batches`` is not used.
     """
     r = unconstrained_reach(g, ribbon, c1, c2)
     if r is None:
@@ -514,13 +518,15 @@ def reach_rotor(
             s2=s2,
             reason="s1-nonempty" if s1 else "s2-nonempty",
         )
+    if not trace:
+        return RotorReachVerdict("YES", routing_vector=r, t=t)
     try:
-        trace = bounded_rotor_game(ribbon, c1, r, max_batches=max_batches).trace
+        game = bounded_rotor_game(ribbon, c1, r, max_batches=max_batches)
     except BudgetExceededError:
         return RotorReachVerdict(
             "YES", routing_vector=r, t=t, reason="trace-budget-exceeded"
         )
-    return RotorReachVerdict("YES", routing_vector=r, t=t, trace=trace)
+    return RotorReachVerdict("YES", routing_vector=r, t=t, trace=game.trace)
 
 
 def odometer_equals_bound(

@@ -97,12 +97,15 @@ def run(capsys, *argv: str) -> tuple[int, list[str]]:
     return code, captured.out.splitlines()
 
 
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    parser = build_parser()
+def _subparsers_of(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     (action,) = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
     return action.choices
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return _subparsers_of(build_parser())
 
 
 def _option_actions(p: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -227,6 +230,80 @@ class TestOptions:
         assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in captured.err
 
 
+def _outcome(capsys, call, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``call(argv)``; SystemExit gives the code."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser(argv: list[str]) -> int:
+    """Parse with every subcommand's parser, then dispatch like run_command."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+class TestOneSubparserPerCall:
+    """run_command builds only the invoked subparser, with the full parser's output."""
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_parse_outcomes_match_the_full_parser(
+        self, capsys, monkeypatch, name: str
+    ) -> None:
+        # oracle-check without arguments runs the default sweep: make it
+        # one that is quick and prints no timing
+        monkeypatch.setattr(
+            cli, "SWEEPS", {"rotor-reach": lambda count, seed: SweepReport("stub", count)}
+        )
+        for argv in (
+            [name, "-h"],
+            [name],
+            [name, "--bogus"],
+            [name, "x", "--bogus"],
+            ["chip-reach", "--budget", "5", "x"],
+        ):
+            expected = _outcome(capsys, _full_parser, argv)
+            assert expected[0] in (0, 2), argv
+            assert _outcome(capsys, run_command, argv) == expected, argv
+
+    def test_unrecognized_arguments_list_every_subcommand(self, capsys) -> None:
+        code, out, err = _outcome(capsys, run_command, ["gen", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: rotorchip [-h]")
+        assert f"{{{','.join(OPTIONS)}}}" in err
+        assert err.endswith("rotorchip: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
+    def test_no_subcommand_lists_all_of_them(self, capsys, argv: list[str]) -> None:
+        outcome = _outcome(capsys, run_command, argv)
+        assert outcome[0] == (0 if argv == ["-h"] else 2)
+        text = outcome[1] + outcome[2]
+        assert f"{{{','.join(OPTIONS)}}}" in text
+        if argv == ["bogus"]:
+            assert ", ".join(f"'{name}'" for name in OPTIONS) in text
+        assert outcome == _outcome(capsys, _full_parser, argv)
+
+    def test_builds_only_the_invoked_subparser(
+        self, capsys, monkeypatch, c2_path: str
+    ) -> None:
+        built = []
+
+        def recording(command=None):
+            parser = build_parser(command)
+            built.append(sorted(_subparsers_of(parser)))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert run_command(["scc", c2_path]) == 0
+        assert run_command(["-h"]) == 0
+        assert run_command(["bogus"]) == 2
+        capsys.readouterr()
+        assert built == [["scc"], sorted(OPTIONS), sorted(OPTIONS)]
+
+
 class TestPeriod:
     def test_two_cycle(self, capsys, c2_path: str) -> None:
         code, lines = run(capsys, "period", c2_path)
@@ -313,6 +390,26 @@ class TestRotorCommands:
         assert code == 0
         assert lines[0] == "decision=YES r=1,0"
 
+    def test_reach_without_trace_ignores_the_game_budget(
+        self, capsys, d21_path: str
+    ) -> None:
+        argv = ["rotor-reach", d21_path, "--source", "go", "--target", "gone",
+                "--budget-steps", "0"]
+        code, lines = run(capsys, *argv)
+        assert code == 0
+        assert lines == ["decision=YES r=1,0"]
+        code, lines = run(capsys, *argv, "--trace")
+        assert code == 0
+        assert lines == ["decision=YES r=1,0 reason=trace-budget-exceeded"]
+
+    def test_reach_trace(self, capsys, d21_path: str) -> None:
+        code, lines = run(
+            capsys, "rotor-reach", d21_path, "--source", "go", "--target", "gone",
+            "--trace",
+        )
+        assert code == 0
+        assert lines == ["decision=YES r=1,0", "trace=0:1"]
+
     def test_reach_demo_pair(self, capsys, fig1_path: str) -> None:
         code, lines = run(capsys, "rotor-reach", fig1_path)
         assert code == 0
@@ -335,8 +432,13 @@ class TestOracleCheck:
 
     def test_unknown_sweep(self, capsys) -> None:
         code = run_command(["oracle-check", "--sweep", "bogus"])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error=unknown sweep 'bogus' (choose from {', '.join(sorted(SWEEPS))}"
+            ", or all)\n"
+        )
 
     def test_failing_sweep_exits_1(self, capsys, monkeypatch) -> None:
         def failing(count: int, seed: int) -> SweepReport:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from rotorchip.bruteforce import bfs_reach_rotor, enumerate_digraphs
 from rotorchip.errors import BudgetExceededError
 from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import is_routing_reduced, primitive_period_vector
+from rotorchip import rotorrouting
 from rotorchip.multigraph import DirectedMultigraph
 from rotorchip.rotorrouting import (
     BoundedRotorResult,
@@ -303,6 +305,38 @@ class TestReachRotor:
         assert v.routing_vector == (1, 0)
         assert v.trace is None
         assert v.reason == "trace-budget-exceeded"
+
+    def test_yes_without_trace_plays_no_game(
+        self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure, monkeypatch
+    ) -> None:
+        def no_game(*args, **kwargs):
+            raise AssertionError("the witness game was played")
+
+        monkeypatch.setattr(rotorrouting, "bounded_rotor_game", no_game)
+        c1 = ChipRotorConfig((1, 0), (0, 0))
+        c2 = ChipRotorConfig((0, 1), (1, 0))
+        v = reach_rotor(d21, d21_ribbon, c1, c2, max_batches=0, trace=False)
+        assert v.decision == "YES"
+        assert v.routing_vector == (1, 0)
+        assert v.trace is None
+        assert v.reason is None
+
+    def test_verdict_without_trace_matches_traced(self) -> None:
+        rng = random.Random(7)
+        decisions = set()
+        for _ in range(40):
+            g = gen_graph("random", rng.randint(2, 5), rng)
+            ribbon = random_ribbon(g, rng)
+            rotors = default_rotors(ribbon)
+            c1 = ChipRotorConfig(tuple(rng.randint(0, 3) for _ in range(g.n)), rotors)
+            r = tuple(0 if d == 0 else rng.randint(0, 2 * d) for d in ribbon.degrees)
+            c2 = pi_r(ribbon, c1, r)
+            traced = reach_rotor(g, ribbon, c1, c2)
+            untraced = reach_rotor(g, ribbon, c1, c2, trace=False)
+            assert untraced.trace is None
+            assert untraced == dataclasses.replace(traced, trace=None)
+            decisions.add(traced.decision)
+        assert decisions == {"YES", "NO"}
 
     def test_no_not_unconstrained(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
         c1 = ChipRotorConfig((0, 0), (0, 0))
