@@ -52,13 +52,11 @@ from .rotorrouting import (
     RotorReachVerdict,
     bounded_rotor_game,
     default_ribbon,
-    default_rotors,
     is_legal_route,
     odometer_equals_bound,
     pi_r,
     reach_rotor,
     reachability_sets,
-    rotor_edge,
     route,
     route_many,
     unconstrained_reach,
@@ -104,13 +102,11 @@ __all__ = [
     "RotorReachVerdict",
     "bounded_rotor_game",
     "default_ribbon",
-    "default_rotors",
     "is_legal_route",
     "odometer_equals_bound",
     "pi_r",
     "reach_rotor",
     "reachability_sets",
-    "rotor_edge",
     "route",
     "route_many",
     "unconstrained_reach",

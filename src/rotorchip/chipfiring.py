@@ -46,13 +46,15 @@ def fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> ChipConfig:
 
 
 def is_legal_fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> bool:
-    return x[v] >= g.out_degree(v)
+    return 0 <= v < g.n and x[v] >= g.out_degree(v)
 
 
 def fire_many(g: DirectedMultigraph, x: ChipConfig, v: int, k: int) -> ChipConfig:
     """Fire v exactly k times in one arithmetic step."""
     if k < 0:
         raise ValueError("repetition count must be nonnegative")
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
     out = list(x)
     _fire_in_place(out, g.adjacency()[v], v, k)
     return tuple(out)

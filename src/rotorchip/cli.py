@@ -10,13 +10,21 @@ a verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import chipfiring, rotorrouting
 from .bruteforce import bfs_reach_chip, bfs_reach_rotor
 from .errors import BudgetExceededError
 from .generators import FAMILIES, gen_instance
-from .instancefile import MAX_VERTICES, Instance, parse_instance, serialize_instance
+from .instancefile import (
+    DECIMAL_RE,
+    MAX_VERTICES,
+    Instance,
+    digit_limit_message,
+    parse_instance,
+    serialize_instance,
+)
 from .intlinalg import period_basis
 from .multigraph import scc_decompose
 from .sweeps import SWEEPS
@@ -28,7 +36,12 @@ EXIT_BUDGET = 3
 
 
 def _fmt_vec(vec) -> str:
-    return ",".join("-" if x is None else str(x) for x in vec)
+    """Comma-separated entries; one that str() refuses for its length
+    (past the interpreter's int-string limit) is an input error."""
+    try:
+        return ",".join("-" if x is None else str(x) for x in vec)
+    except ValueError:
+        raise ValueError(digit_limit_message("a verdict integer")) from None
 
 
 def _fmt_batches(batches) -> str:
@@ -36,9 +49,12 @@ def _fmt_batches(batches) -> str:
 
 
 def _parse_vec(text: str, n: int, what: str) -> tuple[int, ...]:
+    tokens = text.split(",")
     try:
-        vec = tuple([int(tok) for tok in text.split(",")])
+        vec = tuple([int(tok) for tok in tokens])
     except ValueError:
+        if all(map(DECIMAL_RE.match, tokens)):
+            raise ValueError(digit_limit_message(f"an entry of {what}"))
         raise ValueError(f"{what} must be comma-separated integers")
     if len(vec) != n:
         raise ValueError(f"{what} needs {n} entries, got {len(vec)}")
@@ -62,10 +78,11 @@ def _config(instance: Instance, name: str | None):
 
 def _cmd_period(args) -> int:
     basis = period_basis(_load(args.instance).graph)
+    per = _fmt_vec([basis.per])
     if len(basis.scc.components) == 1:
-        print(f"p={_fmt_vec(basis.component_vectors[0])} per={basis.per}")
+        print(f"p={_fmt_vec(basis.component_vectors[0])} per={per}")
     else:
-        print(f"per={basis.per}")
+        print(f"per={per}")
     for comp_id in basis.sink_indices:
         vertices = basis.scc.components[comp_id]
         vec = basis.component_vectors[comp_id]
@@ -233,8 +250,18 @@ def _cmd_gen(args) -> int:
         )
     if args.digits < 1:
         raise ValueError(f"--digits must be at least 1, got {args.digits}")
+    limit = sys.get_int_max_str_digits()
+    if limit and args.digits > limit:
+        raise ValueError(
+            f"--digits must be at most {limit}, the interpreter's int-string "
+            f"limit, got {args.digits}"
+        )
     instance = gen_instance(args.family, args.size, args.seed, digits=args.digits)
-    text = serialize_instance(instance)
+    try:
+        text = serialize_instance(instance)
+    except ValueError:
+        # heavy multiplicities are sums of --digits-digit numbers
+        raise ValueError(digit_limit_message("a generated integer")) from None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -356,14 +383,9 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every subcommand, or with ``command`` alone.
-
-    Parsing arguments that start with ``command`` gives the same result,
-    output and exit status either way: the one-subcommand parser still
-    names all of them in its usage line, which "unrecognized arguments"
-    errors print.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rotorchip",
         description=(
@@ -372,13 +394,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is None:
-        names = _SUBCOMMANDS
-    else:
-        names = (command,)
-        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
-    for name in names:
-        func, help_text, arguments = _SUBCOMMANDS[name]
+    for name, (func, help_text, arguments) in _SUBCOMMANDS.items():
         # allow_abbrev=False: a prefix such as --budget must not select
         # --budget-steps just because --budget-states is absent here
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
@@ -392,18 +408,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    # Each call builds the parser of the invoked subcommand alone: all 13
-    # took about 1.8 ms, most of a small solve-mid query.  argv that does
-    # not start with a subcommand ([], -h, a typo) gets the full parser,
-    # which lists them all.  Nothing is cached.  A cached full parser took
-    # solve-mid from 392 to 868 queries/s but raised its peak RSS by about
-    # 5%: without argparse's cyclic garbage hardly any full collection
-    # runs, and the engine's tuple free lists filled.  One small parser
-    # per call leaves as little garbage, so the engine builds its tuples
-    # at their final size (see multigraph.out_edges).
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # argparse keeps no state between parse_args calls, and with the
+    # engine's final-size tuples (multigraph.out_edges) a kept parser
+    # does not raise peak RSS.
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

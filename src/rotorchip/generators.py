@@ -27,6 +27,11 @@ FAMILIES = ("eulerian", "strongly-connected", "heavy-multiplicity", "random")
 # run-length encoding, so shuffle whole runs instead
 _EXPAND_LIMIT = 64
 
+# the case streams' graphs and chips stay at oracle scale
+_CASE_N_MAX = 4
+_CASE_MULT_MAX = 3
+_CASE_CHIPS_MAX = 3
+
 
 def _add_cycle(rows: list[list[int]], cycle: list[int], m: int) -> None:
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -114,18 +119,17 @@ def gen_instance(
 
 def _random_small_graph(
     rng: Random,
-    n_max: int,
     mult_max: int,
     force_strongly_connected: bool,
     shared_rows: dict[tuple[int, ...], tuple[int, ...]],
 ) -> DirectedMultigraph:
-    """A random graph on at most n_max vertices.
+    """A random graph on at most _CASE_N_MAX vertices.
 
     Rows equal to one in ``shared_rows`` reuse its tuple: callers keep
     thousands of cases alive at once, and at this scale only a few
     hundred distinct rows occur.
     """
-    n = rng.randint(2, n_max)
+    n = rng.randint(2, _CASE_N_MAX)
     rows = [[0] * n for _ in range(n)]
     if force_strongly_connected:
         _add_cycle(rows, list(range(n)), 1)
@@ -141,13 +145,13 @@ def _random_small_graph(
     )
 
 
-def _random_chips(rng: Random, n: int, chips_max: int) -> tuple[int, ...]:
-    """Entries in [-1, chips_max], resampled until |total| <= chips_max."""
+def _random_chips(rng: Random, n: int) -> tuple[int, ...]:
+    """Entries in [-1, 2], resampled until |total| <= _CASE_CHIPS_MAX."""
     while True:
         chips = tuple(
             -1 if rng.random() < 0.15 else rng.randint(0, 2) for _ in range(n)
         )
-        if abs(sum(chips)) <= chips_max:
+        if abs(sum(chips)) <= _CASE_CHIPS_MAX:
             return chips
 
 
@@ -167,9 +171,7 @@ class RotorCase:
     mode: str
 
 
-def rotor_case_stream(
-    seed: int, n_max: int = 4, mult_max: int = 3, chips_max: int = 3
-):
+def rotor_case_stream(seed: int):
     """Endless stream of rotor reachability cases at oracle scale.
 
     Targets cycle through three regimes: independent random draws
@@ -180,15 +182,15 @@ def rotor_case_stream(
     rng = Random(seed)
     shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5, shared_rows)
+        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5, shared_rows)
         ribbon = random_ribbon(g, rng)
         source = ChipRotorConfig(
-            _random_chips(rng, g.n, chips_max), _random_rotors(ribbon, rng)
+            _random_chips(rng, g.n), _random_rotors(ribbon, rng)
         )
         mode = rng.choice(("random", "pi-image", "rollout"))
         if mode == "random":
             target = ChipRotorConfig(
-                _random_chips(rng, g.n, chips_max), _random_rotors(ribbon, rng)
+                _random_chips(rng, g.n), _random_rotors(ribbon, rng)
             )
         elif mode == "pi-image":
             r = tuple(
@@ -216,18 +218,16 @@ class ChipCase:
     mode: str
 
 
-def chip_case_stream(
-    seed: int, n_max: int = 4, mult_max: int = 3, chips_max: int = 3
-):
+def chip_case_stream(seed: int):
     """Endless stream of chip reachability cases at oracle scale."""
     rng = Random(seed)
     shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, rng.random() < 0.5, shared_rows)
-        source = _random_chips(rng, g.n, chips_max)
+        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5, shared_rows)
+        source = _random_chips(rng, g.n)
         mode = rng.choice(("random", "laplacian-image", "rollout"))
         if mode == "random":
-            target = _random_chips(rng, g.n, chips_max)
+            target = _random_chips(rng, g.n)
         elif mode == "laplacian-image":
             lap = g.laplacian()
             f = tuple(rng.randint(0, 3) for _ in range(g.n))
@@ -249,12 +249,10 @@ def chip_case_stream(
         yield ChipCase(g, source, target, mode)
 
 
-def strongly_connected_stream(
-    seed: int, n_max: int = 4, mult_max: int = 3, chips_max: int = 3
-):
+def strongly_connected_stream(seed: int, mult_max: int = _CASE_MULT_MAX):
     """Endless stream of (graph, chips) with the graph strongly connected."""
     rng = Random(seed)
     shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, n_max, mult_max, True, shared_rows)
-        yield g, _random_chips(rng, g.n, chips_max)
+        g = _random_small_graph(rng, mult_max, True, shared_rows)
+        yield g, _random_chips(rng, g.n)

@@ -14,8 +14,9 @@ the graph is stored as a dense n x n matrix, so a larger count is
 rejected with InstanceFormatError (CLI exit 2) before anything is
 allocated.  Loading an instance costs time linear in the file plus
 O(n^2) for that matrix, 8 bytes per entry (``scripts/parse_timing.py``
-measures time and peak).  Multiplicities
-and chip counts are unbounded decimals; chips may be negative.  A
+measures time and peak).  Multiplicities and chip counts are decimals
+of at most ``sys.get_int_max_str_digits()`` digits (4300 by default,
+none with ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.  A
 ``ribbon`` line fixes the cyclic out-edge order at one vertex; vertices
 without one get the default order (heads ascending, parallel edges
 consecutive).
@@ -28,6 +29,7 @@ sinks carry no rotor.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InstanceFormatError
@@ -41,6 +43,16 @@ DEFAULT_CONFIG_NAME = "default"
 MAX_VERTICES = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+# what int() parses in base 10: it refuses such a token only past the
+# interpreter's int-string limit, sys.get_int_max_str_digits()
+DECIMAL_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*\Z")
+
+
+def digit_limit_message(what: str) -> str:
+    return (
+        f"{what} has more digits than the interpreter's int-string limit "
+        f"of {sys.get_int_max_str_digits()}"
+    )
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,8 @@ def _int(token: str, what: str, line: int) -> int:
     try:
         return int(token)
     except ValueError:
+        if DECIMAL_RE.match(token):
+            raise InstanceFormatError(digit_limit_message(what), line)
         raise InstanceFormatError(f"{what} must be an integer, got {token!r}", line)
 
 

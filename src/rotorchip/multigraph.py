@@ -91,10 +91,6 @@ class DirectedMultigraph:
         return g
 
     @classmethod
-    def empty(cls, n: int) -> DirectedMultigraph:
-        return cls(n, ((0,) * n,) * n)
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> DirectedMultigraph:
         """Build from ``(u, v, mult)`` triples; repeated pairs accumulate."""
         rows = [[0] * n for _ in range(n)]
@@ -127,10 +123,6 @@ class DirectedMultigraph:
     def out_degrees(self) -> IntVector:
         return tuple([out.degree for out in self.adjacency()])
 
-    def successors(self, v: int) -> tuple[int, ...]:
-        """Support successors: heads u with at least one edge v -> u."""
-        return tuple([u for u, m in enumerate(self.mult[v]) if m])
-
     def laplacian(self) -> IntMatrix:
         """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].
 
@@ -142,9 +134,6 @@ class DirectedMultigraph:
             tuple([-degs[v] if u == v else self.mult[v][u] for v in range(self.n)])
             for u in range(self.n)
         ])
-
-    def is_sink_vertex(self, v: int) -> bool:
-        return self.out_degree(v) == 0
 
 
 def _check_edge(n: int, u: int, v: int, m: int) -> None:

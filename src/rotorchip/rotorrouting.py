@@ -6,10 +6,10 @@ consecutive parallel edges to ``head``.  All closed-form operations cost
 O(number of runs) arbitrary-precision operations, never O(degree), so
 multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``_route_vertex``, routes a single vertex k times in O(runs(v));
-``pi_r`` loops over it, ``route_many`` calls it once, and the bounded
-game and trace replay call it on their own lists.  The bounded game
-keeps its eligible vertices in a min-heap (smallest routed first), so a
-batch costs O(runs(v) + log n).
+``pi_r`` loops over it, ``route_many`` (and ``route`` through it) calls
+it once, and the bounded game and trace replay call it on their own
+lists.  The bounded game keeps its eligible vertices in a min-heap
+(smallest routed first), so a batch costs O(runs(v) + log n).
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -171,10 +171,6 @@ class ChipRotorConfig(NamedTuple):
     rotors: tuple[int | None, ...]
 
 
-def default_rotors(ribbon: RibbonStructure) -> tuple[int | None, ...]:
-    return tuple([None if ribbon.is_sink(v) else 0 for v in range(ribbon.n)])
-
-
 def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
     n = ribbon.n
     if len(config.chips) != n or len(config.rotors) != n:
@@ -188,18 +184,8 @@ def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
             raise ValueError(f"rotor position at vertex {v} out of range")
 
 
-def rotor_edge(
-    ribbon: RibbonStructure, rotors: tuple[int | None, ...], v: int
-) -> tuple[int, int]:
-    """(head, position) of v's current rotor edge."""
-    pos = rotors[v]
-    if pos is None:
-        raise ValueError(f"vertex {v} is a sink and has no rotor")
-    return ribbon.head_at(v, pos), pos
-
-
 def is_legal_route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> bool:
-    return not ribbon.is_sink(v) and config.chips[v] > 0
+    return 0 <= v < ribbon.n and not ribbon.is_sink(v) and config.chips[v] > 0
 
 
 def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotorConfig:
@@ -207,17 +193,11 @@ def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotor
 
     Routing at a sink moves nothing and is the identity.
     """
-    d = ribbon.degree(v)
-    if d == 0:
+    if not 0 <= v < ribbon.n:
+        raise ValueError(f"vertex {v} out of range")
+    if ribbon.is_sink(v):
         return config
-    pos = (config.rotors[v] + 1) % d
-    head = ribbon.head_at(v, pos)
-    chips = list(config.chips)
-    chips[v] -= 1
-    chips[head] += 1
-    rotors = list(config.rotors)
-    rotors[v] = pos
-    return ChipRotorConfig(tuple(chips), tuple(rotors))
+    return route_many(ribbon, config, v, 1)
 
 
 def _send_positions(runs_v: tuple[Run, ...], chips: list[int], a: int, b: int) -> None:

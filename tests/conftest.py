@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from rotorchip.multigraph import DirectedMultigraph
 from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure
+
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int-string limit, 4300 digits, for one test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture

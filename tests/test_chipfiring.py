@@ -50,6 +50,16 @@ class TestFire:
         assert fire(fig1, x, 3) == x
         assert not is_legal_fire(fig1, (0, 0, 0, -1), 3)
 
+    def test_out_of_range_vertex(self, c2: DirectedMultigraph) -> None:
+        # a negative vertex must not index from the end
+        for v in (-1, 2):
+            assert not is_legal_fire(c2, (1, 1), v)
+            assert not validate_legal_firing_sequence(c2, (1, 1), [v])
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                fire(c2, (1, 1), v)
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                fire_many(c2, (1, 1), v, 3)
+
     def test_fire_many(self, d21: DirectedMultigraph) -> None:
         assert fire_many(d21, (4, 0), 0, 2) == (0, 4)
 

@@ -247,7 +247,7 @@ def _full_parser(argv: list[str]) -> int:
 
 
 class TestOneSubparserPerCall:
-    """run_command builds only the invoked subparser, with the full parser's output."""
+    """run_command's output is the full parser's, and the parser is built once."""
 
     @pytest.mark.parametrize("name", list(OPTIONS))
     def test_parse_outcomes_match_the_full_parser(
@@ -286,22 +286,26 @@ class TestOneSubparserPerCall:
             assert ", ".join(f"'{name}'" for name in OPTIONS) in text
         assert outcome == _outcome(capsys, _full_parser, argv)
 
-    def test_builds_only_the_invoked_subparser(
+    def test_builds_the_parser_once(
         self, capsys, monkeypatch, c2_path: str
     ) -> None:
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        def recording(command=None):
-            parser = build_parser(command)
-            built.append(sorted(_subparsers_of(parser)))
-            return parser
+        def recording(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_parser", recording)
-        assert run_command(["scc", c2_path]) == 0
-        assert run_command(["-h"]) == 0
-        assert run_command(["bogus"]) == 2
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        build_parser.cache_clear()
+        calls = [([name, "-h"], 0) for name in OPTIONS]
+        calls += [(["scc", c2_path], 0), ([], 2), (["-h"], 0), (["bogus"], 2)]
+        for _ in range(3):
+            for argv, code in calls:
+                assert run_command(argv) == code, argv
         capsys.readouterr()
-        assert built == [["scc"], sorted(OPTIONS), sorted(OPTIONS)]
+        # one top-level parser and one subparser per subcommand, once
+        assert built == ["rotorchip"] + [f"rotorchip {name}" for name in OPTIONS]
 
 
 class TestPeriod:
@@ -531,6 +535,21 @@ class TestGen:
         )
         assert elapsed < 1.0
 
+    def test_digits_past_the_digit_limit_exit_2_before_generating(
+        self, capsys, digit_limit: int
+    ) -> None:
+        start = time.perf_counter()
+        code = run_command(["gen", "--family", "heavy-multiplicity", "--digits", "5000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error=--digits must be at most {digit_limit}, the interpreter's "
+            "int-string limit, got 5000\n"
+        )
+        assert elapsed < 1.0
+
     def test_digits_below_one_exits_2(self, capsys) -> None:
         code = run_command(["gen", "--family", "heavy-multiplicity", "--digits", "0"])
         captured = capsys.readouterr()
@@ -565,6 +584,37 @@ class TestExitCodes:
         assert code == 2
         assert "exceeds the limit" in err and "line 1" in err
         assert elapsed < 1.0
+
+    def test_verdict_past_the_digit_limit_exits_2(
+        self, capsys, tmp_path: Path, digit_limit: int
+    ) -> None:
+        # a valid file whose period vector has entries of about 6000 digits
+        m = "7" * 3000
+        p = tmp_path / "big.rcg"
+        p.write_text(
+            f"graph 3\nedge 0 1 {m}\nedge 1 2 {m}1\nedge 2 0 {m}3\nedge 1 0 1\n",
+            encoding="utf-8",
+        )
+        code = run_command(["period", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error=a verdict integer has more digits than the interpreter's "
+            f"int-string limit of {digit_limit}\n"
+        )
+
+    def test_vector_entry_past_the_digit_limit_exits_2(
+        self, capsys, d21_path: str, digit_limit: int
+    ) -> None:
+        r = "1," + "1" * (digit_limit + 1)
+        code = run_command(["rotor-route", d21_path, "--config", "src", "--r", r])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error=an entry of r has more digits than the interpreter's "
+            f"int-string limit of {digit_limit}\n"
+        )
 
     def test_bad_vector_length(self, capsys, d21_path: str) -> None:
         code = run_command(["rotor-route", d21_path, "--config", "src", "--r", "1,2,3"])

@@ -119,6 +119,15 @@ class TestParseErrors:
         assert exc.value.line == 2
         assert f"limit of {MAX_VERTICES}" in str(exc.value)
 
+    def test_multiplicity_past_the_digit_limit(self, digit_limit: int) -> None:
+        big = "9" * (digit_limit + 700)
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(f"graph 2\nedge 0 1 {big}\n")
+        assert str(exc.value) == (
+            "line 2: edge multiplicity has more digits than the interpreter's "
+            f"int-string limit of {digit_limit}"
+        )
+
     def test_chip_count_mismatch(self) -> None:
         with pytest.raises(InstanceFormatError):
             parse_instance("graph 2\nchips 1\n")

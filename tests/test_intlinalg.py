@@ -89,7 +89,7 @@ class TestPeriodVector:
         assert primitive_period_vector(d21) == (1, 2)
 
     def test_single_vertex(self) -> None:
-        assert primitive_period_vector(DirectedMultigraph.empty(1)) == (1,)
+        assert primitive_period_vector(DirectedMultigraph(1, ((0,),))) == (1,)
 
     def test_rejects_non_strongly_connected(self, fig1: DirectedMultigraph) -> None:
         with pytest.raises(ValueError):

@@ -49,13 +49,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedMultigraph(n=2, mult=((0, 1),))
 
-    def test_degrees_and_successors(self) -> None:
+    def test_degrees(self) -> None:
         g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (0, 2, 1), (1, 0, 1)])
         assert g.out_degree(0) == 3
         assert g.in_degree(0) == 1
-        assert g.successors(0) == (1, 2)
-        assert g.is_sink_vertex(2)
-        assert not g.is_sink_vertex(0)
+        assert g.out_degree(2) == 0
 
     @given(small_graphs(max_n=12, max_mult=10**18))
     @settings(max_examples=60, deadline=None)
@@ -132,8 +130,8 @@ class TestScc:
             exits = [
                 w
                 for v in members
-                for w in g.successors(v)
-                if scc.component_of[w] != cid
+                for w, m in enumerate(g.mult[v])
+                if m and scc.component_of[w] != cid
             ]
             assert scc.is_sink[cid] == (not exits)
 

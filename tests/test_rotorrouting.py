@@ -19,13 +19,11 @@ from rotorchip.rotorrouting import (
     RibbonStructure,
     bounded_rotor_game,
     default_ribbon,
-    default_rotors,
     is_legal_route,
     odometer_equals_bound,
     pi_r,
     reach_rotor,
     reachability_sets,
-    rotor_edge,
     route,
     route_many,
     unconstrained_reach,
@@ -82,10 +80,6 @@ class TestRibbon:
 
 
 class TestConfig:
-    def test_default_rotors_none_at_sinks(self, fig1_ribbon: RibbonStructure) -> None:
-        rotors = default_rotors(fig1_ribbon)
-        assert rotors == (0, 0, 0, None)
-
     def test_validate_config(self, fig1_ribbon: RibbonStructure) -> None:
         validate_config(fig1_ribbon, ChipRotorConfig((0, 0, 0, 0), (0, 2, 1, None)))
         with pytest.raises(ValueError):
@@ -117,11 +111,15 @@ class TestRoute:
         assert is_legal_route(d21_ribbon, ChipRotorConfig((1, 0), (0, 0)), 0)
         assert not is_legal_route(d21_ribbon, ChipRotorConfig((0, 1), (0, 0)), 0)
 
-    def test_rotor_edge(self, fig1_ribbon: RibbonStructure) -> None:
-        assert rotor_edge(fig1_ribbon, (0, 0, 0, None), 0) == (2, 0)
-        assert rotor_edge(fig1_ribbon, (2, 0, 1, None), 0) == (3, 2)
-        with pytest.raises(ValueError):
-            rotor_edge(fig1_ribbon, (0, 0, 0, None), 3)
+    def test_out_of_range_vertex(self) -> None:
+        # a negative vertex must not index from the end
+        c2 = RibbonStructure(runs=(((1, 1),), ((0, 1),)))
+        cfg = ChipRotorConfig((1, 1), (0, 0))
+        for v in (-1, 2):
+            assert not is_legal_route(c2, cfg, v)
+            assert not validate_legal_routing_sequence(c2, cfg, [v])
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                route(c2, cfg, v)
 
     def test_route_many(self, d21_ribbon: RibbonStructure) -> None:
         cfg = ChipRotorConfig((2, 0), (0, 0))
@@ -327,7 +325,7 @@ class TestReachRotor:
         for _ in range(40):
             g = gen_graph("random", rng.randint(2, 5), rng)
             ribbon = random_ribbon(g, rng)
-            rotors = default_rotors(ribbon)
+            rotors = tuple(None if d == 0 else 0 for d in ribbon.degrees)
             c1 = ChipRotorConfig(tuple(rng.randint(0, 3) for _ in range(g.n)), rotors)
             r = tuple(0 if d == 0 else rng.randint(0, 2 * d) for d in ribbon.degrees)
             c2 = pi_r(ribbon, c1, r)
