@@ -11,6 +11,7 @@ the parser, which ``run_command`` makes once per process.  Then it makes
 many full garbage collections ran and the tuple free-list counts that
 ``sys._debugmallocstats()`` reports (CPython only).  A free list keeps
 up to 2,000 tuples of its size until a full collection empties it.
+Exits 1 when any timed command exits nonzero (see the ``exit`` column).
 
     python3 scripts/cli_timing.py
     python3 scripts/cli_timing.py --sizes 12,24 --repeats 21 --calls 5000
@@ -68,7 +69,7 @@ def commands(path: Path, r: str) -> dict[str, list[str]]:
         "chip-recurrent": ["chip-recurrent", p, "--config", "src",
                            "--budget-steps", "10000"],
         "chip-halting": ["chip-halting", p, "--config", "src",
-                         "--budget-steps", "10000", "--budget-states", "10000"],
+                         "--budget-steps", "10000"],
         "lin-equiv": ["lin-equiv", p],
         "rotor-route": ["rotor-route", p, "--config", "src", "--r", r],
         "rotor-odom": ["rotor-odom", p, "--config", "src", "--r", r],
@@ -138,9 +139,11 @@ def main() -> int:
             f"{'ms/call':>8} {'parse ms':>8} {'parse %':>7}"
         )
         parser = build_parser()
+        failed = False
         for family, n, argvs in cases:
             for label, argv in argvs.items():
                 code = quiet_call(argv)
+                failed = failed or code != 0
                 call_s = median_seconds(lambda: quiet_call(argv), args.repeats)
                 parse_s = median_seconds(lambda: parser.parse_args(argv), args.repeats)
                 print(
@@ -154,7 +157,7 @@ def main() -> int:
 
         if not hasattr(sys, "_debugmallocstats"):
             print("free lists: not available on this interpreter")
-            return 0
+            return 1 if failed else 0
         rotation = [argv for _, _, argvs in cases for argv in argvs.values()]
         gc.collect()
         full_before = gc.get_stats()[2]["collections"]
@@ -168,7 +171,7 @@ def main() -> int:
             f"({sum(b for _, _, b in lists) / 1e6:.2f} MB)"
         )
         print("free tuples by size: " + " ".join(f"{s}:{c}" for s, c, _ in lists))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution, primitive_period_vector
@@ -29,7 +30,6 @@ CountVector = IntVector
 
 DEFAULT_MAX_BATCHES = 1_000_000
 DEFAULT_MAX_STEPS = 1_000_000
-DEFAULT_MAX_STATES = 500_000
 
 
 def _fire_in_place(chips: list[int], out: OutEdges, v: int, k: int) -> None:
@@ -245,8 +245,8 @@ class HaltingVerdict:
     recurrent and linearly equivalent to x.  ``witness_to_certificate``
     counts the firings from x to the certificate's first visit and
     ``witness_cycle`` the firings around the observed loop.  A
-    budget-exceeded verdict names the budget that ran out in ``reason``:
-    "max-steps" or "max-states".
+    budget-exceeded verdict names the one budget, ``max_steps``, in
+    ``reason``: "max-steps".
     """
 
     kind: str
@@ -262,7 +262,6 @@ def halts(
     g: DirectedMultigraph,
     x: ChipConfig,
     max_steps: int = DEFAULT_MAX_STEPS,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> HaltingVerdict:
     """Simulate the greedy legal game until it stabilizes or loops.
 
@@ -271,7 +270,9 @@ def halts(
     configuration repeats; that repeat is the non-halting certificate.
     The legal vertices sit in a min-heap, smallest fired first; a
     firing costs O(out-support(v) + log n) plus the O(n) snapshot of
-    the configuration that exact cycle detection keeps.
+    the configuration that exact cycle detection keeps.  Each firing
+    stores at most one configuration, an n-tuple mapped to its step
+    index, so ``max_steps`` caps the memory as well as the time.
     """
     if not is_strongly_connected(g):
         raise ValueError("halting analysis requires a strongly connected graph")
@@ -281,15 +282,17 @@ def halts(
     degs = [out.degree for out in adj]
     cur = list(x)
     state = tuple(cur)
+    seen: dict[ChipConfig, int] = {state: 0}  # state -> firings before it
+    order: list[int] = []  # the fired vertices
     fired = [0] * g.n
-    seen: dict[ChipConfig, CountVector] = {state: tuple(fired)}
     queued = [c >= d for c, d in zip(cur, degs)]
     heap = [v for v in range(g.n) if queued[v]]  # ascending, so a heap
-    for _ in range(max_steps):
+    for step in range(1, max_steps + 1):
         if not heap:
             return HaltingVerdict("halts", final=state, firing_vector=tuple(fired))
         v = heap[0]
         _fire_in_place(cur, adj[v], v, 1)
+        order.append(v)
         fired[v] += 1
         if cur[v] < degs[v]:
             queued[v] = False
@@ -299,17 +302,17 @@ def halts(
                 queued[u] = True
                 heappush(heap, u)
         state = tuple(cur)
-        if state in seen:
-            first = seen[state]
+        first = seen.setdefault(state, step)
+        if first < step:
+            before = [0] * g.n
+            for u in islice(order, first):
+                before[u] += 1
             return HaltingVerdict(
                 "non-halting",
                 certificate=state,
-                witness_to_certificate=first,
-                witness_cycle=tuple([b - a for a, b in zip(first, fired)]),
+                witness_to_certificate=tuple(before),
+                witness_cycle=tuple([b - a for a, b in zip(before, fired)]),
             )
-        if len(seen) >= max_states:
-            return HaltingVerdict("budget-exceeded", reason="max-states")
-        seen[state] = tuple(fired)
     return HaltingVerdict("budget-exceeded", reason="max-steps")
 
 

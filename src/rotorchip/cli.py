@@ -135,12 +135,7 @@ def _cmd_chip_recurrent(args) -> int:
 def _cmd_chip_halting(args) -> int:
     instance = _load(args.instance)
     chips = _config(instance, args.config).chips
-    verdict = chipfiring.halts(
-        instance.graph,
-        chips,
-        max_steps=args.budget_steps,
-        max_states=args.budget_states,
-    )
+    verdict = chipfiring.halts(instance.graph, chips, max_steps=args.budget_steps)
     if verdict.kind == "halts":
         print(
             f"status=halts final={_fmt_vec(verdict.final)} "
@@ -248,20 +243,22 @@ def _cmd_gen(args) -> int:
         raise ValueError(
             f"--size {args.size} exceeds the limit of {MAX_VERTICES} vertices"
         )
-    if args.digits < 1:
-        raise ValueError(f"--digits must be at least 1, got {args.digits}")
+    if args.digits is not None and args.family != "heavy-multiplicity":
+        raise ValueError(
+            f"--digits is read only by --family heavy-multiplicity, "
+            f"not {args.family}"
+        )
+    digits = 18 if args.digits is None else args.digits
+    if digits < 1:
+        raise ValueError(f"--digits must be at least 1, got {digits}")
     limit = sys.get_int_max_str_digits()
-    if limit and args.digits > limit:
+    if limit and digits > limit:
         raise ValueError(
             f"--digits must be at most {limit}, the interpreter's int-string "
-            f"limit, got {args.digits}"
+            f"limit, got {digits}"
         )
-    instance = gen_instance(args.family, args.size, args.seed, digits=args.digits)
-    try:
-        text = serialize_instance(instance)
-    except ValueError:
-        # heavy multiplicities are sums of --digits-digit numbers
-        raise ValueError(digit_limit_message("a generated integer")) from None
+    instance = gen_instance(args.family, args.size, args.seed, digits=digits)
+    text = serialize_instance(instance)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -312,11 +309,6 @@ _SHARED_ARGUMENTS = {
         "default": 1_000_000,
         "help": "cap on game batches/steps before giving up (exit 3)",
     },
-    "--budget-states": {
-        "type": _nonnegative_int,
-        "default": 500_000,
-        "help": "cap on visited configurations in searches (exit 3)",
-    },
     "--trace": {"action": "store_true", "help": "also print the legal game trace"},
     "--seed": {"type": int, "default": 0, "help": "random seed"},
 }
@@ -336,7 +328,7 @@ _SUBCOMMANDS = {
     ),
     "chip-halting": (
         _cmd_chip_halting, "desk-scale halting analysis",
-        ("instance", "--config", "--budget-steps", "--budget-states"),
+        ("instance", "--config", "--budget-steps"),
     ),
     "lin-equiv": (
         _cmd_lin_equiv, "linear equivalence of chip configs",
@@ -362,7 +354,10 @@ _SUBCOMMANDS = {
     ),
     "bfs-reach": (
         _cmd_bfs_reach, "brute-force oracle on one instance",
-        ("instance", "--source", "--target", "--budget-states",
+        ("instance", "--source", "--target",
+         ("--budget-states", {
+             "type": _nonnegative_int, "default": 500_000,
+             "help": "cap on visited configurations in searches (exit 3)"}),
          ("--game", {"choices": ("chip", "rotor"), "default": "rotor"})),
     ),
     "oracle-check": (
@@ -377,7 +372,8 @@ _SUBCOMMANDS = {
         ("--seed",
          ("--family", {"choices": FAMILIES, "default": "strongly-connected"}),
          ("--size", {"type": int, "default": 4}),
-         ("--digits", {"type": int, "default": 18}),
+         ("--digits", {"type": int, "default": None,
+                       "help": "heavy-multiplicity digits (default 18)"}),
          ("--out", {"default": None, "help": "write to file instead of stdout"})),
     ),
 }

@@ -118,17 +118,9 @@ def gen_instance(
 
 
 def _random_small_graph(
-    rng: Random,
-    mult_max: int,
-    force_strongly_connected: bool,
-    shared_rows: dict[tuple[int, ...], tuple[int, ...]],
+    rng: Random, mult_max: int, force_strongly_connected: bool
 ) -> DirectedMultigraph:
-    """A random graph on at most _CASE_N_MAX vertices.
-
-    Rows equal to one in ``shared_rows`` reuse its tuple: callers keep
-    thousands of cases alive at once, and at this scale only a few
-    hundred distinct rows occur.
-    """
+    """A random graph on at most _CASE_N_MAX vertices."""
     n = rng.randint(2, _CASE_N_MAX)
     rows = [[0] * n for _ in range(n)]
     if force_strongly_connected:
@@ -140,9 +132,7 @@ def _random_small_graph(
     for u in range(n):
         for v in range(n):
             rows[u][v] = min(rows[u][v], mult_max)
-    return DirectedMultigraph(
-        n, tuple(shared_rows.setdefault(row, row) for row in map(tuple, rows))
-    )
+    return DirectedMultigraph(n, rows)
 
 
 def _random_chips(rng: Random, n: int) -> tuple[int, ...]:
@@ -180,9 +170,8 @@ def rotor_case_stream(seed: int):
     (guaranteed reachable).
     """
     rng = Random(seed)
-    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5, shared_rows)
+        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5)
         ribbon = random_ribbon(g, rng)
         source = ChipRotorConfig(
             _random_chips(rng, g.n), _random_rotors(ribbon, rng)
@@ -221,9 +210,8 @@ class ChipCase:
 def chip_case_stream(seed: int):
     """Endless stream of chip reachability cases at oracle scale."""
     rng = Random(seed)
-    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5, shared_rows)
+        g = _random_small_graph(rng, _CASE_MULT_MAX, rng.random() < 0.5)
         source = _random_chips(rng, g.n)
         mode = rng.choice(("random", "laplacian-image", "rollout"))
         if mode == "random":
@@ -252,7 +240,6 @@ def chip_case_stream(seed: int):
 def strongly_connected_stream(seed: int, mult_max: int = _CASE_MULT_MAX):
     """Endless stream of (graph, chips) with the graph strongly connected."""
     rng = Random(seed)
-    shared_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
     while True:
-        g = _random_small_graph(rng, mult_max, True, shared_rows)
+        g = _random_small_graph(rng, mult_max, True)
         yield g, _random_chips(rng, g.n)

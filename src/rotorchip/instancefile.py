@@ -301,23 +301,28 @@ def serialize_instance(instance: Instance) -> str:
 
     parse(serialize(i)) equals i whenever i's ribbon runs are already
     canonical (adjacent equal heads merged), which holds for every
-    generated instance.
+    generated instance.  An integer past the int-string limit raises
+    ValueError naming the limit.
     """
     g = instance.graph
     out = [f"graph {g.n}"]
-    for u in range(g.n):
+    try:
+        for u in range(g.n):
+            for v in range(g.n):
+                if g.mult[u][v]:
+                    out.append(f"edge {u} {v} {g.mult[u][v]}")
+        ribbon = instance.ribbon.canonical()
         for v in range(g.n):
-            if g.mult[u][v]:
-                out.append(f"edge {u} {v} {g.mult[u][v]}")
-    ribbon = instance.ribbon.canonical()
-    for v in range(g.n):
-        if ribbon.degree(v):
-            runs = " ".join(f"{h}:{c}" for h, c in ribbon.runs[v])
-            out.append(f"ribbon {v} : {runs}")
-    for name, config in instance.configs.items():
-        prefix = "" if name == DEFAULT_CONFIG_NAME else f"{name} : "
-        out.append(f"chips {prefix}" + " ".join(str(c) for c in config.chips))
-        for v, pos in enumerate(config.rotors):
-            if pos is not None:
-                out.append(f"rotor {prefix}{v} {pos}")
+            if ribbon.degree(v):
+                runs = " ".join(f"{h}:{c}" for h, c in ribbon.runs[v])
+                out.append(f"ribbon {v} : {runs}")
+        for name, config in instance.configs.items():
+            prefix = "" if name == DEFAULT_CONFIG_NAME else f"{name} : "
+            out.append(f"chips {prefix}" + " ".join(str(c) for c in config.chips))
+            for v, pos in enumerate(config.rotors):
+                if pos is not None:
+                    out.append(f"rotor {prefix}{v} {pos}")
+    except ValueError:
+        # str() refuses an int only for its length
+        raise ValueError(digit_limit_message("an instance integer")) from None
     return "\n".join(out) + "\n"

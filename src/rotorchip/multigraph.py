@@ -11,11 +11,12 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 # Graphs and ribbons on at most this many vertices keep no adjacency or
-# vertex order of their own: equal rows share one entry through a bounded
-# cache.  The oracle sweeps and the case streams hold thousands of them
-# on 2-4 vertices at once, with a few hundred distinct rows among them,
-# where a copy per graph would cost about 650 bytes each.  Larger graphs
-# rarely repeat a row and keep their adjacency in the graph.
+# vertex order of their own, and equal rows share one tuple and one entry
+# through bounded caches.  The oracle sweeps and the case streams hold
+# thousands of them on 2-4 vertices at once, with a few hundred distinct
+# rows among them, where a copy per graph would cost about 650 bytes
+# each.  Larger graphs rarely repeat a row and keep their adjacency in
+# the graph.
 SMALL_GRAPH_MAX_N = 8
 
 
@@ -40,6 +41,9 @@ def out_edges(row: IntVector) -> OutEdges:
 
 _shared_out_edges = lru_cache(maxsize=1024)(out_edges)
 
+# tuple() returns a tuple itself, so this keeps the first equal row seen
+_shared_row = lru_cache(maxsize=1024)(tuple)
+
 
 @dataclass(frozen=True, slots=True)
 class DirectedMultigraph:
@@ -52,7 +56,8 @@ class DirectedMultigraph:
     use slots, because sweeps and benchmarks hold thousands of small
     graphs at once.  ``adjacency()`` is built on first use and kept in
     the one cache slot, except on graphs of at most ``SMALL_GRAPH_MAX_N``
-    vertices, which share it row by row with other graphs.
+    vertices, which share their rows and adjacency entries with equal
+    rows of other graphs.
     """
 
     n: int
@@ -73,6 +78,8 @@ class DirectedMultigraph:
                     raise ValueError(f"negative multiplicity on edge {u}->{v}")
                 if u == v and m != 0:
                     raise ValueError(f"loop at vertex {u} is not allowed")
+        if self.n <= SMALL_GRAPH_MAX_N:
+            mult = tuple([_shared_row(row) for row in mult])
         object.__setattr__(self, "mult", mult)
 
     @classmethod

@@ -442,7 +442,7 @@ def run_halting_sweep(count: int, seed: int) -> SweepReport:
     stream = strongly_connected_stream(seed)
     for _ in range(count):
         g, chips = next(stream)
-        verdict = chipfiring.halts(g, chips, max_steps=50_000, max_states=50_000)
+        verdict = chipfiring.halts(g, chips, max_steps=50_000)
         report.total += 1
         report.count(verdict.kind)
         if verdict.kind == "halts":

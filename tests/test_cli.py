@@ -119,7 +119,7 @@ OPTIONS = {
     "scc": set(),
     "chip-reach": {"--source", "--target", "--budget-steps", "--trace"},
     "chip-recurrent": {"--config", "--budget-steps"},
-    "chip-halting": {"--config", "--budget-steps", "--budget-states"},
+    "chip-halting": {"--config", "--budget-steps"},
     "lin-equiv": {"--source", "--target"},
     "rotor-route": {"--config", "--r"},
     "rotor-odom": {"--config", "--r", "--budget-steps", "--trace"},
@@ -150,7 +150,7 @@ class TestOptions:
             for name, p in _subparsers().items()
         }
         assert found == OPTIONS
-        assert sum(len(opts) for opts in found.values()) == 35
+        assert sum(len(opts) for opts in found.values()) == 34
 
     def test_each_option_is_read_by_its_handler(
         self, capsys, c2_path: str, d21_path: str, tmp_path: Path
@@ -210,7 +210,6 @@ class TestOptions:
         "argv",
         [
             ["chip-halting", "{c2}", "--budget-steps", "-1"],
-            ["chip-halting", "{c2}", "--budget-states", "-1"],
             ["chip-reach", "{c2}", "--budget-steps", "-1"],
             ["chip-recurrent", "{c2}", "--budget-steps", "-1"],
             ["rotor-reach", "{c2}", "--budget-steps", "-1"],
@@ -230,61 +229,106 @@ class TestOptions:
         assert f"argument {argv[-2]}: must be at least 0, got {argv[-1]}" in captured.err
 
 
-def _outcome(capsys, call, argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``call(argv)``; SystemExit gives the code."""
-    try:
-        code = call(argv)
-    except SystemExit as exc:
-        code = int(exc.code or 0)
+def _outcome(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``run_command(argv)``."""
+    code = run_command(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def _full_parser(argv: list[str]) -> int:
-    """Parse with every subcommand's parser, then dispatch like run_command."""
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+def _parse_outcome(capsys, argv: list[str]) -> tuple[int, str | None, str | None]:
+    """Exit code, first usage line and last stderr line, None when absent."""
+    code, out, err = _outcome(capsys, argv)
+    usage = next((line for line in (out + err).splitlines() if line.startswith("usage:")), None)
+    return code, usage, err.splitlines()[-1] if err else None
+
+
+# Per subcommand at 80 columns: the first usage line, and the arguments a
+# call without any names as missing (None: such a call runs and exits 0).
+PARSE_OUTCOMES = {
+    "period": ("usage: rotorchip period [-h] instance", "instance"),
+    "scc": ("usage: rotorchip scc [-h] instance", "instance"),
+    "chip-reach": (
+        "usage: rotorchip chip-reach [-h] [--source SOURCE] [--target TARGET]",
+        "instance",
+    ),
+    "chip-recurrent": ("usage: rotorchip chip-recurrent [-h] [--config CONFIG]", "instance"),
+    "chip-halting": ("usage: rotorchip chip-halting [-h] [--config CONFIG]", "instance"),
+    "lin-equiv": (
+        "usage: rotorchip lin-equiv [-h] [--source SOURCE] [--target TARGET] instance",
+        "instance",
+    ),
+    "rotor-route": (
+        "usage: rotorchip rotor-route [-h] [--config CONFIG] --r R instance",
+        "instance, --r",
+    ),
+    "rotor-odom": ("usage: rotorchip rotor-odom [-h] [--config CONFIG]", "instance, --r"),
+    "rotor-unconstrained": (
+        "usage: rotorchip rotor-unconstrained [-h] [--source SOURCE] [--target TARGET]",
+        "instance",
+    ),
+    "rotor-reach": (
+        "usage: rotorchip rotor-reach [-h] [--source SOURCE] [--target TARGET]",
+        "instance",
+    ),
+    "bfs-reach": (
+        "usage: rotorchip bfs-reach [-h] [--source SOURCE] [--target TARGET]",
+        "instance",
+    ),
+    "oracle-check": ("usage: rotorchip oracle-check [-h] [--seed SEED] [--sweep SWEEP]", None),
+    "gen": ("usage: rotorchip gen [-h] [--seed SEED]", None),
+}
 
 
 class TestOneSubparserPerCall:
-    """run_command's output is the full parser's, and the parser is built once."""
+    """run_command's parse outcomes are fixed, and the parser is built once."""
 
     @pytest.mark.parametrize("name", list(OPTIONS))
-    def test_parse_outcomes_match_the_full_parser(
-        self, capsys, monkeypatch, name: str
-    ) -> None:
+    def test_parse_outcomes(self, capsys, monkeypatch, name: str) -> None:
+        monkeypatch.setenv("COLUMNS", "80")
         # oracle-check without arguments runs the default sweep: make it
         # one that is quick and prints no timing
         monkeypatch.setattr(
             cli, "SWEEPS", {"rotor-reach": lambda count, seed: SweepReport("stub", count)}
         )
-        for argv in (
-            [name, "-h"],
-            [name],
-            [name, "--bogus"],
-            [name, "x", "--bogus"],
-            ["chip-reach", "--budget", "5", "x"],
-        ):
-            expected = _outcome(capsys, _full_parser, argv)
-            assert expected[0] in (0, 2), argv
-            assert _outcome(capsys, run_command, argv) == expected, argv
+        usage, missing = PARSE_OUTCOMES[name]
+        assert _parse_outcome(capsys, [name, "-h"]) == (0, usage, None)
+        if missing is None:
+            assert _parse_outcome(capsys, [name]) == (0, None, None)
+            assert _parse_outcome(capsys, [name, "--bogus"]) == (
+                2, "usage: rotorchip [-h]", "rotorchip: error: unrecognized arguments: --bogus"
+            )
+        else:
+            error = f"rotorchip {name}: error: the following arguments are required: {missing}"
+            assert _parse_outcome(capsys, [name]) == (2, usage, error)
+            assert _parse_outcome(capsys, [name, "--bogus"]) == (2, usage, error)
 
     def test_unrecognized_arguments_list_every_subcommand(self, capsys) -> None:
-        code, out, err = _outcome(capsys, run_command, ["gen", "--bogus"])
+        code, out, err = _outcome(capsys, ["gen", "--bogus"])
         assert (code, out) == (2, "")
         assert err.startswith("usage: rotorchip [-h]")
         assert f"{{{','.join(OPTIONS)}}}" in err
         assert err.endswith("rotorchip: error: unrecognized arguments: --bogus\n")
 
-    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
-    def test_no_subcommand_lists_all_of_them(self, capsys, argv: list[str]) -> None:
-        outcome = _outcome(capsys, run_command, argv)
-        assert outcome[0] == (0 if argv == ["-h"] else 2)
-        text = outcome[1] + outcome[2]
-        assert f"{{{','.join(OPTIONS)}}}" in text
-        if argv == ["bogus"]:
-            assert ", ".join(f"'{name}'" for name in OPTIONS) in text
-        assert outcome == _outcome(capsys, _full_parser, argv)
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            ([], 2, "rotorchip: error: the following arguments are required: command"),
+            (["-h"], 0, None),
+            (
+                ["bogus"], 2,
+                "rotorchip: error: argument command: invalid choice: 'bogus' (choose from "
+                + ", ".join(f"'{name}'" for name in OPTIONS) + ")",
+            ),
+        ],
+    )
+    def test_no_subcommand_lists_all_of_them(
+        self, capsys, monkeypatch, argv: list[str], code: int, error: str | None
+    ) -> None:
+        monkeypatch.setenv("COLUMNS", "80")
+        outcome = _outcome(capsys, argv)
+        assert f"{{{','.join(OPTIONS)}}}" in outcome[1] + outcome[2]
+        assert _parse_outcome(capsys, argv) == (code, "usage: rotorchip [-h]", error)
 
     def test_builds_the_parser_once(
         self, capsys, monkeypatch, c2_path: str
@@ -550,6 +594,22 @@ class TestGen:
         )
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("family", ["eulerian", "strongly-connected", "random"])
+    def test_digits_for_another_family_exits_2(self, capsys, family: str) -> None:
+        code, out, err = _outcome(capsys, ["gen", "--family", family, "--digits", "5"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error=--digits is read only by --family heavy-multiplicity, not {family}\n"
+        )
+
+    def test_digits_set_the_heavy_multiplicities(self, capsys) -> None:
+        code, out, _ = _outcome(
+            capsys, ["gen", "--family", "heavy-multiplicity", "--size", "3", "--digits", "5"]
+        )
+        assert code == 0
+        mults = [m for row in parse_instance(out).graph.mult for m in row if m]
+        assert mults and all(10 ** 4 <= m < 10 ** 6 for m in mults)
+
     def test_digits_below_one_exits_2(self, capsys) -> None:
         code = run_command(["gen", "--family", "heavy-multiplicity", "--digits", "0"])
         captured = capsys.readouterr()
@@ -634,8 +694,8 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error=bounded chip game exceeded 0 batches\n"
 
-    def test_state_budget_exit(self, capsys, c2_path: str) -> None:
-        code = run_command(["chip-halting", c2_path, "--budget-states", "1"])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert out == "status=budget-exceeded reason=max-states\n"
+    def test_state_budget_is_not_a_halting_option(self, capsys, c2_path: str) -> None:
+        # --budget-steps also caps the stored configurations: one per firing
+        code, out, err = _outcome(capsys, ["chip-halting", c2_path, "--budget-states", "1"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --budget-states 1\n")

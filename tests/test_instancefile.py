@@ -15,6 +15,8 @@ from rotorchip.instancefile import (
     parse_instance,
     serialize_instance,
 )
+from rotorchip.multigraph import DirectedMultigraph
+from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure
 
 BASIC = """\
 # two-vertex example
@@ -181,6 +183,20 @@ class TestRoundTrip:
             assert again.ribbon == inst.ribbon
             assert again.configs == inst.configs
             assert serialize_instance(again) == blob
+
+    def test_multiplicity_past_the_digit_limit(self, digit_limit: int) -> None:
+        big = 10 ** digit_limit  # one digit past the limit
+        inst = Instance(
+            DirectedMultigraph(2, ((0, big), (1, 0))),
+            RibbonStructure(runs=(((1, big),), ((0, 1),))),
+            {"default": ChipRotorConfig((0, 0), (0, 0))},
+        )
+        with pytest.raises(ValueError) as exc:
+            serialize_instance(inst)
+        assert str(exc.value) == (
+            "an instance integer has more digits than the interpreter's "
+            f"int-string limit of {digit_limit}"
+        )
 
 
 class TestSingleConfig:

@@ -9,13 +9,14 @@ slowdowns.
 from __future__ import annotations
 
 import time
+import tracemalloc
 from math import isqrt
 from random import Random
 
 import pytest
 
 from rotorchip.bruteforce import random_legal_chip_sequence
-from rotorchip.chipfiring import fire, halts, reach_chip
+from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
 from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
@@ -121,6 +122,23 @@ def test_halts_cycling_start_eulerian_n300_within_wall_bound() -> None:
     # an Eulerian graph's period vector is all ones
     assert len(set(verdict.witness_cycle)) == 1 and verdict.witness_cycle[0] > 0
     assert elapsed < 2.0, f"halts n=300: {elapsed:.2f}s >= 2.0s"
+
+
+def test_halts_cycling_start_eulerian_n300_within_memory_bound() -> None:
+    # one n-tuple per visited configuration: 10,000 of them at n=300 hold
+    # 24.4 MB of tuples and about 4.4 MB of ints above the small-int cache
+    # (measured peak 30.2 MB; two vectors per state peaked at 54.2 MB)
+    g = gen_graph("eulerian", 300, Random(300))
+    x = [deg - 1 for deg in g.out_degrees()]
+    x[1] += 1
+    tracemalloc.start()
+    try:
+        verdict = halts(g, tuple(x), max_steps=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == HaltingVerdict("budget-exceeded", reason="max-steps")
+    assert peak < 32e6, f"halts n=300, 10,000 steps: peak {peak / 1e6:.1f} MB"
 
 
 def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
