@@ -3,7 +3,9 @@
 Decides reachability, recurrence, linear equivalence and desk-scale
 halting, with exact arbitrary-precision integer linear algebra over the
 graph Laplacian (one fraction-free Bareiss elimination of the reduced
-Laplacian per solve: O(n^3) integer operations on numbers of at most twice
+Laplacian per solve, updating only the rows each pivot reaches:
+sum_k r_k * (m - k) integer operations for r_k such rows at step k of m,
+O(n^2) on a cycle and O(n^3) under dense fill, on numbers of at most twice
 the bit length of its Hadamard bound) and run-length-encoded ribbon
 structures whose routing arithmetic is polynomial in bit length.  Every
 decision procedure has an independent brute-force oracle; the sweeps

@@ -22,8 +22,14 @@ from heapq import heappop, heappush
 from itertools import islice
 
 from .errors import BudgetExceededError
-from .intlinalg import nonneg_reduced_solution, primitive_period_vector
-from .multigraph import DirectedMultigraph, IntVector, OutEdges, is_strongly_connected
+from .intlinalg import _reduced_solution, nonneg_reduced_solution, primitive_period_vector
+from .multigraph import (
+    DirectedMultigraph,
+    IntVector,
+    OutEdges,
+    is_strongly_connected,
+    scc_decompose,
+)
 
 ChipConfig = IntVector
 CountVector = IntVector
@@ -229,11 +235,12 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
     Requires strong connectivity (symmetry of the relation needs a
     positive period vector).
     """
-    if not is_strongly_connected(g):
+    scc = scc_decompose(g)
+    if len(scc.components) != 1:
         raise ValueError("linear equivalence requires a strongly connected graph")
     if len(x) != g.n or len(y) != g.n:
         raise ValueError("configuration length must match the vertex count")
-    return nonneg_reduced_solution(g, tuple([b - a for a, b in zip(x, y)]))
+    return _reduced_solution(g, scc, tuple([b - a for a, b in zip(x, y)]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -239,6 +239,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.size < 2:
+        raise ValueError(f"--size must be at least 2, got {args.size}")
     if args.size > MAX_VERTICES:
         raise ValueError(
             f"--size {args.size} exceeds the limit of {MAX_VERTICES} vertices"

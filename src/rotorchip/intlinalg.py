@@ -6,16 +6,21 @@ vectors, where rounding would be wrong and multiplicities may be huge.
 
 The one solver is fraction-free Bareiss elimination (Bareiss 1968) of the
 reduced Laplacian: the Laplacian with the row and column of one root per
-sink component deleted.  It costs O(n^3) integer operations.  Every
-entry the elimination produces, and every returned value, is a minor of
-the reduced Laplacian with its right-hand sides appended, so it stays
-within that matrix's Hadamard bound; back substitution multiplies two
-such minors, which at most doubles the bit length.
+sink component deleted, m rows in all.  A pivot step updates only the
+rows it reaches, those with a nonzero entry in its column, and defers
+the rescaling dense Bareiss applies to the others.  With r_k such rows
+at step k the elimination costs sum_k r_k * (m - k) integer operations,
+plus O(m^2) per right-hand side to build the rows and substitute back:
+O(n^2) on a cycle, O(n^3) under dense fill.  Every entry the elimination
+produces, and every returned value, is a minor of the reduced Laplacian
+with its right-hand sides appended, so it stays within that matrix's
+Hadamard bound; back substitution multiplies two such minors, which at
+most doubles the bit length.
 
 Every period vector comes from that one elimination, run on a strongly
-connected component C in place at O(|C|^3).  Each entry point decomposes
-the graph once: ``period_basis`` eliminates once per component,
-O(sum |C|^3), and the reductions once per sink component.
+connected component C in place, at most O(|C|^3).  Each entry point
+decomposes the graph once: ``period_basis`` eliminates once per
+component, and the reductions once per sink component.
 """
 
 from __future__ import annotations
@@ -58,10 +63,20 @@ def _solve_reduced(
         [degs[u] if u == v else -mult[v][u] for v in rest] + [col[u] for col in columns]
         for u in rest
     ]
-    # forward elimination; each division by the previous pivot is exact
+    # forward elimination, touching a row only when the pivot reaches it.
+    # Dense Bareiss also rescales each row with a 0 in the pivot column by
+    # pk / prev.  Those factors telescope: a row last updated under pivot
+    # last[i] is the dense row times last[i] / prev, so its next update
+    # divides by last[i] instead of prev, and a pivot row catches up first.
+    # Every stored row is a row of the dense elimination at some stage, so
+    # each division is exact and the results are the same.
+    last = [1] * m
     prev = 1
     for k in range(m):
         pivot_row = rows[k]
+        if last[k] != prev:
+            stale = last[k]
+            pivot_row[k:] = [x * prev // stale for x in pivot_row[k:]]
         pk = pivot_row[k]
         if pk <= 0:
             raise ArithmeticError("reduced Laplacian has a nonpositive leading minor")
@@ -70,9 +85,9 @@ def _solve_reduced(
             row = rows[i]
             f = row[k]
             if f:
-                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-            elif pk != prev:
-                row[k + 1 :] = [pk * x // prev for x in row[k + 1 :]]
+                stale = last[i]
+                row[k + 1 :] = [(pk * x - f * y) // stale for x, y in zip(row[k + 1 :], tail)]
+                last[i] = pk
         prev = pk
     det = prev
     # back substitution on det * x, exact because det * x is integral (Cramer)
@@ -205,10 +220,16 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
     and modular inverses.  Finally each sink component is shifted by
     its period vector until it is nonnegative and does not dominate it.
     """
-    n = g.n
-    if len(d) != n:
+    if len(d) != g.n:
         raise ValueError("dimension mismatch between graph and right-hand side")
-    scc = scc_decompose(g)
+    return _reduced_solution(g, scc_decompose(g), d)
+
+
+def _reduced_solution(
+    g: DirectedMultigraph, scc: SccDecomposition, d: IntVector
+) -> IntVector | None:
+    """``nonneg_reduced_solution`` on a decomposition the caller already has."""
+    n = g.n
     sinks = [scc.components[i] for i in scc.sink_component_ids()]
     roots = [comp[0] for comp in sinks]
     det, (num, *kers) = _solve_reduced(

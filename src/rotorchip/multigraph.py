@@ -249,6 +249,14 @@ def is_strongly_connected(g: DirectedMultigraph) -> bool:
 
 
 def is_eulerian(g: DirectedMultigraph) -> bool:
-    """Degree balance at every vertex: in-degree equals out-degree."""
-    return all(g.in_degree(v) == g.out_degree(v) for v in range(g.n))
+    """Degree balance at every vertex: in-degree equals out-degree.
+
+    One pass over the adjacency accumulates the in-degrees.
+    """
+    adj = g.adjacency()
+    indeg = [0] * g.n
+    for out in adj:
+        for w, m in out.edges:
+            indeg[w] += m
+    return all(d == out.degree for d, out in zip(indeg, adj))
 

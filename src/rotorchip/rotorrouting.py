@@ -394,9 +394,8 @@ def unconstrained_reach(
         0 if degs[v] == 0 else (c2.rotors[v] - c1.rotors[v]) % degs[v]
         for v in range(ribbon.n)
     ])
+    # routing v r1[v] times turns its rotor to c2.rotors[v]; sinks keep None
     aligned = pi_r(ribbon, c1, r1)
-    if aligned.rotors != c2.rotors:
-        return None
     z = nonneg_reduced_solution(
         g, tuple([b - a for a, b in zip(aligned.chips, c2.chips)])
     )

@@ -26,10 +26,16 @@ from rotorchip.chipfiring import (
     validate_legal_firing_sequence,
     verify_nonhalting_certificate,
 )
+from rotorchip import chipfiring, intlinalg, multigraph
 from rotorchip.errors import BudgetExceededError
 from rotorchip.generators import gen_graph
-from rotorchip.intlinalg import primitive_period_vector
-from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected
+from rotorchip.intlinalg import nonneg_reduced_solution, primitive_period_vector
+from rotorchip.multigraph import (
+    DirectedMultigraph,
+    SccDecomposition,
+    is_strongly_connected,
+    scc_decompose,
+)
 
 
 class TestFire:
@@ -197,6 +203,29 @@ class TestLinEquiv:
         total = tuple(a + b for a, b in zip(f, g))
         k = total[0] // p[0]
         assert total == tuple(k * pv for pv in p)
+
+    def test_one_decomposition_per_call(self, monkeypatch, c2, d21) -> None:
+        cases = [(c2, (1, 0), (0, 1)), (c2, (1, 0), (0, 0)), (d21, (3, 0), (0, 3))]
+        wants = [nonneg_reduced_solution(g, (y[0] - x[0], y[1] - x[1])) for g, x, y in cases]
+        calls = []
+
+        def counting(g: DirectedMultigraph) -> SccDecomposition:
+            calls.append(g)
+            return scc_decompose(g)
+
+        for module in (multigraph, intlinalg, chipfiring):
+            monkeypatch.setattr(module, "scc_decompose", counting)
+        for (g, x, y), want in zip(cases, wants):
+            calls.clear()
+            assert lin_equiv(g, x, y) == want
+            assert len(calls) == 1
+
+    def test_errors_in_order(self, fig1: DirectedMultigraph, c2: DirectedMultigraph) -> None:
+        # connectivity is checked before the configuration lengths
+        with pytest.raises(ValueError, match="strongly connected"):
+            lin_equiv(fig1, (0,), (0,))
+        with pytest.raises(ValueError, match="configuration length"):
+            lin_equiv(c2, (0,), (0, 0))
 
 
 class TestHalting:

@@ -566,6 +566,17 @@ class TestGen:
         assert captured.out == ""
         assert captured.err == f"error=cannot write {path}: No such file or directory\n"
 
+    @pytest.mark.parametrize("size", [-3, 0, 1])
+    def test_size_below_two_exits_2(self, capsys, size: int) -> None:
+        code, out, err = _outcome(capsys, ["gen", "--size", str(size)])
+        assert (code, out) == (2, "")
+        assert err == f"error=--size must be at least 2, got {size}\n"
+
+    def test_size_two_is_the_smallest(self, capsys) -> None:
+        code, out, _ = _outcome(capsys, ["gen", "--size", "2"])
+        assert code == 0
+        assert parse_instance(out).graph.n == 2
+
     def test_size_above_vertex_limit_exits_2_before_generating(self, capsys) -> None:
         start = time.perf_counter()
         code = run_command(["gen", "--size", str(MAX_VERTICES + 1)])

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bareiss_reference import _solve_reduced as reference_solve
 from rotorchip import intlinalg, multigraph
 from rotorchip.bruteforce import enumerate_digraphs, hermite_row_reduce, solve_integer
-from rotorchip.generators import gen_graph
+from rotorchip.generators import FAMILIES, gen_graph
 from rotorchip.intlinalg import (
     PeriodBasis,
     is_reduced,
@@ -281,6 +282,73 @@ class TestReductionsMatchReference:
             want = _reference_reduce(g, basis, f, routing)
             assert reduce(g, f) == want, (g.mult, f, routing)
             assert reduced(g, f) == (want == f), (g.mult, f, routing)
+
+
+def _two_sink_graph(rng: Random, digits: int) -> DirectedMultigraph:
+    """A strongly connected block with edges into two disjoint random blocks.
+
+    The random blocks hold at least one sink component each, often more.
+    """
+    blocks = [
+        gen_graph("strongly-connected", rng.randint(2, 4), rng),
+        gen_graph("random", rng.randint(2, 5), rng),
+        gen_graph("random", rng.randint(2, 5), rng),
+    ]
+    starts = [0, blocks[0].n, blocks[0].n + blocks[1].n]
+    edges = [
+        (start + u, start + v, m)
+        for start, block in zip(starts, blocks)
+        for u, row in enumerate(block.mult)
+        for v, m in enumerate(row)
+        if m
+    ]
+    for target in starts[1:]:
+        edges.append((rng.randrange(blocks[0].n), target, rng.randint(1, 10**digits)))
+    return DirectedMultigraph.from_edges(starts[2] + blocks[2].n, edges)
+
+
+@st.composite
+def _solve_cases(draw) -> DirectedMultigraph:
+    source = draw(st.sampled_from(("desk", "two-sinks", *FAMILIES)))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if source == "desk":
+        return draw(st.sampled_from(_DESK_GRAPHS))
+    if source == "two-sinks":
+        return _two_sink_graph(rng, draw(st.sampled_from((1, 18))))
+    size = draw(st.integers(min_value=2, max_value=14))
+    return gen_graph(source, size, rng)
+
+
+class TestSolveMatchesDenseBareiss:
+    """Lazy row scaling returns dense Bareiss's determinant and columns."""
+
+    @given(_solve_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_graph_solve(self, g: DirectedMultigraph, data) -> None:
+        scc = scc_decompose(g)
+        roots = [scc.components[i][0] for i in scc.sink_component_ids()]
+        bound = data.draw(st.sampled_from((4, 10**18)))
+        entries = st.integers(min_value=-bound, max_value=bound)
+        k = data.draw(st.integers(min_value=1, max_value=3))
+        columns = [data.draw(st.lists(entries, min_size=g.n, max_size=g.n)) for _ in range(k)]
+        columns += [g.mult[r] for r in roots]
+        args = (g, range(g.n), g.out_degrees(), roots, columns)
+        assert intlinalg._solve_reduced(*args) == reference_solve(*args), g.mult
+
+    @given(_solve_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_component_solves(self, g: DirectedMultigraph, data) -> None:
+        scc = scc_decompose(g)
+        comp_of = scc.component_of
+        degs = [
+            sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
+            for u, out in enumerate(g.adjacency())
+        ]
+        entries = st.integers(min_value=-(10**18), max_value=10**18)
+        for comp in scc.components:
+            columns = [g.mult[comp[0]], data.draw(st.lists(entries, min_size=g.n, max_size=g.n))]
+            args = (g, comp, degs, comp[:1], columns)
+            assert intlinalg._solve_reduced(*args) == reference_solve(*args), (g.mult, comp)
 
 
 # cycle {0, 1} -> vertex 2 -> sink cycle {3, 4}, and {0, 1} -> sink vertex 5

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorchip.bruteforce import enumerate_digraphs, reachability_matrix
+from rotorchip.generators import FAMILIES, gen_graph
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
@@ -144,3 +147,24 @@ class TestPredicates:
     def test_eulerian_balance(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
         assert is_eulerian(c2)
         assert not is_eulerian(d21)
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(min_value=2, max_value=30),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_eulerian_matches_column_sums(self, family: str, n: int, seed: int) -> None:
+        g = gen_graph(family, n, Random(seed))
+        # adding the reverse of every edge balances any graph
+        both = DirectedMultigraph(
+            n, tuple(tuple(g.mult[u][v] + g.mult[v][u] for v in range(n)) for u in range(n))
+        )
+        for h in (g, both):
+            balanced = all(
+                sum(row[v] for row in h.mult) == sum(h.mult[v]) for v in range(n)
+            )
+            assert is_eulerian(h) == balanced, (family, h.mult)
+        assert is_eulerian(both)
+        if family == "eulerian":
+            assert is_eulerian(g)

@@ -470,6 +470,30 @@ def small_ribbons(draw) -> RibbonStructure:
     return random_ribbon(g, random.Random(draw(st.integers(0, 2 ** 32))))
 
 
+@st.composite
+def _config_pairs(draw) -> tuple[RibbonStructure, ChipRotorConfig, ChipRotorConfig]:
+    ribbon = draw(small_ribbons())
+    configs = []
+    for _ in range(2):
+        chips = draw(st.lists(st.integers(-3, 3), min_size=ribbon.n, max_size=ribbon.n))
+        rotors = [None if d == 0 else draw(st.integers(0, d - 1)) for d in ribbon.degrees]
+        configs.append(ChipRotorConfig(tuple(chips), tuple(rotors)))
+    return ribbon, configs[0], configs[1]
+
+
+class TestAlignmentTurnsRotors:
+    @given(_config_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_alignment_routing_reaches_target_rotors(self, pair) -> None:
+        # why unconstrained_reach needs no rotor comparison after aligning
+        ribbon, c1, c2 = pair
+        validate_config(ribbon, c1)
+        validate_config(ribbon, c2)
+        degs = ribbon.degrees
+        r1 = tuple(0 if d == 0 else (b - a) % d for a, b, d in zip(c1.rotors, c2.rotors, degs))
+        assert pi_r(ribbon, c1, r1).rotors == c2.rotors
+
+
 def _dense_bounded_rotor_game(ribbon: RibbonStructure, config, bound, max_batches: int):
     """(routing vector, final, batches); raises BudgetExceededError like the engine."""
     cur = config

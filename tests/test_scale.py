@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -18,7 +18,7 @@ import pytest
 from rotorchip.bruteforce import random_legal_chip_sequence
 from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
 from rotorchip.generators import gen_graph, random_ribbon
-from rotorchip.intlinalg import nonneg_reduced_solution, period_basis
+from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
 from rotorchip.rotorrouting import (
     ChipRotorConfig,
@@ -94,6 +94,35 @@ def test_solution_and_periods_within_hadamard_bound(family: str, n: int) -> None
         assert max(abs(v) for v in f).bit_length() <= bits
         for p in period_basis(g).kernel_vectors():
             assert max(p).bit_length() <= bits
+
+
+def _bidirected_cycle(n: int) -> DirectedMultigraph:
+    return DirectedMultigraph.from_edges(
+        n, [(v, (v + 1) % n, 1) for v in range(n)] + [((v + 1) % n, v, 1) for v in range(n)]
+    )
+
+
+@pytest.mark.parametrize(
+    "make, wall_s",
+    [
+        # measured 1.3 s, 0.3 s of it building the graph; dense Bareiss,
+        # rescaling every row at every step, needed 1.6 s at n=400 and
+        # grows as n^3
+        (lambda: _bidirected_cycle(2000), 10.0),
+        # about 10^18 parallel edges per edge: measured 0.19 s, and 0.69 s
+        # with dense Bareiss
+        (lambda: gen_graph("heavy-multiplicity", 100, Random(100)), 2.0),
+    ],
+    ids=["bidirected-cycle-2000", "heavy-multiplicity-100"],
+)
+def test_primitive_period_vector_within_wall_bound(make, wall_s: float) -> None:
+    start = time.perf_counter()
+    g = make()
+    p = primitive_period_vector(g)
+    elapsed = time.perf_counter() - start
+    assert min(p) > 0 and gcd(*p) == 1
+    assert _apply_laplacian(g, (0,) * g.n, p) == (0,) * g.n
+    assert elapsed < wall_s, f"n={g.n}: {elapsed:.2f}s >= {wall_s}s"
 
 
 def _apply_laplacian(g: DirectedMultigraph, x, f) -> tuple[int, ...]:
