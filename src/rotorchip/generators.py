@@ -48,11 +48,13 @@ def gen_graph(
     hamiltonian cycle plus arbitrary extra edges.  heavy-multiplicity:
     strongly connected with multiplicities of about ``digits`` decimal
     digits.  random: independent sparse multiplicities, no connectivity
-    guarantee.
+    guarantee.  ``size`` is the vertex count, at least 2.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r} (choose from {FAMILIES})")
-    n = max(2, size)
+    if size < 2:
+        raise ValueError(f"graph size must be at least 2, got {size}")
+    n = size
     rows = [[0] * n for _ in range(n)]
     if family == "eulerian":
         _add_cycle(rows, list(range(n)), 1)

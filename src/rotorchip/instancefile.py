@@ -4,8 +4,8 @@ Grammar (one directive per line, ``#`` starts a comment, blank lines
 ignored):
 
     graph <n>
-    edge <u> <v> <mult>
     ribbon <v> : <head>:<count> <head>:<count> ...
+    edge <u> <v> <mult>
     chips [<name> :] <c0> <c1> ... <c_{n-1}>
     rotor [<name> :] <v> <position>
 
@@ -16,10 +16,24 @@ allocated.  Loading an instance costs time linear in the file plus
 O(n^2) for that matrix, 8 bytes per entry (``scripts/parse_timing.py``
 measures time and peak).  Multiplicities and chip counts are decimals
 of at most ``sys.get_int_max_str_digits()`` digits (4300 by default,
-none with ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.  A
-``ribbon`` line fixes the cyclic out-edge order at one vertex; vertices
-without one get the default order (heads ascending, parallel edges
-consecutive).
+none with ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.
+
+A ``ribbon`` line lists the out-edges of one vertex in their cyclic
+order, as runs of parallel edges: ``h:c`` stands for c consecutive
+edges to h.  In a file without ``edge`` lines the runs are the edges: a
+vertex's multiplicity towards h is the total of its runs to h, and a
+vertex without a ribbon line is a sink.  ``serialize_instance`` writes
+this spelling:
+
+    graph 3
+    ribbon 0 : 1:2 2:1 1:1
+    ribbon 1 : 0:1
+    chips 2 0 0
+
+Edge lines are optional.  A file with at least one ``edge`` line takes
+its multiplicities from the edge lines instead (repeated pairs add up);
+each ribbon line must then match them, and vertices without one get the
+default order (heads ascending, parallel edges consecutive).
 ``chips`` and ``rotor`` lines without a name belong to the configuration
 named "default".  Rotor positions are flat indices into the cyclic
 order; non-sink vertices without a ``rotor`` line sit at position 0,
@@ -127,13 +141,16 @@ def parse_instance(text: str) -> Instance:
     ``int`` path with the same checks and messages.
     The first error in file order is raised with its line number; the
     graph and ribbon are then built without the constructors' checks,
-    which the parser has already made.
+    which the parser has already made.  Without edge lines the ribbon
+    runs fill the matrix after the loop, and there is nothing for them
+    to match.
     """
     n: int | None = None
     ids: dict[str, int] = {}
     rows: list = []
     out_degrees: list[int] = []
     ribbon_lines: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+    has_edge_lines = False
     chip_lines: dict[str, tuple[int, ...]] = {}
     rotor_lines: dict[str, dict[int, int]] = {}
 
@@ -174,6 +191,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
             rows[u][v] += m
             out_degrees[u] += m
+            has_edge_lines = True
         elif directive == "ribbon":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise InstanceFormatError(
@@ -247,18 +265,28 @@ def parse_instance(text: str) -> Instance:
 
     if n is None:
         raise InstanceFormatError("missing graph line")
+    if not has_edge_lines:
+        # the runs are the edges; vertices without a ribbon line are sinks
+        for v, (runs_v, _) in ribbon_lines.items():
+            row = rows[v]
+            degree = 0
+            for head, count in runs_v:
+                row[head] += count
+                degree += count
+            out_degrees[v] = degree
     # each list row becomes its tuple and is freed at once, so the matrix
     # is never held twice
     for u, row in enumerate(rows):
         rows[u] = tuple(row)
     mult = tuple(rows)
 
-    for v, (runs_v, lineno) in ribbon_lines.items():
-        if not runs_match_row(runs_v, mult[v], out_degrees[v]):
-            raise InstanceFormatError(
-                f"ribbon runs at vertex {v} do not match edge multiplicities",
-                lineno,
-            )
+    if has_edge_lines:
+        for v, (runs_v, lineno) in ribbon_lines.items():
+            if not runs_match_row(runs_v, mult[v], out_degrees[v]):
+                raise InstanceFormatError(
+                    f"ribbon runs at vertex {v} do not match edge multiplicities",
+                    lineno,
+                )
     # the default order (heads ascending), only where no ribbon line gives one
     runs = []
     for v, row in enumerate(mult):
@@ -297,20 +325,18 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(instance: Instance) -> str:
-    """Canonical text: sorted edges, merged ribbon runs, explicit rotors.
+    """Canonical text: merged ribbon runs, explicit rotors, no edge lines.
 
-    parse(serialize(i)) equals i whenever i's ribbon runs are already
-    canonical (adjacent equal heads merged), which holds for every
-    generated instance.  An integer past the int-string limit raises
-    ValueError naming the limit.
+    The ribbon runs state every out-edge, so a ribbon that does not match
+    the graph raises ValueError.  parse(serialize(i)) equals i whenever
+    i's ribbon runs are already canonical (adjacent equal heads merged),
+    which holds for every generated instance.  An integer past the
+    int-string limit raises ValueError naming the limit.
     """
     g = instance.graph
+    instance.ribbon.validate_against(g)
     out = [f"graph {g.n}"]
     try:
-        for u in range(g.n):
-            for v in range(g.n):
-                if g.mult[u][v]:
-                    out.append(f"edge {u} {v} {g.mult[u][v]}")
         ribbon = instance.ribbon.canonical()
         for v in range(g.n):
             if ribbon.degree(v):

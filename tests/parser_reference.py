@@ -3,7 +3,8 @@
 ``test_instancefile`` runs it side by side with ``parse_instance`` on
 mutated files: both must return equal instances, or raise the same error
 with the same message and line.  Only the imports differ from the
-original module.
+original module, plus ``with_edge_lines`` at the end: this parser reads
+only files that state their edges in ``edge`` lines.
 """
 
 from __future__ import annotations
@@ -204,3 +205,19 @@ def parse_instance(text: str) -> Instance:
         )
         configs[name] = ChipRotorConfig(tuple(chip_lines[name]), rotors)
     return Instance(graph, ribbon, configs)
+
+
+def with_edge_lines(text: str, graph: DirectedMultigraph) -> str:
+    """``text`` with the edge lines the serializer of that time wrote.
+
+    They follow the first line, which must be the ``graph`` line, one per
+    nonzero multiplicity, sorted by (tail, head).
+    """
+    first, rest = text.split("\n", 1)
+    edges = "".join(
+        f"edge {u} {v} {m}\n"
+        for u, row in enumerate(graph.mult)
+        for v, m in enumerate(row)
+        if m
+    )
+    return f"{first}\n{edges}{rest}"

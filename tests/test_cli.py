@@ -5,6 +5,7 @@ import time
 from pathlib import Path
 
 import pytest
+from parser_reference import with_edge_lines
 
 from rotorchip import cli
 from rotorchip.cli import build_parser, run_command
@@ -627,6 +628,39 @@ class TestGen:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error=--digits must be at least 1, got 0\n"
+
+
+class TestRibbonOnlyFiles:
+    # every subcommand that reads an instance file, with its other arguments
+    READERS = [
+        ["period"], ["scc"], ["chip-reach"], ["chip-reach", "--trace"],
+        ["chip-recurrent"], ["chip-halting"], ["lin-equiv"],
+        ["rotor-route", "--r", "1,2,1,1"], ["rotor-odom", "--r", "1,2,1,1"],
+        ["rotor-unconstrained"], ["rotor-reach"],
+        ["bfs-reach", "--game", "chip"], ["bfs-reach", "--game", "rotor"],
+    ]
+
+    @pytest.mark.parametrize("argv", READERS, ids=" ".join)
+    def test_both_spellings_give_the_same_answer(
+        self, capsys, tmp_path: Path, argv: list[str]
+    ) -> None:
+        code, text, _ = _outcome(
+            capsys, ["gen", "--family", "strongly-connected", "--size", "4", "--seed", "7"]
+        )
+        assert code == 0
+        assert not [line for line in text.splitlines() if line.startswith("edge")]
+        # dst is src after one firing of vertex 0 (runs 2:1 1:2), so
+        # chip-reach and lin-equiv answer yes
+        text += "chips src : 3 1 0 2\nchips dst : 0 3 1 2\n"
+        spellings = {"ribbon-only": text}
+        spellings["edges"] = with_edge_lines(text, parse_instance(text).graph)
+        outcomes = []
+        for name, spelling in spellings.items():
+            path = tmp_path / f"{name}.rcg"
+            path.write_text(spelling, encoding="utf-8")
+            outcomes.append(_outcome(capsys, [argv[0], str(path), *argv[1:]]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from parser_reference import parse_instance as reference_parse
+from parser_reference import with_edge_lines
 
 from rotorchip.errors import InstanceFormatError
 from rotorchip.generators import FAMILIES, gen_instance
@@ -28,6 +29,9 @@ ribbon 1 : 0:1
 chips 1 0
 rotor 0 1
 """
+
+# BASIC as the serializer writes it: the ribbon runs are the edges
+RIBBON_ONLY = BASIC.replace("edge 0 1 2\nedge 1 0 1\n", "")
 
 
 class TestParse:
@@ -62,6 +66,14 @@ class TestParse:
         cfg = parse_instance(text).config("default")
         assert cfg.rotors == (0, None)
 
+    def test_ribbon_only_runs_add_up_and_unlisted_vertices_are_sinks(self) -> None:
+        text = "graph 3\nribbon 0 : 1:2 2:1 1:1\nribbon 1 : 0:1\nchips 2 0 0\n"
+        inst = parse_instance(text)
+        assert inst.graph.mult == ((0, 3, 1), (1, 0, 0), (0, 0, 0))
+        assert inst.ribbon.runs == (((1, 2), (2, 1), (1, 1)), ((0, 1),), ())
+        assert inst.ribbon.degrees == (4, 1, 0)
+        assert inst.config("default").rotors == (0, 0, None)
+
     def test_comments_and_blank_lines(self) -> None:
         text = "\n# leading comment\ngraph 1\n\nchips 3   # trailing comment\n"
         inst = parse_instance(text)
@@ -88,6 +100,22 @@ class TestParseErrors:
             parse_instance(text)
         assert exc.value.line == 2
         assert "vertex 0 do not match" in str(exc.value)
+
+    @pytest.mark.parametrize("edge, vertex, line", [
+        ("edge 0 1 2", 1, 4), ("edge 1 0 0", 0, 3),
+    ])
+    def test_one_edge_line_makes_every_ribbon_line_match_the_edges(
+        self, edge: str, vertex: int, line: int
+    ) -> None:
+        # any edge line, even of multiplicity 0, makes the edge lines the
+        # source of the multiplicities, which every ribbon line must match
+        text = RIBBON_ONLY.replace("chips", f"{edge}\nchips")
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(text)
+        assert str(exc.value) == (
+            f"line {line}: ribbon runs at vertex {vertex} do not match "
+            "edge multiplicities"
+        )
 
     def test_edge_before_graph(self) -> None:
         with pytest.raises(InstanceFormatError) as exc:
@@ -184,6 +212,23 @@ class TestRoundTrip:
             assert again.configs == inst.configs
             assert serialize_instance(again) == blob
 
+    def test_serializer_writes_no_edge_lines(self) -> None:
+        assert serialize_instance(parse_instance(BASIC)) == (
+            "graph 2\nribbon 0 : 1:2\nribbon 1 : 0:1\nchips 1 0\nrotor 0 1\nrotor 1 0\n"
+        )
+
+    def test_ribbon_that_does_not_match_the_graph_raises(self) -> None:
+        # written out, the runs would silently become another graph
+        inst = Instance(
+            DirectedMultigraph(2, ((0, 2), (1, 0))),
+            RibbonStructure(runs=(((1, 1),), ((0, 1),))),
+        )
+        with pytest.raises(ValueError) as exc:
+            serialize_instance(inst)
+        assert str(exc.value) == (
+            "ribbon runs at vertex 0 do not match edge multiplicities"
+        )
+
     def test_multiplicity_past_the_digit_limit(self, digit_limit: int) -> None:
         big = 10 ** digit_limit  # one digit past the limit
         inst = Instance(
@@ -239,6 +284,36 @@ def _outcome(parse, text: str):
         inst.ribbon.degrees,
         inst.graph.adjacency(),
     )
+
+
+def _directives(text: str) -> list[list[str]]:
+    """The tokens of each line, as both parsers read them."""
+    return [line.split("#", 1)[0].split() for line in text.splitlines()]
+
+
+def _reference_outcome(text: str):
+    """The reference's outcome, reading a file without edge lines by its runs.
+
+    The reference takes every file's edges from its edge lines, so it
+    rejects the ribbon lines of an edge-less file as a mismatch with no
+    edges.  Such a file means what it means with its runs copied out as
+    edge lines at its end: there they cannot change which line fails
+    first, and after the loop the runs match them.
+    """
+    outcome = _outcome(reference_parse, text)
+    lines = _directives(text)
+    if (
+        outcome[0] == "raised"
+        and outcome[2].endswith("do not match edge multiplicities")
+        and not any(tokens[:1] == ["edge"] for tokens in lines)
+    ):
+        edges = "".join(
+            "edge {} {} {}\n".format(tokens[1], *run.split(":"))
+            for tokens in lines if tokens[:1] == ["ribbon"]
+            for run in tokens[3:]
+        )
+        outcome = _outcome(reference_parse, text + edges)
+    return outcome
 
 
 def _replacement(draw, n: int) -> str:
@@ -297,12 +372,15 @@ def _mutate(draw, lines: list[list[str]], n: int) -> None:
 
 
 @st.composite
-def _mutated_files(draw):
+def _mutated_files(draw, edge_lines: bool):
+    """A generated file, in the spelling with or without edge lines, mutated."""
     family = draw(st.sampled_from(FAMILIES))
     size = draw(st.integers(min_value=2, max_value=6))
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
     inst = gen_instance(family, size, seed, digits=draw(st.sampled_from((1, 18))))
     text = serialize_instance(inst)
+    if edge_lines:
+        text = with_edge_lines(text, inst.graph)
     if draw(st.booleans()):
         # a named configuration too, so the name paths are exercised
         chips = " ".join(str(draw(st.integers(-2, 3))) for _ in range(inst.graph.n))
@@ -316,10 +394,11 @@ def _mutated_files(draw):
 
 
 class TestAgainstReferenceParser:
-    @given(_mutated_files())
+    @given(_mutated_files(edge_lines=True))
     @settings(max_examples=600, deadline=None)
     def test_same_instance_or_same_error(self, text: str) -> None:
-        assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+        # a mutation can remove every edge line, leaving a ribbon-only file
+        assert _outcome(parse_instance, text) == _reference_outcome(text)
 
     @pytest.mark.parametrize("token", _ODD_TOKENS + ("-1", "2", str(10 ** 20)))
     @pytest.mark.parametrize("index, template", (
@@ -342,3 +421,60 @@ class TestAgainstReferenceParser:
         # the reference decides which of the two faults is reported
         text = BASIC.replace("ribbon 0 : 1:2\n", "") + line + "\n"
         assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+
+# ---------------------------------------------------------------------------
+# Ribbon-only files: the runs state the edges
+
+# the faults of a whole file rather than of one line; every other error
+# names its line
+_WHOLE_FILE_FAULTS = (
+    "missing graph line", "rotor lines for configuration", "rotor position",
+)
+
+
+class TestRibbonOnly:
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2 ** 16),
+        st.sampled_from((1, 18)),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_both_spellings_parse_alike(
+        self, family: str, size: int, seed: int, digits: int, named: bool
+    ) -> None:
+        inst = gen_instance(family, size, seed, digits=digits)
+        text = serialize_instance(inst)
+        if named:
+            rotors = inst.configs["default"].rotors
+            text += "chips src : " + " ".join(["1"] * inst.graph.n) + "\n"
+            text += "".join(
+                f"rotor src : {v} {pos}\n"
+                for v, pos in enumerate(rotors) if pos is not None
+            )
+        assert not any(tokens[:1] == ["edge"] for tokens in _directives(text))
+        ribbon_only = _outcome(parse_instance, text)
+        assert ribbon_only[0] == "parsed"
+        assert ribbon_only == _outcome(
+            parse_instance, with_edge_lines(text, inst.graph)
+        )
+        parsed = ribbon_only[1]
+        assert (parsed.graph, parsed.ribbon) == (inst.graph, inst.ribbon)
+        assert parsed.configs["default"] == inst.configs["default"]
+        assert len(parsed.configs) == 1 + named
+
+    @given(_mutated_files(edge_lines=False))
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_files_parse_or_name_the_faulty_line(self, text: str) -> None:
+        try:
+            inst = parse_instance(text)
+        except InstanceFormatError as exc:
+            assert exc.line is not None or str(exc).startswith(_WHOLE_FILE_FAULTS)
+        else:
+            # the parser skipped the constructors' checks: they must pass
+            ribbon = RibbonStructure(inst.ribbon.runs)
+            assert ribbon.degrees == inst.ribbon.degrees
+            ribbon.validate_against(DirectedMultigraph(inst.graph.n, inst.graph.mult))
+        assert _outcome(parse_instance, text) == _reference_outcome(text)

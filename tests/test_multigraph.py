@@ -168,3 +168,16 @@ class TestPredicates:
         assert is_eulerian(both)
         if family == "eulerian":
             assert is_eulerian(g)
+
+
+class TestGenGraph:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [1, 0, -3])
+    def test_size_below_two_raises(self, family: str, size: int) -> None:
+        with pytest.raises(ValueError) as exc:
+            gen_graph(family, size, Random(0))
+        assert str(exc.value) == f"graph size must be at least 2, got {size}"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_size_is_the_vertex_count(self, family: str) -> None:
+        assert [gen_graph(family, n, Random(n)).n for n in (2, 3, 7)] == [2, 3, 7]
