@@ -1,7 +1,7 @@
 """Chip-firing and rotor-routing games on directed multigraphs.
 
-Decides reachability, recurrence, linear equivalence and desk-scale
-halting, with exact arbitrary-precision integer linear algebra over the
+Decides reachability, recurrence, linear equivalence and halting,
+with exact arbitrary-precision integer linear algebra over the
 graph Laplacian (one fraction-free Bareiss elimination of the reduced
 Laplacian per solve, updating only the rows each pivot reaches:
 sum_k r_k * (m - k) integer operations for r_k such rows at step k of m,

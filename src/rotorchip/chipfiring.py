@@ -11,18 +11,24 @@ The games keep their eligible vertices in a min-heap instead of
 rescanning all n: a firing at v takes chips only from v and gives them
 only to v's heads, so only those can change eligibility.  A firing or
 batch costs O(out-support(v) + log n) over the graph's cached
-adjacency; ``halts`` adds the O(n) snapshot of the configuration that
-its exact cycle detection keeps per firing.
+adjacency.  ``halts`` stores no visited configurations: it decides
+non-halting by period domination, once the game has fired the primitive
+period vector p, so it keeps O(n) memory; p costs one elimination, or
+one pass over the adjacency on an Eulerian graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import islice
 
 from .errors import BudgetExceededError
-from .intlinalg import _reduced_solution, nonneg_reduced_solution, primitive_period_vector
+from .intlinalg import (
+    _component_period,
+    _reduced_solution,
+    nonneg_reduced_solution,
+    primitive_period_vector,
+)
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
@@ -248,10 +254,11 @@ class HaltingVerdict:
     """Result of simulating the unbounded game from x.
 
     kind is "halts", "non-halting" or "budget-exceeded".  A non-halting
-    verdict carries a certificate: a configuration seen twice, hence
-    recurrent and linearly equivalent to x.  ``witness_to_certificate``
-    counts the firings from x to the certificate's first visit and
-    ``witness_cycle`` the firings around the observed loop.  A
+    verdict carries a certificate: a configuration the game reached with
+    firing vector F >= p, the primitive period vector, hence recurrent
+    and linearly equivalent to x.  ``witness_to_certificate`` is F, so
+    the certificate is x + L F, and ``witness_cycle`` is p, the firing
+    vector of a legal game from the certificate back to itself.  A
     budget-exceeded verdict names the one budget, ``max_steps``, in
     ``reason``: "max-steps".
     """
@@ -270,56 +277,69 @@ def halts(
     x: ChipConfig,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> HaltingVerdict:
-    """Simulate the greedy legal game until it stabilizes or loops.
+    """Simulate the greedy legal game until it stabilizes or fires p.
 
-    The visited space is finite (piles never drop below min(x(v), 0) and
-    the total is conserved), so on a non-halting instance some
-    configuration repeats; that repeat is the non-halting certificate.
-    The legal vertices sit in a min-heap, smallest fired first; a
-    firing costs O(out-support(v) + log n) plus the O(n) snapshot of
-    the configuration that exact cycle detection keeps.  Each firing
-    stores at most one configuration, an n-tuple mapped to its step
-    index, so ``max_steps`` caps the memory as well as the time.
+    Period domination decides non-halting: once a legal game from x has
+    fired F >= p, the configuration y it reached is recurrent.  Keep only
+    the last p(v) firings of each v and replay them from y: before each
+    kept firing, v's pile exceeds its pile at that moment of the original
+    game by at least (L p)(v) = 0, so the replay is legal, fires p and
+    returns to y.  An infinite game fires every vertex infinitely often
+    (Bjorner-Lovasz 1992), so the rule always fires on a non-halting x,
+    and no later than the first repeated configuration, whose loop fires
+    a positive multiple of p.
+
+    The game counts ``short``, the vertices still below their target:
+    all ones at first, then p, computed once every vertex has fired.  The
+    legal vertices sit in a min-heap, smallest fired first, so a firing
+    costs O(out-support(v) + log n) and the game keeps O(n) memory
+    whatever ``max_steps``, its one budget, allows.
     """
-    if not is_strongly_connected(g):
+    scc = scc_decompose(g)
+    if len(scc.components) != 1:
         raise ValueError("halting analysis requires a strongly connected graph")
     if len(x) != g.n:
         raise ValueError("configuration length must match the vertex count")
     adj = g.adjacency()
     degs = [out.degree for out in adj]
     cur = list(x)
-    state = tuple(cur)
-    seen: dict[ChipConfig, int] = {state: 0}  # state -> firings before it
-    order: list[int] = []  # the fired vertices
     fired = [0] * g.n
+    target = (1,) * g.n
+    period: IntVector | None = None
+    short = g.n
     queued = [c >= d for c, d in zip(cur, degs)]
     heap = [v for v in range(g.n) if queued[v]]  # ascending, so a heap
-    for step in range(1, max_steps + 1):
+    for _ in range(max_steps):
         if not heap:
-            return HaltingVerdict("halts", final=state, firing_vector=tuple(fired))
+            return HaltingVerdict("halts", final=tuple(cur), firing_vector=tuple(fired))
         v = heap[0]
-        _fire_in_place(cur, adj[v], v, 1)
-        order.append(v)
-        fired[v] += 1
-        if cur[v] < degs[v]:
-            queued[v] = False
+        deg, edges = adj[v]
+        left = cur[v] - deg
+        cur[v] = left
+        if left < deg:
+            # leave before any head joins: a head can be smaller than v
             heappop(heap)
-        for u, _ in adj[v].edges:
-            if not queued[u] and cur[u] >= degs[u]:
+            queued[v] = False
+        for u, m in edges:
+            c = cur[u] + m
+            cur[u] = c
+            if c >= degs[u] and not queued[u]:
                 queued[u] = True
                 heappush(heap, u)
-        state = tuple(cur)
-        first = seen.setdefault(state, step)
-        if first < step:
-            before = [0] * g.n
-            for u in islice(order, first):
-                before[u] += 1
-            return HaltingVerdict(
-                "non-halting",
-                certificate=state,
-                witness_to_certificate=tuple(before),
-                witness_cycle=tuple([b - a for a, b in zip(before, fired)]),
-            )
+        k = fired[v] + 1
+        fired[v] = k
+        if k == target[v]:
+            short -= 1
+            if not short and period is None:
+                period = target = _component_period(g, adj, scc.components[0], degs)
+                short = sum([f < p for f, p in zip(fired, period)])
+            if not short:
+                return HaltingVerdict(
+                    "non-halting",
+                    certificate=tuple(cur),
+                    witness_to_certificate=tuple(fired),
+                    witness_cycle=period,
+                )
     return HaltingVerdict("budget-exceeded", reason="max-steps")
 
 

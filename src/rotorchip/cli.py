@@ -329,7 +329,7 @@ _SUBCOMMANDS = {
         ("instance", "--config", "--budget-steps"),
     ),
     "chip-halting": (
-        _cmd_chip_halting, "desk-scale halting analysis",
+        _cmd_chip_halting, "halting analysis",
         ("instance", "--config", "--budget-steps"),
     ),
     "lin-equiv": (

@@ -17,10 +17,14 @@ with its right-hand sides appended, so it stays within that matrix's
 Hadamard bound; back substitution multiplies two such minors, which at
 most doubles the bit length.
 
-Every period vector comes from that one elimination, run on a strongly
-connected component C in place, at most O(|C|^3).  Each entry point
-decomposes the graph once: ``period_basis`` eliminates once per
-component, and the reductions once per sink component.
+Every period vector comes from ``_component_period``: that one
+elimination, run on a strongly connected component C in place, at most
+O(|C|^3), unless C is balanced (in-degree equals out-degree inside it, as
+on an Eulerian graph), where one pass over its adjacency returns the ones
+vector.  Each entry point decomposes the graph once: ``period_basis``
+eliminates once per component, and the reductions once per sink
+component.  ``nonneg_reduced_solution`` takes its sink kernel columns
+from its own joint elimination, balanced or not.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Iterator, Sequence
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
+    OutEdges,
     SccDecomposition,
     is_strongly_connected,
     scc_decompose,
@@ -152,8 +157,31 @@ def _primitive(det: int, ker: list[int], comp: Sequence[int]) -> IntVector:
     return p
 
 
-def _component_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
-    """One elimination on the strongly connected comp; degs counts edges inside it."""
+def _component_period(
+    g: DirectedMultigraph,
+    adj: Sequence[OutEdges],
+    comp: Sequence[int],
+    degs: Sequence[int],
+) -> IntVector:
+    """The period vector of the strongly connected comp; degs counts edges inside it.
+
+    ``adj`` is ``g.adjacency()``, which the callers already hold.  A
+    balanced comp, in-degree equal to out-degree inside it at every
+    vertex (an Eulerian component), has the ones vector in its kernel, so
+    one pass over its adjacency returns ones on it.  Any other comp costs
+    one elimination.
+    """
+    excess = [0] * g.n
+    for u in comp:
+        excess[u] += degs[u]
+        for w, m in adj[u].edges:
+            excess[w] -= m
+    # edges leaving comp only touch excess outside it
+    if not any([excess[v] for v in comp]):
+        ones = [0] * g.n
+        for v in comp:
+            ones[v] = 1
+        return tuple(ones)
     det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (g.mult[comp[0]],))
     return _primitive(det, ker, comp)
 
@@ -162,11 +190,13 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """The unique positive coprime vector p with laplacian(g) @ p == 0.
 
     Only strongly connected graphs have one; a single isolated vertex
-    yields (1,).  One elimination with vertex 0 as root.
+    yields (1,).  One elimination with vertex 0 as root, or on an
+    Eulerian graph one pass over the adjacency.
     """
     if not is_strongly_connected(g):
         raise ValueError("period vector requires a strongly connected graph")
-    return _component_period(g, range(g.n), g.out_degrees())
+    adj = g.adjacency()
+    return _component_period(g, adj, range(g.n), [out.degree for out in adj])
 
 
 @dataclass(frozen=True)
@@ -193,12 +223,13 @@ class PeriodBasis:
 def period_basis(g: DirectedMultigraph) -> PeriodBasis:
     scc = scc_decompose(g)
     comp_of = scc.component_of
+    adj = g.adjacency()
     # a component taken alone ignores the edges that leave it
     degs = [
         sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
-        for u, out in enumerate(g.adjacency())
+        for u, out in enumerate(adj)
     ]
-    vectors = tuple([_component_period(g, comp, degs) for comp in scc.components])
+    vectors = tuple([_component_period(g, adj, comp, degs) for comp in scc.components])
     return PeriodBasis(
         scc=scc,
         component_vectors=vectors,
@@ -267,10 +298,11 @@ def _sink_steps(
     out-degree), constrain nothing and are skipped.
     """
     scc = scc_decompose(g)
-    degs = g.out_degrees()
+    adj = g.adjacency()
+    degs = [out.degree for out in adj]
     for i in scc.sink_component_ids():
         comp = scc.components[i]
-        step = [x * k for x, k in zip(_component_period(g, comp, degs), scale)]
+        step = [x * k for x, k in zip(_component_period(g, adj, comp, degs), scale)]
         if any(step):
             yield comp, step
 

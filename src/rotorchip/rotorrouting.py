@@ -200,21 +200,6 @@ def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotor
     return route_many(ribbon, config, v, 1)
 
 
-def _send_positions(runs_v: tuple[Run, ...], chips: list[int], a: int, b: int) -> None:
-    """Send one chip along each out-edge at flat positions a..b-1, a < b.
-
-    Walks the runs only up to position b.
-    """
-    start = 0
-    for head, count in runs_v:
-        end = start + count
-        if end > a:
-            chips[head] += min(end, b) - max(start, a)
-            if end >= b:
-                return
-        start = end
-
-
 def _route_vertex(
     runs_v: tuple[Run, ...],
     degree: int,
@@ -227,23 +212,32 @@ def _route_vertex(
 
     Each full rotor turn sends one chip along every out-edge; the partial
     turn sends one along each of the k % degree positions stepped onto,
-    a cyclic window starting just after the rotor.  Cost is O(runs(v))
-    big-integer operations.
+    the cyclic window [a, a + rem) starting just after the rotor.  One
+    walk over the runs gives each run its full turns plus its overlap
+    with the window and with the window's wrapped part [0, a + rem -
+    degree); without full turns the walk stops past the window.  Cost is
+    O(runs(v)) big-integer operations.
     """
     pos = rotors[v]
     full, rem = divmod(k, degree)
     chips[v] -= k
     rotors[v] = (pos + k) % degree
-    if full:
-        for head, count in runs_v:
-            chips[head] += full * count
-    if rem:
-        w0 = (pos + 1) % degree
-        if w0 + rem <= degree:
-            _send_positions(runs_v, chips, w0, w0 + rem)
-        else:
-            _send_positions(runs_v, chips, w0, degree)
-            _send_positions(runs_v, chips, 0, w0 + rem - degree)
+    a = pos + 1 if pos + 1 < degree else 0
+    b = a + rem
+    wrap = b - degree
+    start = 0
+    for head, count in runs_v:
+        end = start + count
+        lo = start if start > a else a
+        hi = end if end < b else b
+        sent = full * count + (hi - lo if hi > lo else 0)
+        if wrap > start:
+            sent += (end if end < wrap else wrap) - start
+        if sent:
+            chips[head] += sent
+        if end >= b and not full:
+            return
+        start = end
 
 
 def pi_r(

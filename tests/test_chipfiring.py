@@ -13,6 +13,7 @@ from rotorchip.bruteforce import (
     random_maximal_bounded_chip_game,
 )
 from rotorchip.chipfiring import (
+    DEFAULT_MAX_STEPS,
     HaltingVerdict,
     bounded_chip_game,
     fire,
@@ -373,6 +374,19 @@ def _dense_halts(g: DirectedMultigraph, x, max_steps: int) -> HaltingVerdict:
     return HaltingVerdict("budget-exceeded", reason="max-steps")
 
 
+def _check_period_certificate(g: DirectedMultigraph, x, verdict: HaltingVerdict, max_steps: int) -> None:
+    """The certificate is x + L F for F >= p, fired within the budget, and the cycle is p."""
+    p = primitive_period_vector(g)
+    fired = verdict.witness_to_certificate
+    assert verdict.witness_cycle == p
+    assert all(f >= q for f, q in zip(fired, p))
+    assert sum(fired) <= max_steps
+    cur = list(x)
+    for v, k in enumerate(fired):
+        cur = _dense_fire(g, cur, v, k)
+    assert tuple(cur) == verdict.certificate
+
+
 def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
     """(firing vector, final, batches); raises BudgetExceededError like the engine."""
     cur = list(x)
@@ -398,14 +412,25 @@ class TestScheduleMatchesDenseScan:
     @given(small_graphs(), st.data(), st.sampled_from((0, 1, 2, 4, 7, 1_000_000)))
     @settings(max_examples=300, deadline=None)
     def test_halts(self, g: DirectedMultigraph, data, max_steps: int) -> None:
+        # Halting verdicts match the dense scan exactly.  Non-halting ones
+        # carry (F, p) instead of the first repeat, and the rule may fire
+        # within the budget where the scan has not repeated yet.
         degs = g.out_degrees()
         x = tuple(data.draw(st.integers(min_value=-1, max_value=d + 1)) for d in degs)
         if not is_strongly_connected(g):
             with pytest.raises(ValueError):
                 halts(g, x, max_steps=max_steps)
             return
+        verdict = halts(g, x, max_steps=max_steps)
         expected = _dense_halts(g, x, max_steps)
-        assert halts(g, x, max_steps=max_steps) == expected
+        if verdict.kind == "non-halting":
+            _check_period_certificate(g, x, verdict, max_steps)
+        if expected.kind == "halts":
+            assert verdict == expected
+        elif expected.kind == "non-halting":
+            assert verdict.kind == "non-halting"
+        elif verdict.kind != "non-halting":
+            assert verdict == expected
 
     @given(small_graphs(), st.data(), st.sampled_from((0, 1, 3, 1_000_000)))
     @settings(max_examples=300, deadline=None)
@@ -422,3 +447,66 @@ class TestScheduleMatchesDenseScan:
         res = bounded_chip_game(g, x, bound, max_batches=max_batches)
         assert (res.firing_vector, res.final, res.trace.batches) == expected
         assert res.trace.replay(g)
+
+
+_STRONGLY_CONNECTED = [g for g in _ENUMERATED if is_strongly_connected(g)]
+
+
+@st.composite
+def strongly_connected_graphs(draw) -> DirectedMultigraph:
+    """Strongly connected graphs on 1-8 vertices, Eulerian or not."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_STRONGLY_CONNECTED))
+    family = draw(st.sampled_from(("strongly-connected", "eulerian")))
+    size = draw(st.integers(min_value=2, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32))
+    return gen_graph(family, size, random.Random(seed))
+
+
+class TestPeriodDomination:
+    @given(strongly_connected_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_is_on_the_greedy_cycle(self, g: DirectedMultigraph, data) -> None:
+        # Measured on generated graphs, not proved: the certificate lies
+        # on the greedy game's cycle, and the rule fires no later than the
+        # first repeated configuration.
+        degs = g.out_degrees()
+        x = tuple(data.draw(st.integers(min_value=d - 1, max_value=2 * d)) for d in degs)
+        verdict = halts(g, x)
+        expected = _dense_halts(g, x, DEFAULT_MAX_STEPS)
+        assert verdict.kind == expected.kind
+        if verdict.kind != "non-halting":
+            return
+        loop = sum(expected.witness_cycle)
+        assert sum(verdict.witness_to_certificate) <= sum(expected.witness_to_certificate) + loop
+        # from a configuration on the cycle, the first repeat is itself
+        # after one turn of the cycle
+        c = verdict.certificate
+        assert _dense_halts(g, c, loop) == HaltingVerdict(
+            "non-halting",
+            certificate=c,
+            witness_to_certificate=(0,) * g.n,
+            witness_cycle=expected.witness_cycle,
+        )
+
+    @pytest.mark.parametrize(
+        "edges, x, kind",
+        [
+            ([(0, 1, 1), (1, 0, 1)], (1, 0), "non-halting"),
+            ([(0, 1, 2), (1, 0, 1)], (2, 1), "non-halting"),
+            ([(0, 1, 2), (1, 0, 1)], (1, 0), "halts"),
+        ],
+        ids=["eulerian", "non-eulerian", "halting"],
+    )
+    def test_one_decomposition_per_call(self, monkeypatch, edges, x, kind: str) -> None:
+        g = DirectedMultigraph.from_edges(2, edges)
+        calls = []
+
+        def counting(g: DirectedMultigraph) -> SccDecomposition:
+            calls.append(g)
+            return scc_decompose(g)
+
+        for module in (multigraph, intlinalg, chipfiring):
+            monkeypatch.setattr(module, "scc_decompose", counting)
+        assert halts(g, x).kind == kind
+        assert len(calls) == 1

@@ -319,6 +319,19 @@ def _solve_cases(draw) -> DirectedMultigraph:
     return gen_graph(source, size, rng)
 
 
+def _reference_period(g: DirectedMultigraph, comp: tuple[int, ...], degs) -> tuple[int, ...]:
+    det, (ker,) = reference_solve(g, comp, degs, comp[:1], (g.mult[comp[0]],))
+    return intlinalg._primitive(det, ker, comp)
+
+
+def _inner_degrees(g: DirectedMultigraph, scc: SccDecomposition) -> list[int]:
+    comp_of = scc.component_of
+    return [
+        sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
+        for u, out in enumerate(g.adjacency())
+    ]
+
+
 class TestSolveMatchesDenseBareiss:
     """Lazy row scaling returns dense Bareiss's determinant and columns."""
 
@@ -339,16 +352,62 @@ class TestSolveMatchesDenseBareiss:
     @settings(max_examples=150, deadline=None)
     def test_component_solves(self, g: DirectedMultigraph, data) -> None:
         scc = scc_decompose(g)
-        comp_of = scc.component_of
-        degs = [
-            sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
-            for u, out in enumerate(g.adjacency())
-        ]
+        degs = _inner_degrees(g, scc)
         entries = st.integers(min_value=-(10**18), max_value=10**18)
         for comp in scc.components:
             columns = [g.mult[comp[0]], data.draw(st.lists(entries, min_size=g.n, max_size=g.n))]
             args = (g, comp, degs, comp[:1], columns)
             assert intlinalg._solve_reduced(*args) == reference_solve(*args), (g.mult, comp)
+
+
+class TestEulerianShortcut:
+    """Balanced components skip the elimination and still get its answer."""
+
+    @given(_solve_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_component_period_matches_dense_bareiss(self, g: DirectedMultigraph) -> None:
+        scc = scc_decompose(g)
+        degs = _inner_degrees(g, scc)
+        for comp in scc.components:
+            p = intlinalg._component_period(g, g.adjacency(), comp, degs)
+            assert p == _reference_period(g, comp, degs), (g.mult, comp)
+            lap = _component_laplacian(g, comp)
+            if mat_vec(lap, (1,) * len(comp)) == (0,) * len(comp):
+                assert p == tuple(1 if v in comp else 0 for v in range(g.n))
+
+    @pytest.mark.parametrize("n", [2, 5, 14, 40])
+    def test_eulerian_family_gives_ones(self, n: int) -> None:
+        for seed in range(5):
+            g = gen_graph("eulerian", n, Random(seed))
+            comp = tuple(range(n))
+            p = intlinalg._component_period(g, g.adjacency(), comp, g.out_degrees())
+            assert p == (1,) * n
+            assert p == _reference_period(g, comp, g.out_degrees())
+
+    def test_period_basis_mixes_eulerian_and_other_components(self, monkeypatch) -> None:
+        # balanced {0, 1, 2} with an edge leaving it at 2 -> sink {3, 4}
+        # with period (1, 2), and a balanced sink {5, 6} fed from 0
+        g = DirectedMultigraph.from_edges(7, [
+            (0, 1, 2), (1, 2, 2), (2, 0, 2), (2, 3, 1), (0, 5, 3),
+            (3, 4, 2), (4, 3, 1), (5, 6, 2), (6, 5, 2),
+        ])
+        eliminated = []
+
+        def counting(g, verts, *args):
+            eliminated.append(tuple(verts))
+            return reference_solve(g, verts, *args)
+
+        monkeypatch.setattr(intlinalg, "_solve_reduced", counting)
+        basis = _checked_period_basis(g)
+        assert eliminated == [(3, 4)]
+        vectors = dict(zip(basis.scc.components, basis.component_vectors))
+        assert vectors == {
+            (0, 1, 2): (1, 1, 1, 0, 0, 0, 0),
+            (3, 4): (0, 0, 0, 1, 2, 0, 0),
+            (5, 6): (0, 0, 0, 0, 0, 1, 1),
+        }
+        assert sorted(basis.kernel_vectors()) == [(0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 2, 0, 0)]
+        assert basis.per == 8
 
 
 # cycle {0, 1} -> vertex 2 -> sink cycle {3, 4}, and {0, 1} -> sink vertex 5

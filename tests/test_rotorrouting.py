@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import bfs_reach_rotor, enumerate_digraphs
+from rotorchip.bruteforce import _expanded_heads, bfs_reach_rotor, enumerate_digraphs
 from rotorchip.errors import BudgetExceededError
 from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import is_routing_reduced, primitive_period_vector
@@ -546,3 +546,65 @@ class TestScheduleMatchesDenseScan:
         for _ in range(k):
             cur = route(ribbon, cur, v)
         assert route_many(ribbon, config, v, k) == cur
+
+
+def _stepped(heads: list[list[int]], config: ChipRotorConfig, r) -> ChipRotorConfig:
+    """Route each v r[v] times, one rotor position at a time."""
+    chips = list(config.chips)
+    rotors = list(config.rotors)
+    for v, k in enumerate(r):
+        flat = heads[v]
+        for _ in range(k):
+            rotors[v] = (rotors[v] + 1) % len(flat)
+            chips[v] -= 1
+            chips[flat[rotors[v]]] += 1
+    return ChipRotorConfig(tuple(chips), tuple(rotors))
+
+
+@st.composite
+def _run_ribbons(draw) -> RibbonStructure:
+    """Ribbons of 2-5 vertices with runs of up to 4 edges, vertex 0 no sink.
+
+    Few heads and repeated runs put equal heads at both ends of an
+    order, so a run straddles the wrap from the last position to 0.
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    runs = []
+    for v in range(n):
+        run = st.tuples(st.sampled_from([u for u in range(n) if u != v]), st.integers(1, 4))
+        runs.append(tuple(draw(st.lists(run, min_size=1 if v == 0 else 0, max_size=4))))
+    return RibbonStructure(tuple(runs))
+
+
+class TestKernelMatchesSingleSteps:
+    """The run-walking kernel against one routing per rotor position."""
+
+    @given(_run_ribbons(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_route_many(self, ribbon: RibbonStructure, data) -> None:
+        v = data.draw(st.sampled_from([u for u in range(ribbon.n) if ribbon.degree(u)]))
+        d = ribbon.degree(v)
+        k = data.draw(st.integers(0, 3 * d + 2))
+        rotors = tuple(data.draw(st.integers(0, dv - 1)) if dv else None for dv in ribbon.degrees)
+        config = ChipRotorConfig(tuple(range(ribbon.n)), rotors)
+        r = tuple(k if u == v else 0 for u in range(ribbon.n))
+        assert route_many(ribbon, config, v, k) == _stepped(_expanded_heads(ribbon), config, r)
+
+    @given(_run_ribbons(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pi_r(self, ribbon: RibbonStructure, data) -> None:
+        degs = ribbon.degrees
+        r = tuple(data.draw(st.integers(0, 3 * d + 2)) if d else 0 for d in degs)
+        rotors = tuple(data.draw(st.integers(0, d - 1)) if d else None for d in degs)
+        config = ChipRotorConfig((0,) * ribbon.n, rotors)
+        assert pi_r(ribbon, config, r) == _stepped(_expanded_heads(ribbon), config, r)
+
+    def test_every_window_of_a_straddling_order(self) -> None:
+        # head 1 holds positions 5-7 and 0-2, one run across the wrap
+        ribbon = RibbonStructure(runs=(((1, 3), (2, 2), (1, 3)), ((0, 1),), ((0, 1),)))
+        heads = _expanded_heads(ribbon)
+        for pos in range(8):
+            config = ChipRotorConfig((0, 0, 0), (pos, 0, 0))
+            for k in range(3 * 8 + 3):
+                want = _stepped(heads, config, (k, 0, 0))
+                assert route_many(ribbon, config, 0, k) == want, (pos, k)

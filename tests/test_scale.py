@@ -135,39 +135,76 @@ def _apply_laplacian(g: DirectedMultigraph, x, f) -> tuple[int, ...]:
     return tuple(out)
 
 
-def test_halts_cycling_start_eulerian_n300_within_wall_bound() -> None:
-    # one chip above the largest stable total, so the game never halts;
-    # from this start it fires 6,875 times before entering its orbit
-    # (measured 0.16 s for 7,175 firings)
-    g = gen_graph("eulerian", 300, Random(7))
+def test_primitive_period_vector_eulerian_n300_within_wall_bound() -> None:
+    # a balanced graph gets the ones vector from one pass over its
+    # adjacency, which is built first: measured 0.7-2.9 ms on seeds 0-2,
+    # against 37.5 s for the elimination.  Best of three calls, so one
+    # scheduling pause does not decide a bound this short.
+    g = gen_graph("eulerian", 300, Random(0))
+    g.adjacency()
+    elapsed = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        p = primitive_period_vector(g)
+        elapsed = min(elapsed, time.perf_counter() - start)
+        assert p == (1,) * g.n
+    assert elapsed < 0.01, f"period n=300: {elapsed * 1e3:.1f} ms >= 10 ms"
+
+
+def _cycling_start(g: DirectedMultigraph, v: int) -> tuple[int, ...]:
+    """One chip above the largest stable total, so the game never halts."""
     x = [deg - 1 for deg in g.out_degrees()]
-    x[60] += 1
+    x[v] += 1
+    return tuple(x)
+
+
+def test_halts_cycling_start_eulerian_n300_within_wall_bound() -> None:
+    # every vertex has fired once, so F >= p, after 6,877 firings
+    # (measured 0.04 s; storing a configuration per firing took 0.16 s
+    # to find the first repeat)
+    g = gen_graph("eulerian", 300, Random(7))
+    x = _cycling_start(g, 60)
     start = time.perf_counter()
-    verdict = halts(g, tuple(x))
+    verdict = halts(g, x)
     elapsed = time.perf_counter() - start
     assert verdict.kind == "non-halting"
     assert sum(verdict.witness_to_certificate) > 5 * g.n
     assert _apply_laplacian(g, x, verdict.witness_to_certificate) == verdict.certificate
     # an Eulerian graph's period vector is all ones
-    assert len(set(verdict.witness_cycle)) == 1 and verdict.witness_cycle[0] > 0
-    assert elapsed < 2.0, f"halts n=300: {elapsed:.2f}s >= 2.0s"
+    assert verdict.witness_cycle == (1,) * g.n
+    assert elapsed < 0.5, f"halts n=300: {elapsed:.2f}s >= 0.5s"
+
+
+def _traced_peak(g: DirectedMultigraph, x: tuple[int, ...], **budget) -> tuple[HaltingVerdict, int]:
+    tracemalloc.start()
+    try:
+        verdict = halts(g, x, **budget)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_halts_cycling_start_eulerian_n300_within_memory_bound() -> None:
-    # one n-tuple per visited configuration: 10,000 of them at n=300 hold
-    # 24.4 MB of tuples and about 4.4 MB of ints above the small-int cache
-    # (measured peak 30.2 MB; two vectors per state peaked at 54.2 MB)
+    # the game keeps a few n-vectors whatever its length: measured peak
+    # 0.03 MB at 10,000 firings, where one stored configuration per
+    # firing peaked at 30.2 MB
     g = gen_graph("eulerian", 300, Random(300))
-    x = [deg - 1 for deg in g.out_degrees()]
-    x[1] += 1
-    tracemalloc.start()
-    try:
-        verdict = halts(g, tuple(x), max_steps=10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    verdict, peak = _traced_peak(g, _cycling_start(g, 1), max_steps=10_000)
     assert verdict == HaltingVerdict("budget-exceeded", reason="max-steps")
-    assert peak < 32e6, f"halts n=300, 10,000 steps: peak {peak / 1e6:.1f} MB"
+    assert peak < 1e6, f"halts n=300, 10,000 steps: peak {peak / 1e6:.1f} MB"
+
+
+def test_halts_cycling_start_eulerian_n300_default_budget_within_memory_bound() -> None:
+    # the same start at the default budget: the rule fires at firing
+    # 13,751, one before the first repeat (measured 0.11 s, peak 0.03 MB;
+    # the stored configurations peaked at 41 MB)
+    g = gen_graph("eulerian", 300, Random(300))
+    x = _cycling_start(g, 1)
+    verdict, peak = _traced_peak(g, x)
+    assert verdict.kind == "non-halting"
+    assert sum(verdict.witness_to_certificate) == 13_751
+    assert _apply_laplacian(g, x, verdict.witness_to_certificate) == verdict.certificate
+    assert peak < 1e6, f"halts n=300, default budget: peak {peak / 1e6:.1f} MB"
 
 
 def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
