@@ -3,10 +3,12 @@
 Generates one seeded instance per family and size and parses it in both
 spellings: as ``serialize_instance`` writes it (ribbon lines only), and
 with the ``edge`` lines older files carry as well.  Prints, per spelling,
-the line count, the file size, the median wall time per
-``parse_instance`` call, and the ``tracemalloc`` peak of one parse next
-to 8 n^2 bytes, the size of the dense multiplicity matrix.  The load
-should cost time linear in the file plus that one matrix.
+the line count, the file size, the share of ribbon run tokens that
+repeat a token seen earlier in the file (the parser converts and checks
+each distinct one once), the median wall time per ``parse_instance``
+call, and the ``tracemalloc`` peak of one parse next to 8 n^2 bytes, the
+size of the dense multiplicity matrix.  The load should cost time linear
+in the file plus that one matrix.
 
     python3 scripts/parse_timing.py
     python3 scripts/parse_timing.py --sizes 50,140 --repeats 21 --seed 3
@@ -38,6 +40,17 @@ def with_edge_lines(text: str, mult) -> str:
     return f"{first}\n{edges}{rest}"
 
 
+def repeated_run_share(text: str) -> float:
+    """The share of ribbon run tokens that repeat an earlier one."""
+    runs = [
+        tok
+        for line in text.splitlines()
+        if line.startswith("ribbon ")
+        for tok in line.split()[3:]
+    ]
+    return 1 - len(set(runs)) / len(runs) if runs else 0.0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="50,140,500")
@@ -47,7 +60,7 @@ def main() -> int:
 
     print(
         f"{'family':>18} {'n':>5} {'spelling':>11} {'lines':>7} {'KB':>7} "
-        f"{'ms/parse':>9} {'peak MB':>8} {'8n^2 MB':>8}"
+        f"{'rep %':>6} {'ms/parse':>9} {'peak MB':>8} {'8n^2 MB':>8}"
     )
     for family in FAMILIES:
         for n in map(int, args.sizes.split(",")):
@@ -75,7 +88,8 @@ def main() -> int:
                 tracemalloc.stop()
                 print(
                     f"{family:>18} {n:>5} {spelling:>11} {text.count(chr(10)):>7} "
-                    f"{len(text) / 1e3:>7.0f} {statistics.median(times) * 1e3:>9.2f} "
+                    f"{len(text) / 1e3:>7.0f} {100 * repeated_run_share(text):>6.1f} "
+                    f"{statistics.median(times) * 1e3:>9.2f} "
                     f"{peak / 1e6:>8.2f} {8 * n * n / 1e6:>8.2f}"
                 )
     return 0

@@ -121,8 +121,10 @@ def bounded_chip_game(
     maximal bounded schedule, so the deterministic greedy one (smallest
     eligible vertex, largest safe batch) is canonical.  A batch spends
     v's remaining bound or its pile, so v leaves the worklist and only
-    its heads can join: O(out-support(v) + log n) per batch.  Raises
-    BudgetExceededError when more than ``max_batches`` batches are needed.
+    its heads can join: O(out-support(v) + log n) per batch.  Each batch
+    fires at least once, so the game takes at most sum(bound) batches.
+    Raises BudgetExceededError when more than ``max_batches`` batches are
+    needed.
     """
     _check_count_vector(g, bound)
     if len(x) != g.n:
@@ -185,6 +187,14 @@ def reach_chip(
     y is reachable iff the unique reduced nonnegative f with
     L f = y - x exists and the maximal f-bounded game from x fires
     exactly f.  x reaches itself via the empty game.
+
+    Cost: one exact solve, then a game of at most sum(f) batches.  That
+    count grows with the entries of f and of the period vector p, so with
+    per(G) = sum(p), not with n and the bit length alone: on the chain
+    with two edges forward and one back, per(G) = 2^n - 1 while every
+    multiplicity is at most 2.  Past ``max_batches`` the verdict is
+    UNKNOWN (``chip-reach`` exits 3); that is the designed outcome, since
+    chip reachability is hard in general.
     """
     if len(x) != g.n or len(y) != g.n:
         raise ValueError("configuration length must match the vertex count")
@@ -209,7 +219,11 @@ def is_recurrent(
     """Whether a nonempty legal game returns to x (strongly connected g).
 
     Equivalent to the maximal p-bounded game from x firing the whole
-    primitive period vector p.
+    primitive period vector p.  That game takes at most per(G) = sum(p)
+    batches, so its cost grows with per(G), not with n and the bit length
+    alone.  Past ``max_batches`` it raises BudgetExceededError
+    (``chip-recurrent`` exits 3), the designed outcome where per(G) is
+    large.
     """
     p = _require_period(g)
     return bounded_chip_game(g, x, p, max_batches=max_batches).firing_vector == p
@@ -224,7 +238,9 @@ def is_recurrent_via_reach(
 
     Fire the smallest legally fireable vertex v, then test whether the
     result reaches x back, as the (p - 1_v)-bounded game achieving its
-    full bound.  Stable configurations are never recurrent.
+    full bound.  Stable configurations are never recurrent.  The game
+    takes at most per(G) - 1 batches, with the same cost and the same
+    BudgetExceededError past ``max_batches`` as ``is_recurrent``.
     """
     p = _require_period(g)
     v = next((u for u in range(g.n) if is_legal_fire(g, x, u)), None)

@@ -22,8 +22,11 @@ A ``ribbon`` line lists the out-edges of one vertex in their cyclic
 order, as runs of parallel edges: ``h:c`` stands for c consecutive
 edges to h.  In a file without ``edge`` lines the runs are the edges: a
 vertex's multiplicity towards h is the total of its runs to h, and a
-vertex without a ribbon line is a sink.  ``serialize_instance`` writes
-this spelling:
+vertex without a ribbon line is a sink.  The same run token comes back
+on line after line (in canonical spelling a file has at most n heads
+times its distinct counts of them), so the parser converts and checks
+each distinct token once per file.  ``serialize_instance`` writes this
+spelling:
 
     graph 3
     ribbon 0 : 1:2 2:1 1:1
@@ -139,6 +142,10 @@ def parse_instance(text: str) -> Instance:
     ``0 <= i < n``: a hit is the integer and its range check at once, and
     any other spelling (``+3``, ``007``, a count of n or more) takes the
     ``int`` path with the same checks and messages.
+    Each distinct run token is converted and checked once: a token that
+    passed every check is kept, for this call only, as its ``(head,
+    count)`` tuple, and where it comes back only the loop check is left,
+    so equal runs share one tuple.
     The first error in file order is raised with its line number; the
     graph and ribbon are then built without the constructors' checks,
     which the parser has already made.  Without edge lines the ribbon
@@ -150,6 +157,8 @@ def parse_instance(text: str) -> Instance:
     rows: list = []
     out_degrees: list[int] = []
     ribbon_lines: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+    # each run token that passed every check, as its (head, count) tuple
+    checked_runs: dict[str, tuple[int, int]] = {}
     has_edge_lines = False
     chip_lines: dict[str, tuple[int, ...]] = {}
     rotor_lines: dict[str, dict[int, int]] = {}
@@ -208,24 +217,31 @@ def parse_instance(text: str) -> Instance:
                 )
             runs_v = []
             for tok in tokens[3:]:
-                head_s, sep, count_s = tok.partition(":")
-                if not sep:
-                    raise InstanceFormatError(
-                        f"ribbon run {tok!r} must look like <head>:<count>", lineno
-                    )
-                head = ids.get(head_s)
-                if head is None:
-                    head = _int(head_s, "run head", lineno)
-                count = ids.get(count_s)
-                if count is None:
-                    count = _int(count_s, "run count", lineno)
-                if not 0 <= head < n:
-                    raise InstanceFormatError("run head out of range", lineno)
-                if head == v:
+                run = checked_runs.get(tok)
+                if run is None:
+                    head_s, sep, count_s = tok.partition(":")
+                    if not sep:
+                        raise InstanceFormatError(
+                            f"ribbon run {tok!r} must look like <head>:<count>",
+                            lineno,
+                        )
+                    head = ids.get(head_s)
+                    if head is None:
+                        head = _int(head_s, "run head", lineno)
+                    count = ids.get(count_s)
+                    if count is None:
+                        count = _int(count_s, "run count", lineno)
+                    if not 0 <= head < n:
+                        raise InstanceFormatError("run head out of range", lineno)
+                    if head == v:
+                        raise InstanceFormatError("loops are not allowed", lineno)
+                    if count < 1:
+                        raise InstanceFormatError("run count must be >= 1", lineno)
+                    run = checked_runs[tok] = (head, count)
+                elif run[0] == v:
+                    # a checked token can fail only as a loop on another line
                     raise InstanceFormatError("loops are not allowed", lineno)
-                if count < 1:
-                    raise InstanceFormatError("run count must be >= 1", lineno)
-                runs_v.append((head, count))
+                runs_v.append(run)
             ribbon_lines[v] = (tuple(runs_v), lineno)
         elif directive == "chips":
             name, rest = _config_name(

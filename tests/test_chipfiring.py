@@ -449,6 +449,52 @@ class TestScheduleMatchesDenseScan:
         assert res.trace.replay(g)
 
 
+def _chain(n: int) -> DirectedMultigraph:
+    """Two edges from i to i+1, one back: p(i) = 2^i, so per(G) = 2^n - 1."""
+    edges = [(i, i + 1, 2) for i in range(n - 1)] + [(i + 1, i, 1) for i in range(n - 1)]
+    return DirectedMultigraph.from_edges(n, edges)
+
+
+class TestGameCost:
+    @given(small_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batches_at_most_the_bound_total(self, g: DirectedMultigraph, data) -> None:
+        # each batch fires its vertex at least once
+        degs = g.out_degrees()
+        x = tuple(data.draw(st.integers(min_value=-1, max_value=3 * d + 1)) for d in degs)
+        bound = tuple(data.draw(st.integers(min_value=0, max_value=6)) for _ in degs)
+        res = bounded_chip_game(g, x, bound, max_batches=sum(bound))
+        assert len(res.trace.batches) <= sum(bound)
+
+    def test_chain_batches_grow_with_the_period(self) -> None:
+        # the chain's entries stay at most 2, but per(G) doubles with each
+        # vertex, and so does the recurrence game
+        batches = []
+        for n in range(3, 11):
+            g = _chain(n)
+            p = primitive_period_vector(g)
+            assert p == tuple(2 ** i for i in range(n))
+            x = tuple([2 * d - 1 for d in g.out_degrees()])
+            assert is_recurrent(g, x)
+            batches.append(len(bounded_chip_game(g, x, p).trace.batches))
+        assert all(b > 1.5 * a for a, b in zip(batches, batches[1:]))
+
+    def test_past_the_budget_the_verdict_is_unknown(self) -> None:
+        g = _chain(10)
+        x = tuple([2 * d - 1 for d in g.out_degrees()])
+        start = fire(g, x, 0)
+        full = reach_chip(g, start, x)
+        assert full.decision == "YES" and full.trace is not None
+        needed = len(full.trace.batches)
+        assert reach_chip(g, start, x, max_batches=needed) == full
+        cut = reach_chip(g, start, x, max_batches=needed - 1)
+        assert (cut.decision, cut.reason) == ("UNKNOWN", "budget-exceeded")
+        assert cut.firing_vector == full.firing_vector
+        for recurrent in (is_recurrent, is_recurrent_via_reach):
+            with pytest.raises(BudgetExceededError):
+                recurrent(g, x, max_batches=needed - 1)
+
+
 _STRONGLY_CONNECTED = [g for g in _ENUMERATED if is_strongly_connected(g)]
 
 

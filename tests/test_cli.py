@@ -390,6 +390,12 @@ class TestChipCommands:
         assert code == 0
         assert lines[0] == "decision=NO reason=bounded-game-stuck"
 
+    def test_reach_past_the_budget_exits_3(self, capsys, c2_path: str) -> None:
+        # the game needs one batch; with none allowed the answer is open
+        code, lines = run(capsys, "chip-reach", c2_path, "--budget-steps", "0", "--trace")
+        assert code == 3
+        assert lines == ["decision=UNKNOWN reason=budget-exceeded"]
+
     def test_recurrent(self, capsys, c2_path: str) -> None:
         code, lines = run(capsys, "chip-recurrent", c2_path)
         assert code == 0

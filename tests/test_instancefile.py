@@ -187,6 +187,13 @@ class TestParseMemory:
             text += "".join(f"edge {u} {(u + 1) % n} 1\n" for u in range(n))
         assert _parse_peak_bytes(text) < 1.5 * 8 * n * n
 
+    def test_repeated_runs_share_one_tuple(self) -> None:
+        # a ribbon-only eulerian file on 500 vertices holds 89,698 runs,
+        # most of them repeats of a token seen earlier in the file; held
+        # once per run, their tuples alone took the parse past 8 MB
+        text = serialize_instance(gen_instance("eulerian", 500, 0))
+        assert _parse_peak_bytes(text) < 6e6
+
 
 class TestRoundTrip:
     def test_basic_round_trip(self) -> None:
@@ -332,10 +339,25 @@ def _mutate(draw, lines: list[list[str]], n: int) -> None:
     op = draw(st.sampled_from((
         "drop-line", "dup-line", "swap-lines", "drop-token", "dup-token",
         "swap-tokens", "replace-token", "replace-run-part", "comment", "blank",
+        "copy-run",
     )))
     i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
     line = lines[i]
-    if op == "drop-line":
+    if op == "copy-run":
+        # a run token seen on one ribbon line comes back on another, where
+        # it may be a loop: the parser checks such a repeat only for that
+        ribbons = [tokens for tokens in lines if tokens[:1] == ["ribbon"]]
+        if ribbons:
+            source = draw(st.sampled_from(ribbons))
+            target = draw(st.sampled_from(ribbons))
+            if len(source) > 3:
+                tok = source[draw(st.integers(min_value=3, max_value=len(source) - 1))]
+                k = draw(st.integers(min_value=3, max_value=max(3, len(target) - 1)))
+                if draw(st.booleans()) and k < len(target):
+                    target[k] = tok
+                else:
+                    target.insert(k, tok)
+    elif op == "drop-line":
         del lines[i]
     elif op == "dup-line":
         lines.insert(i, list(line))
@@ -421,6 +443,27 @@ class TestAgainstReferenceParser:
         # the reference decides which of the two faults is reported
         text = BASIC.replace("ribbon 0 : 1:2\n", "") + line + "\n"
         assert _outcome(parse_instance, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("ribbons, line", (
+        # checked on vertex 2's line, the token is a loop on vertex 0's
+        ("ribbon 2 : 0:1\nribbon 0 : 0:1", 3),
+        ("ribbon 2 : 1:1 +0:01\nribbon 1 : 2:1\nribbon 0 : 2:1 +0:01", 4),
+        # a loop that repeats a checked token, before a malformed token
+        ("ribbon 1 : 0:1\nribbon 0 : 1:1 0:1 x", 3),
+        ("ribbon 1 : 0:1\nribbon 0 : 0:1 9:1", 3),
+        # an invalid token on two lines: the first is named
+        ("ribbon 0 : 1:x\nribbon 2 : 1:x", 2),
+        ("ribbon 0 : 1:1 9:1\nribbon 2 : 9:1", 2),
+        ("ribbon 0 : 2:0\nribbon 1 : 2:0", 2),
+        ("ribbon 0 : 1:1 2:1\nribbon 1 : 1:1", 3),
+    ))
+    def test_repeated_run_tokens_fail_in_file_order(self, ribbons: str, line: int) -> None:
+        for edges in ("", "edge 0 1 1\n"):
+            text = f"graph 3\n{edges}{ribbons}\n"
+            outcome = _outcome(parse_instance, text)
+            assert outcome == _reference_outcome(text)
+            assert outcome[0] == "raised"
+            assert outcome[3] == line + (edges != "")
 
 
 # ---------------------------------------------------------------------------
