@@ -6,9 +6,9 @@ with the ``edge`` lines older files carry as well.  Prints, per spelling,
 the line count, the file size, the share of ribbon run tokens that
 repeat a token seen earlier in the file (the parser converts and checks
 each distinct one once), the median wall time per ``parse_instance``
-call, and the ``tracemalloc`` peak of one parse next to 8 n^2 bytes, the
-size of the dense multiplicity matrix.  The load should cost time linear
-in the file plus that one matrix.
+call, and the ``tracemalloc`` peak of one parse.  The load should cost
+time and memory linear in the file: the parsed graph keeps the ribbon's
+runs, and no n x n matrix.
 
     python3 scripts/parse_timing.py
     python3 scripts/parse_timing.py --sizes 50,140 --repeats 21 --seed 3
@@ -60,7 +60,7 @@ def main() -> int:
 
     print(
         f"{'family':>18} {'n':>5} {'spelling':>11} {'lines':>7} {'KB':>7} "
-        f"{'rep %':>6} {'ms/parse':>9} {'peak MB':>8} {'8n^2 MB':>8}"
+        f"{'rep %':>6} {'ms/parse':>9} {'peak MB':>8}"
     )
     for family in FAMILIES:
         for n in map(int, args.sizes.split(",")):
@@ -90,7 +90,7 @@ def main() -> int:
                     f"{family:>18} {n:>5} {spelling:>11} {text.count(chr(10)):>7} "
                     f"{len(text) / 1e3:>7.0f} {100 * repeated_run_share(text):>6.1f} "
                     f"{statistics.median(times) * 1e3:>9.2f} "
-                    f"{peak / 1e6:>8.2f} {8 * n * n / 1e6:>8.2f}"
+                    f"{peak / 1e6:>8.2f}"
                 )
     return 0
 

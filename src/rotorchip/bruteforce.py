@@ -25,14 +25,14 @@ DEFAULT_MAX_STEPS = 200_000
 
 def _chip_successors(g: DirectedMultigraph, x: IntVector):
     """All single-firing successors of x, skipping no-op sink firings."""
-    for v in range(g.n):
-        deg = sum(g.mult[v])
+    for v, row in enumerate(g.mult):
+        deg = sum(row)
         if deg == 0 or x[v] < deg:
             continue
         nxt = list(x)
         nxt[v] -= deg
         for u in range(g.n):
-            nxt[u] += g.mult[v][u]
+            nxt[u] += row[u]
         yield tuple(nxt)
 
 
@@ -150,7 +150,8 @@ def random_maximal_bounded_chip_game(
 ) -> tuple[IntVector, IntVector]:
     """A uniformly random maximal bound-respecting legal game, one firing
     at a time.  Returns (firing vector, final configuration)."""
-    degs = [sum(row) for row in g.mult]
+    mult = g.mult
+    degs = [sum(row) for row in mult]
     cur = list(x)
     fired = [0] * g.n
     for _ in range(max_steps):
@@ -164,7 +165,7 @@ def random_maximal_bounded_chip_game(
         v = rng.choice(eligible)
         cur[v] -= degs[v]
         for u in range(g.n):
-            cur[u] += g.mult[v][u]
+            cur[u] += mult[v][u]
         fired[v] += 1
     raise BudgetExceededError(f"random chip game exceeded {max_steps} steps")
 
@@ -209,7 +210,8 @@ def random_legal_chip_sequence(
     Sinks are skipped: their firings are no-ops and would pad the
     sequence without moving anything.
     """
-    degs = [sum(row) for row in g.mult]
+    mult = g.mult
+    degs = [sum(row) for row in mult]
     cur = list(x)
     seq: list[int] = []
     for _ in range(length):
@@ -219,7 +221,7 @@ def random_legal_chip_sequence(
         v = rng.choice(eligible)
         cur[v] -= degs[v]
         for u in range(g.n):
-            cur[u] += g.mult[v][u]
+            cur[u] += mult[v][u]
         seq.append(v)
     return tuple(seq)
 
@@ -378,9 +380,7 @@ def enumerate_instances(n: int, max_mult: int, max_total_chips: int, seed=None):
 
 def reachability_matrix(g: DirectedMultigraph) -> tuple[tuple[bool, ...], ...]:
     """reach[u][v]: a directed path from u to v exists (u reaches itself)."""
-    reach = [
-        [u == v or g.mult[u][v] > 0 for v in range(g.n)] for u in range(g.n)
-    ]
+    reach = [[u == v or m > 0 for v, m in enumerate(row)] for u, row in enumerate(g.mult)]
     for k in range(g.n):
         rk = reach[k]
         for u in range(g.n):

@@ -10,11 +10,12 @@ reproducible traces.
 The games keep their eligible vertices in a min-heap instead of
 rescanning all n: a firing at v takes chips only from v and gives them
 only to v's heads, so only those can change eligibility.  A firing or
-batch costs O(out-support(v) + log n) over the graph's cached
-adjacency.  ``halts`` stores no visited configurations: it decides
-non-halting by period domination, once the game has fired the primitive
-period vector p, so it keeps O(n) memory; p costs one elimination, or
-one pass over the adjacency on an Eulerian graph.
+batch costs O(runs(v) + log n) over the graph's adjacency, where runs(v)
+is v's out-support unless a head repeats.  ``halts`` stores no visited
+configurations: it decides non-halting by period domination, once the
+game has fired the primitive period vector p, so it keeps O(n) memory;
+p costs one elimination, or one pass over the adjacency on an Eulerian
+graph.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 
 def _fire_in_place(chips: list[int], out: OutEdges, v: int, k: int) -> None:
-    """Fire v k times on ``chips``: O(out-support(v)) operations."""
+    """Fire v k times on ``chips``: O(runs(v)) operations."""
     deg, edges = out
     chips[v] -= k * deg
     for u, m in edges:
@@ -84,7 +85,7 @@ class ChipGameTrace:
     def replay(self, g: DirectedMultigraph) -> bool:
         """Re-run the batches, checking legality of every single firing.
 
-        Each batch costs O(out-support) over the graph's adjacency.
+        Each batch costs O(runs(v)) over the graph's adjacency.
         """
         adj = g.adjacency()
         cur = list(self.initial)
@@ -121,7 +122,7 @@ def bounded_chip_game(
     maximal bounded schedule, so the deterministic greedy one (smallest
     eligible vertex, largest safe batch) is canonical.  A batch spends
     v's remaining bound or its pile, so v leaves the worklist and only
-    its heads can join: O(out-support(v) + log n) per batch.  Each batch
+    its heads can join: O(runs(v) + log n) per batch.  Each batch
     fires at least once, so the game takes at most sum(bound) batches.
     Raises BudgetExceededError when more than ``max_batches`` batches are
     needed.
@@ -308,7 +309,7 @@ def halts(
     The game counts ``short``, the vertices still below their target:
     all ones at first, then p, computed once every vertex has fired.  The
     legal vertices sit in a min-heap, smallest fired first, so a firing
-    costs O(out-support(v) + log n) and the game keeps O(n) memory
+    costs O(runs(v) + log n) and the game keeps O(n) memory
     whatever ``max_steps``, its one budget, allows.
     """
     scc = scc_decompose(g)
@@ -347,7 +348,7 @@ def halts(
         if k == target[v]:
             short -= 1
             if not short and period is None:
-                period = target = _component_period(g, adj, scc.components[0], degs)
+                period = target = _component_period(g, scc.components[0], degs)
                 short = sum([f < p for f, p in zip(fired, period)])
             if not short:
                 return HaltingVerdict(

@@ -88,8 +88,8 @@ def random_ribbon(g: DirectedMultigraph, rng: Random) -> RibbonStructure:
     succinct.
     """
     all_runs = []
-    for v in range(g.n):
-        base = [(u, m) for u, m in enumerate(g.mult[v]) if m]
+    for row in g.mult:
+        base = [(u, m) for u, m in enumerate(row) if m]
         deg = sum(m for _, m in base)
         if deg <= _EXPAND_LIMIT:
             flat = [u for u, m in base for _ in range(m)]

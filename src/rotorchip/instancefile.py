@@ -9,14 +9,14 @@ ignored):
     chips [<name> :] <c0> <c1> ... <c_{n-1}>
     rotor [<name> :] <v> <position>
 
-The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices:
-the graph is stored as a dense n x n matrix, so a larger count is
-rejected with InstanceFormatError (CLI exit 2) before anything is
-allocated.  Loading an instance costs time linear in the file plus
-O(n^2) for that matrix, 8 bytes per entry (``scripts/parse_timing.py``
-measures time and peak).  Multiplicities and chip counts are decimals
-of at most ``sys.get_int_max_str_digits()`` digits (4300 by default,
-none with ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.
+The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices;
+a larger count is rejected with InstanceFormatError (CLI exit 2) before
+anything is allocated.  Loading an instance costs time and memory linear
+in the file and in n: the graph keeps the ribbon's runs, and no n x n
+matrix (``scripts/parse_timing.py`` measures time and peak).
+Multiplicities and chip counts are decimals of at most
+``sys.get_int_max_str_digits()`` digits (4300 by default, none with
+``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.
 
 A ``ribbon`` line lists the out-edges of one vertex in their cyclic
 order, as runs of parallel edges: ``h:c`` stands for c consecutive
@@ -50,13 +50,13 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import InstanceFormatError
-from .multigraph import DirectedMultigraph, out_edges
-from .rotorrouting import ChipRotorConfig, RibbonStructure, runs_match_row
+from .multigraph import DirectedMultigraph, OutEdges, same_edges
+from .rotorrouting import ChipRotorConfig, RibbonStructure
 
 DEFAULT_CONFIG_NAME = "default"
 
-# the dense multiplicity matrix holds n^2 entries of 8 bytes: at 4096
-# vertices a parse peaks at 135 MB (tracemalloc), edges or none
+# the exact solve has no budget: on a 4096-vertex graph that fills in
+# densely its O(n^3) elimination takes about a day
 MAX_VERTICES = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -146,20 +146,24 @@ def parse_instance(text: str) -> Instance:
     passed every check is kept, for this call only, as its ``(head,
     count)`` tuple, and where it comes back only the loop check is left,
     so equal runs share one tuple.
-    The first error in file order is raised with its line number; the
-    graph and ribbon are then built without the constructors' checks,
-    which the parser has already made.  Without edge lines the ribbon
-    runs fill the matrix after the loop, and there is nothing for them
-    to match.
+    The first error in file order is raised with its line number, except
+    that the checks needing the whole file run after the loop, so any
+    error the loop finds comes first: ribbon runs against edge lines
+    (with the ribbon line's number), and, without a line number, a rotor
+    at a sink, a rotor position out of range and rotor lines without a
+    chips line.  ``rotor 0 5`` on line 5, past vertex 0's degree, then
+    ``bogus`` on line 6 reports line 6.  The graph and ribbon are built
+    without the constructors' checks, and the graph holds the ribbon's
+    run tuples.  Edge lines add up per tail in a dict, which also gives
+    the default order (heads ascending) where no ribbon line does.
     """
     n: int | None = None
     ids: dict[str, int] = {}
-    rows: list = []
-    out_degrees: list[int] = []
+    # per tail of an edge line, its multiplicity towards each head
+    edge_lines: dict[int, dict[int, int]] = {}
     ribbon_lines: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
     # each run token that passed every check, as its (head, count) tuple
     checked_runs: dict[str, tuple[int, int]] = {}
-    has_edge_lines = False
     chip_lines: dict[str, tuple[int, ...]] = {}
     rotor_lines: dict[str, dict[int, int]] = {}
 
@@ -178,8 +182,6 @@ def parse_instance(text: str) -> Instance:
             n = _vertex_count(tokens, lineno)
             # canonical spellings of 0..n-1: vertices, and small counts
             ids = {str(i): i for i in range(n)}
-            rows = [[0] * n for _ in range(n)]
-            out_degrees = [0] * n
         elif directive == "edge":
             if len(tokens) != 4:
                 raise InstanceFormatError("expected: edge <u> <v> <mult>", lineno)
@@ -198,9 +200,9 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("loops are not allowed", lineno)
             if m < 0:
                 raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
-            rows[u][v] += m
-            out_degrees[u] += m
-            has_edge_lines = True
+            heads = edge_lines.setdefault(u, {})
+            if m:
+                heads[v] = heads.get(v, 0) + m
         elif directive == "ribbon":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise InstanceFormatError(
@@ -281,38 +283,25 @@ def parse_instance(text: str) -> Instance:
 
     if n is None:
         raise InstanceFormatError("missing graph line")
-    if not has_edge_lines:
-        # the runs are the edges; vertices without a ribbon line are sinks
-        for v, (runs_v, _) in ribbon_lines.items():
-            row = rows[v]
-            degree = 0
-            for head, count in runs_v:
-                row[head] += count
-                degree += count
-            out_degrees[v] = degree
-    # each list row becomes its tuple and is freed at once, so the matrix
-    # is never held twice
-    for u, row in enumerate(rows):
-        rows[u] = tuple(row)
-    mult = tuple(rows)
-
-    if has_edge_lines:
+    if edge_lines:
         for v, (runs_v, lineno) in ribbon_lines.items():
-            if not runs_match_row(runs_v, mult[v], out_degrees[v]):
+            if not same_edges(runs_v, edge_lines.get(v, {}).items()):
                 raise InstanceFormatError(
                     f"ribbon runs at vertex {v} do not match edge multiplicities",
                     lineno,
                 )
-    # the default order (heads ascending), only where no ribbon line gives one
-    runs = []
-    for v, row in enumerate(mult):
-        if v in ribbon_lines:
-            runs.append(ribbon_lines[v][0])
-        else:
-            runs.append(out_edges(row).edges)
-    degs = tuple(out_degrees)
-    graph = DirectedMultigraph.from_checked_rows(n, mult)
+    # a vertex without a ribbon line gets heads ascending, or is a sink
+    # when the runs are the edges
+    runs = [
+        ribbon_lines[v][0] if v in ribbon_lines else tuple(sorted(edge_lines.get(v, {}).items()))
+        for v in range(n)
+    ]
+    degs = tuple([sum([count for _, count in runs_v]) for runs_v in runs])
     ribbon = RibbonStructure.from_checked_runs(tuple(runs), degs)
+    # the graph holds the ribbon's run tuples, so each edge is stored once
+    graph = DirectedMultigraph.from_checked_adjacency(
+        tuple([OutEdges(d, runs_v) for d, runs_v in zip(degs, ribbon.runs)])
+    )
 
     for name, positions in rotor_lines.items():
         if name not in chip_lines:

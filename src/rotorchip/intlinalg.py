@@ -36,8 +36,8 @@ from typing import Iterator, Sequence
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
-    OutEdges,
     SccDecomposition,
+    dense_row,
     is_strongly_connected,
     scc_decompose,
 )
@@ -63,11 +63,14 @@ def _solve_reduced(
     root_set = set(roots)
     rest = [v for v in verts if v not in root_set]
     m = len(rest)
-    mult = g.mult
-    rows = [
-        [degs[u] if u == v else -mult[v][u] for v in rest] + [col[u] for col in columns]
-        for u in rest
-    ]
+    # column j: degs on the diagonal, minus the runs rest[j] -> rest[i] in row i
+    index = dict(zip(rest, range(m)))
+    rows = [[0] * m + [col[u] for col in columns] for u in rest]
+    for j, v in enumerate(rest):
+        rows[j][j] = degs[v]
+        for u, count in g.adjacency()[v].edges:
+            if u in index:
+                rows[index[u]][j] -= count
     # forward elimination, touching a row only when the pivot reaches it.
     # Dense Bareiss also rescales each row with a 0 in the pivot column by
     # pk / prev.  Those factors telescope: a row last updated under pivot
@@ -158,19 +161,16 @@ def _primitive(det: int, ker: list[int], comp: Sequence[int]) -> IntVector:
 
 
 def _component_period(
-    g: DirectedMultigraph,
-    adj: Sequence[OutEdges],
-    comp: Sequence[int],
-    degs: Sequence[int],
+    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]
 ) -> IntVector:
     """The period vector of the strongly connected comp; degs counts edges inside it.
 
-    ``adj`` is ``g.adjacency()``, which the callers already hold.  A
-    balanced comp, in-degree equal to out-degree inside it at every
+    A balanced comp, in-degree equal to out-degree inside it at every
     vertex (an Eulerian component), has the ones vector in its kernel, so
     one pass over its adjacency returns ones on it.  Any other comp costs
     one elimination.
     """
+    adj = g.adjacency()
     excess = [0] * g.n
     for u in comp:
         excess[u] += degs[u]
@@ -182,7 +182,7 @@ def _component_period(
         for v in comp:
             ones[v] = 1
         return tuple(ones)
-    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (g.mult[comp[0]],))
+    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (dense_row(g.n, adj[comp[0]]),))
     return _primitive(det, ker, comp)
 
 
@@ -195,8 +195,7 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """
     if not is_strongly_connected(g):
         raise ValueError("period vector requires a strongly connected graph")
-    adj = g.adjacency()
-    return _component_period(g, adj, range(g.n), [out.degree for out in adj])
+    return _component_period(g, range(g.n), g.out_degrees())
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def period_basis(g: DirectedMultigraph) -> PeriodBasis:
         sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
         for u, out in enumerate(adj)
     ]
-    vectors = tuple([_component_period(g, adj, comp, degs) for comp in scc.components])
+    vectors = tuple([_component_period(g, comp, degs) for comp in scc.components])
     return PeriodBasis(
         scc=scc,
         component_vectors=vectors,
@@ -263,13 +262,17 @@ def _reduced_solution(
     n = g.n
     sinks = [scc.components[i] for i in scc.sink_component_ids()]
     roots = [comp[0] for comp in sinks]
-    det, (num, *kers) = _solve_reduced(
-        g, range(n), g.out_degrees(), roots, [[-x for x in d]] + [g.mult[s] for s in roots]
-    )
-    mult = g.mult
-    for s in roots:
-        if sum(mult[v][s] * num[v] for v in range(n)) != det * d[s]:
-            return None
+    adj = g.adjacency()
+    columns = [[-x for x in d]] + [dense_row(n, adj[s]) for s in roots]
+    det, (num, *kers) = _solve_reduced(g, range(n), g.out_degrees(), roots, columns)
+    # the deleted root rows: the edges into each root s carry det * d[s]
+    inflow = dict.fromkeys(roots, 0)
+    for v, out in enumerate(adj):
+        for w, count in out.edges:
+            if w in inflow:
+                inflow[w] += count * num[v]
+    if any([inflow[s] != det * d[s] for s in roots]):
+        return None
     out = [0] * n
     for v in range(n):
         if not scc.is_sink[scc.component_of[v]]:
@@ -298,11 +301,10 @@ def _sink_steps(
     out-degree), constrain nothing and are skipped.
     """
     scc = scc_decompose(g)
-    adj = g.adjacency()
-    degs = [out.degree for out in adj]
+    degs = g.out_degrees()
     for i in scc.sink_component_ids():
         comp = scc.components[i]
-        step = [x * k for x, k in zip(_component_period(g, adj, comp, degs), scale)]
+        step = [x * k for x, k in zip(_component_period(g, comp, degs), scale)]
         if any(step):
             yield comp, step
 

@@ -2,33 +2,44 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
+Run = tuple[int, int]
 
-# Graphs and ribbons on at most this many vertices keep no adjacency or
-# vertex order of their own, and equal rows share one tuple and one entry
+# Graphs built from rows and ribbons on at most this many vertices share
+# equal rows' adjacency entries, vertex orders and view rows with others
 # through bounded caches.  The oracle sweeps and the case streams hold
 # thousands of them on 2-4 vertices at once, with a few hundred distinct
 # rows among them, where a copy per graph would cost about 650 bytes
-# each.  Larger graphs rarely repeat a row and keep their adjacency in
-# the graph.
+# each.  Larger graphs rarely repeat a row and keep their own.
 SMALL_GRAPH_MAX_N = 8
 
 
+def share_small(items: tuple, shared) -> tuple:
+    """On a small graph or ribbon, each item as the bounded cache ``shared`` first saw it."""
+    if len(items) <= SMALL_GRAPH_MAX_N:
+        return tuple([shared(item) for item in items])
+    return items
+
+
 class OutEdges(NamedTuple):
-    """One vertex's out-degree and its (head, mult) pairs, heads ascending."""
+    """One vertex's out-degree and its out-edges as (head, count) runs.
+
+    A run stands for count >= 1 parallel edges; runs may repeat a head and
+    come in any order, and the multiplicity towards h is their total.
+    """
 
     degree: int
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[Run, ...]
 
 
 def out_edges(row: IntVector) -> OutEdges:
-    """The adjacency entry of one multiplicity row, in O(n)."""
+    """The adjacency entry of one multiplicity row, heads ascending, in O(n)."""
     # Tuples here and on the other per-query paths are built from lists,
     # never from a generator, map, zip or compress.  CPython (3.11) starts
     # those at 10 slots, resizes them, and frees them onto the free list
@@ -45,56 +56,67 @@ _shared_out_edges = lru_cache(maxsize=1024)(out_edges)
 _shared_row = lru_cache(maxsize=1024)(tuple)
 
 
-@dataclass(frozen=True, slots=True)
+def dense_row(n: int, out: OutEdges) -> IntVector:
+    """The multiplicity row of one adjacency entry, in O(n + runs)."""
+    row = [0] * n
+    for head, count in out.edges:
+        row[head] += count
+    return tuple(row)
+
+
+def head_totals(runs) -> dict[int, int]:
+    """The total count of a run list per head, heads in first-run order."""
+    totals = dict.fromkeys([head for head, _ in runs], 0)
+    for head, count in runs:
+        totals[head] += count
+    return totals
+
+
+def same_edges(runs_a, runs_b) -> bool:
+    """True when two run lists put the same number of edges on every head."""
+    return head_totals(runs_a) == head_totals(runs_b)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class DirectedMultigraph:
     """Loopless directed multigraph on vertices ``0..n-1``.
 
-    ``mult[u][v]`` counts the parallel edges u -> v.  Entries are plain
-    Python ints, so multiplicities far beyond machine word size stay
-    exact; all derived quantities (degrees, Laplacian) inherit that.
-    Instances are immutable; the build helpers return new graphs.  They
-    use slots, because sweeps and benchmarks hold thousands of small
-    graphs at once.  ``adjacency()`` is built on first use and kept in
-    the one cache slot, except on graphs of at most ``SMALL_GRAPH_MAX_N``
-    vertices, which share their rows and adjacency entries with equal
-    rows of other graphs.
+    It stores its adjacency only, an ``OutEdges`` per vertex: a parsed
+    graph holds its ribbon's runs, the other constructors one run per
+    head, heads ascending.  ``mult[u][v]`` counts the parallel edges
+    u -> v; it is a view built on each access in O(n^2), so readers bind
+    it once.  Graphs compare, hash and print by ``n`` and ``mult``,
+    whatever the run order.  Counts are plain Python ints, so
+    multiplicities far beyond machine word size stay exact.  Instances
+    are immutable and use slots, because sweeps and benchmarks hold
+    thousands of small graphs at once.
     """
 
     n: int
-    mult: IntMatrix
-    _adjacency: tuple[OutEdges, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _adj: tuple[OutEdges, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, mult: IntMatrix) -> None:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        mult = tuple([tuple(row) for row in self.mult])
-        if len(mult) != self.n or any(len(row) != self.n for row in mult):
+        rows = [tuple(row) for row in mult]
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("multiplicity matrix must be n x n")
-        for u, row in enumerate(mult):
+        for u, row in enumerate(rows):
             for v, m in enumerate(row):
                 if m < 0:
                     raise ValueError(f"negative multiplicity on edge {u}->{v}")
                 if u == v and m != 0:
                     raise ValueError(f"loop at vertex {u} is not allowed")
-        if self.n <= SMALL_GRAPH_MAX_N:
-            mult = tuple([_shared_row(row) for row in mult])
-        object.__setattr__(self, "mult", mult)
+        convert = _shared_out_edges if n <= SMALL_GRAPH_MAX_N else out_edges
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_adj", tuple([convert(row) for row in rows]))
 
     @classmethod
-    def from_checked_rows(cls, n: int, mult: IntMatrix) -> DirectedMultigraph:
-        """Wrap n rows of n ints without checking them again.
-
-        For callers that have already made the constructor's checks
-        (nonnegative entries, zero diagonal) and report failures their
-        own way, as the instance parser does with line numbers.  The rows
-        must be tuples.
-        """
+    def from_checked_adjacency(cls, adj: tuple[OutEdges, ...]) -> DirectedMultigraph:
+        """Wrap one ``OutEdges`` per vertex unchecked, for callers that made the checks."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "mult", mult)
-        object.__setattr__(g, "_adjacency", None)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "_adj", adj)
         return g
 
     @classmethod
@@ -104,31 +126,36 @@ class DirectedMultigraph:
         for u, v, m in edges:
             _check_edge(n, u, v, m)
             rows[u][v] += m
-        return cls(n, tuple([tuple(r) for r in rows]))
+        return cls(n, rows)
+
+    @property
+    def mult(self) -> IntMatrix:
+        """The n x n multiplicity matrix, built from the runs on each access."""
+        return share_small(tuple([dense_row(self.n, out) for out in self._adj]), _shared_row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectedMultigraph):
+            return NotImplemented
+        return (self.n, self.mult) == (other.n, other.mult)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mult))
+
+    def __repr__(self) -> str:
+        return f"DirectedMultigraph(n={self.n!r}, mult={self.mult!r})"
 
     def adjacency(self) -> tuple[OutEdges, ...]:
-        """Per vertex, its out-degree and nonzero (head, mult) pairs.
-
-        Built in O(n^2) on the first call and kept in the cache slot, so
-        every later walk over v's out-edges costs O(out-support(v)).  On
-        small graphs each call looks the rows up in the shared cache.
-        """
-        adj = self._adjacency
-        if adj is None:
-            if self.n <= SMALL_GRAPH_MAX_N:
-                return tuple([_shared_out_edges(row) for row in self.mult])
-            adj = tuple([out_edges(row) for row in self.mult])
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        """Per vertex, its out-degree and its out-edges as runs."""
+        return self._adj
 
     def out_degree(self, v: int) -> int:
-        return sum(self.mult[v])
+        return self._adj[v].degree
 
     def in_degree(self, v: int) -> int:
-        return sum(row[v] for row in self.mult)
+        return sum([count for out in self._adj for head, count in out.edges if head == v])
 
     def out_degrees(self) -> IntVector:
-        return tuple([out.degree for out in self.adjacency()])
+        return tuple([out.degree for out in self._adj])
 
     def laplacian(self) -> IntMatrix:
         """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].
@@ -137,8 +164,9 @@ class DirectedMultigraph:
         column sums to zero.
         """
         degs = self.out_degrees()
+        mult = self.mult
         return tuple([
-            tuple([-degs[v] if u == v else self.mult[v][u] for v in range(self.n)])
+            tuple([-degs[v] if u == v else mult[v][u] for v in range(self.n)])
             for u in range(self.n)
         ])
 
@@ -174,11 +202,12 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     """Tarjan's algorithm over the support digraph, iteratively.
 
     Iterative on purpose: path-like graphs would otherwise hit the
-    recursion limit.  Walks the cached adjacency, so it costs
-    O(n + support edges) once the adjacency exists.
+    recursion limit.  Each vertex's runs are walked sorted by head, so
+    neither the components nor their numbering depend on the run order:
+    O(n + runs) plus the sorts, linear on runs already in order.
     """
     n = g.n
-    adj = g.adjacency()
+    succ = [sorted(out.edges) for out in g.adjacency()]
     index: list[int | None] = [None] * n
     low = [0] * n
     on_stack = [False] * n
@@ -194,7 +223,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(adj[root].edges))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, succ_it = work[-1]
             descended = False
@@ -204,7 +233,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(adj[w].edges)))
+                    work.append((w, iter(succ[w])))
                     descended = True
                     break
                 if on_stack[w] and index[w] < low[v]:
@@ -231,7 +260,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     is_sink = [True] * k
     for u in range(n):
         cu = component_of[u]
-        for w, _ in adj[u].edges:
+        for w, _ in succ[u]:
             if component_of[w] != cu:
                 is_sink[cu] = False
     is_trivial = [len(c) == 1 for c in components]

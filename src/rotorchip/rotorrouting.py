@@ -27,26 +27,15 @@ from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
-from .multigraph import SMALL_GRAPH_MAX_N, DirectedMultigraph, IntVector
+from .multigraph import DirectedMultigraph, IntVector, Run, head_totals, same_edges, share_small
 
 CountVector = IntVector
 
 DEFAULT_MAX_BATCHES = 1_000_000
 
-Run = tuple[int, int]
 
-
-@lru_cache(maxsize=1024)
-def _shared_runs(runs_v: tuple[Run, ...]) -> tuple[Run, ...]:
-    """The first equal vertex order seen, so that small ribbons share it."""
-    return runs_v
-
-
-def _share(runs: tuple[tuple[Run, ...], ...]) -> tuple[tuple[Run, ...], ...]:
-    """Small ribbons share equal vertex orders; larger ones keep their own."""
-    if len(runs) <= SMALL_GRAPH_MAX_N:
-        return tuple([_shared_runs(runs_v) for runs_v in runs])
-    return runs
+# the first equal vertex order seen: tuple() returns a tuple itself
+_shared_runs = lru_cache(maxsize=1024)(tuple)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +47,7 @@ class RibbonStructure:
     cyclic order wraps from the last position back to position 0.
     Construction validates shape only, in one pass per vertex;
     ``validate_against`` ties the run totals to a graph's edge
-    multiplicities, one ``runs_match_row`` call per vertex.
+    multiplicities, one ``same_edges`` call per vertex.
     """
 
     runs: tuple[tuple[Run, ...], ...]
@@ -81,7 +70,7 @@ class RibbonStructure:
                 degree += count
             runs.append(rs)
             degrees.append(degree)
-        object.__setattr__(self, "runs", _share(tuple(runs)))
+        object.__setattr__(self, "runs", share_small(tuple(runs), _shared_runs))
         object.__setattr__(self, "degrees", tuple(degrees))
 
     @classmethod
@@ -95,7 +84,7 @@ class RibbonStructure:
         their own way, as the instance parser does with line numbers.
         """
         ribbon = object.__new__(cls)
-        object.__setattr__(ribbon, "runs", _share(runs))
+        object.__setattr__(ribbon, "runs", share_small(runs, _shared_runs))
         object.__setattr__(ribbon, "degrees", degrees)
         return ribbon
 
@@ -124,8 +113,8 @@ class RibbonStructure:
         """Require run totals per head to equal the graph's multiplicities."""
         if self.n != g.n:
             raise ValueError("ribbon vertex count differs from the graph")
-        for v, degree in enumerate(g.out_degrees()):
-            if not runs_match_row(self.runs[v], g.mult[v], degree):
+        for v, out in enumerate(g.adjacency()):
+            if not same_edges(self.runs[v], out.edges):
                 raise ValueError(
                     f"ribbon runs at vertex {v} do not match edge multiplicities"
                 )
@@ -144,24 +133,10 @@ class RibbonStructure:
         return RibbonStructure(tuple(merged))
 
 
-def runs_match_row(runs_v: tuple[Run, ...], row: IntVector, degree: int) -> bool:
-    """True when the runs put exactly ``row[h]`` edges on every head h.
-
-    ``row`` is nonnegative with sum ``degree``, so matching the heads the
-    runs name and the total settles every other entry at zero: the check
-    costs O(runs), not O(n).
-    """
-    totals = dict.fromkeys([head for head, _ in runs_v], 0)
-    for head, count in runs_v:
-        totals[head] += count
-    return sum(totals.values()) == degree and list(
-        map(row.__getitem__, totals)
-    ) == list(totals.values())
-
-
 def default_ribbon(g: DirectedMultigraph) -> RibbonStructure:
     """One run per distinct successor, heads in ascending order."""
-    return RibbonStructure(tuple([out.edges for out in g.adjacency()]))
+    adj = g.adjacency()
+    return RibbonStructure(tuple([tuple(sorted(head_totals(out.edges).items())) for out in adj]))
 
 
 class ChipRotorConfig(NamedTuple):

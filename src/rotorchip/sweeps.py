@@ -308,6 +308,7 @@ def _after_firing(g: DirectedMultigraph, x, seq):
 
 
 def _random_bounded_chip_sequence(g, x, bound, rng) -> tuple[int, ...]:
+    mult = g.mult
     degs = g.out_degrees()
     cur = list(x)
     left = list(bound)
@@ -320,7 +321,7 @@ def _random_bounded_chip_sequence(g, x, bound, rng) -> tuple[int, ...]:
             return tuple(seq)
         v = rng.choice(legal)
         cur[v] -= degs[v]
-        for u, m in enumerate(g.mult[v]):
+        for u, m in enumerate(mult[v]):
             cur[u] += m
         left[v] -= 1
         seq.append(v)

@@ -345,22 +345,24 @@ def small_graphs(draw) -> DirectedMultigraph:
     return gen_graph(family, size, random.Random(seed))
 
 
-def _dense_fire(g: DirectedMultigraph, x, v: int, k: int) -> list[int]:
-    out = [c + k * m for c, m in zip(x, g.mult[v])]
-    out[v] -= k * sum(g.mult[v])
+def _dense_fire(mult, x, v: int, k: int) -> list[int]:
+    """x after firing v k times, from the rows ``mult`` (the graph's view, bound once)."""
+    out = [c + k * m for c, m in zip(x, mult[v])]
+    out[v] -= k * sum(mult[v])
     return out
 
 
 def _dense_halts(g: DirectedMultigraph, x, max_steps: int) -> HaltingVerdict:
     """Stores the firing vector next to every visited configuration."""
+    mult = g.mult
     cur = tuple(x)
     fired = [0] * g.n
     seen = {cur: tuple(fired)}
     for _ in range(max_steps):
-        v = next((u for u in range(g.n) if cur[u] >= sum(g.mult[u])), None)
+        v = next((u for u in range(g.n) if cur[u] >= sum(mult[u])), None)
         if v is None:
             return HaltingVerdict("halts", final=cur, firing_vector=tuple(fired))
-        cur = tuple(_dense_fire(g, cur, v, 1))
+        cur = tuple(_dense_fire(mult, cur, v, 1))
         fired[v] += 1
         if cur in seen:
             first = seen[cur]
@@ -381,20 +383,22 @@ def _check_period_certificate(g: DirectedMultigraph, x, verdict: HaltingVerdict,
     assert verdict.witness_cycle == p
     assert all(f >= q for f, q in zip(fired, p))
     assert sum(fired) <= max_steps
+    mult = g.mult
     cur = list(x)
     for v, k in enumerate(fired):
-        cur = _dense_fire(g, cur, v, k)
+        cur = _dense_fire(mult, cur, v, k)
     assert tuple(cur) == verdict.certificate
 
 
 def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
     """(firing vector, final, batches); raises BudgetExceededError like the engine."""
+    mult = g.mult
     cur = list(x)
     fired = [0] * g.n
     batches = []
     while True:
         for v in range(g.n):
-            deg = sum(g.mult[v])
+            deg = sum(mult[v])
             remaining = bound[v] - fired[v]
             if remaining > 0 and cur[v] >= deg:
                 break
@@ -403,7 +407,7 @@ def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
         k = min(remaining, cur[v] // deg) if deg else remaining
         if len(batches) >= max_batches:
             raise BudgetExceededError("dense reference")
-        cur = _dense_fire(g, cur, v, k)
+        cur = _dense_fire(mult, cur, v, k)
         fired[v] += k
         batches.append((v, k))
 

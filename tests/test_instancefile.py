@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from parser_reference import parse_instance as reference_parse
 from parser_reference import with_edge_lines
 
+from rotorchip.chipfiring import bounded_chip_game, halts
 from rotorchip.errors import InstanceFormatError
 from rotorchip.generators import FAMILIES, gen_instance
 from rotorchip.instancefile import (
@@ -16,8 +17,9 @@ from rotorchip.instancefile import (
     parse_instance,
     serialize_instance,
 )
-from rotorchip.multigraph import DirectedMultigraph
-from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure
+from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
+from rotorchip.multigraph import DirectedMultigraph, is_eulerian, scc_decompose
+from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
 
 BASIC = """\
 # two-vertex example
@@ -180,12 +182,29 @@ def _parse_peak_bytes(text: str) -> int:
 class TestParseMemory:
     @pytest.mark.parametrize("edges", [True, False], ids=["cycle", "edgeless"])
     def test_dense_matrix_is_held_once(self, edges: bool) -> None:
-        # every row is allocated, whether or not it has an edge
+        # the bound is one dense matrix and a half; a parse now builds no
+        # matrix at all and peaks at 0.2-0.5 MB here, against 8.6 MB
+        # while it filled one
         n = 1024
         text = f"graph {n}\n"
         if edges:
             text += "".join(f"edge {u} {(u + 1) % n} 1\n" for u in range(n))
         assert _parse_peak_bytes(text) < 1.5 * 8 * n * n
+
+    @pytest.mark.parametrize("edge_lines", [False, True], ids=["ribbon-only", "with-edges"])
+    def test_bidirected_cycle_at_the_cap_costs_the_file(self, edge_lines: bool) -> None:
+        # measured 2.0 MB ribbon-only and 3.6 MB with edge lines, for
+        # files of 0.11 and 0.25 MB; a dense matrix peaked at 136 MB
+        n = MAX_VERTICES
+        text = f"graph {n}\n"
+        if edge_lines:
+            text += "".join(
+                f"edge {v} {(v + d) % n} 1\n" for v in range(n) for d in (1, -1)
+            )
+        text += "".join(
+            f"ribbon {v} : {(v + 1) % n}:1 {(v - 1) % n}:1\n" for v in range(n)
+        )
+        assert _parse_peak_bytes(text) < 10e6
 
     def test_repeated_runs_share_one_tuple(self) -> None:
         # a ribbon-only eulerian file on 500 vertices holds 89,698 runs,
@@ -289,7 +308,7 @@ def _outcome(parse, text: str):
         inst,
         repr(inst),
         inst.ribbon.degrees,
-        inst.graph.adjacency(),
+        inst.graph.mult,
     )
 
 
@@ -521,3 +540,74 @@ class TestRibbonOnly:
             assert ribbon.degrees == inst.ribbon.degrees
             ribbon.validate_against(DirectedMultigraph(inst.graph.n, inst.graph.mult))
         assert _outcome(parse_instance, text) == _reference_outcome(text)
+
+
+# ---------------------------------------------------------------------------
+# A parsed graph keeps the file's runs: their order must not show
+
+
+@st.composite
+def _shuffled_run_files(draw) -> tuple[tuple[tuple[int, ...], ...], str]:
+    """A random graph's rows, and a ribbon-only file stating them as runs.
+
+    About half the entries are zero.  In a layered graph edges only go
+    to a vertex of the same or a later level, and levels rise with the
+    vertex number, so it has several components, which a search from
+    vertex 0 reaches in an order that the runs' order could change.
+    Each multiplicity is split into runs of random counts, so heads
+    repeat, and each vertex's runs are shuffled.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    level = [0] * n
+    if draw(st.booleans()):  # layered
+        level = sorted([draw(st.integers(min_value=0, max_value=n)) for _ in range(n)])
+    entries = st.integers(min_value=-4, max_value=4).map(lambda m: max(m, 0))
+    rows = tuple(
+        tuple(draw(entries) if u != v and level[u] <= level[v] else 0 for v in range(n))
+        for u in range(n)
+    )
+    lines = [f"graph {n}"]
+    for u, row in enumerate(rows):
+        runs = []
+        for v, m in enumerate(row):
+            while m:
+                count = draw(st.integers(min_value=1, max_value=m))
+                runs.append(f"{v}:{count}")
+                m -= count
+        if runs:
+            lines.append(f"ribbon {u} : " + " ".join(draw(st.permutations(runs))))
+    return rows, "\n".join(lines) + "\n"
+
+
+def _result(query, g: DirectedMultigraph):
+    try:
+        return ("returned", query(g))
+    except ValueError as exc:  # a query that needs a strongly connected graph
+        return ("raised", str(exc))
+
+
+class TestRunOrder:
+    @given(_shuffled_run_files(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_run_order_cannot_change_a_result(self, drawn, data) -> None:
+        rows, text = drawn
+        n = len(rows)
+        dense = DirectedMultigraph(n, rows)
+        # the oracles read this view, so it must give the rows back
+        assert dense.mult == rows
+        parsed = parse_instance(text).graph
+        assert parsed == dense and parsed.mult == rows
+        vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n)
+        x, bound = data.draw(vectors), data.draw(vectors)
+        d = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))
+        for query in (
+            scc_decompose,
+            is_eulerian,
+            period_basis,
+            primitive_period_vector,
+            default_ribbon,
+            lambda g: nonneg_reduced_solution(g, tuple(d)),
+            lambda g: halts(g, tuple(x)),
+            lambda g: bounded_chip_game(g, tuple(x), tuple(bound)),
+        ):
+            assert _result(query, parsed) == _result(query, dense)

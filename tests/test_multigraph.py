@@ -156,14 +156,14 @@ class TestPredicates:
     @settings(max_examples=80, deadline=None)
     def test_eulerian_matches_column_sums(self, family: str, n: int, seed: int) -> None:
         g = gen_graph(family, n, Random(seed))
+        mult = g.mult
         # adding the reverse of every edge balances any graph
         both = DirectedMultigraph(
-            n, tuple(tuple(g.mult[u][v] + g.mult[v][u] for v in range(n)) for u in range(n))
+            n, tuple(tuple(mult[u][v] + mult[v][u] for v in range(n)) for u in range(n))
         )
         for h in (g, both):
-            balanced = all(
-                sum(row[v] for row in h.mult) == sum(h.mult[v]) for v in range(n)
-            )
+            rows = h.mult
+            balanced = all(sum(row[v] for row in rows) == sum(rows[v]) for v in range(n))
             assert is_eulerian(h) == balanced, (family, h.mult)
         assert is_eulerian(both)
         if family == "eulerian":

@@ -17,7 +17,9 @@ import pytest
 
 from rotorchip.bruteforce import random_legal_chip_sequence
 from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
+from rotorchip.cli import run_command
 from rotorchip.generators import gen_graph, random_ribbon
+from rotorchip.instancefile import MAX_VERTICES
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
 from rotorchip.rotorrouting import (
@@ -127,21 +129,21 @@ def test_primitive_period_vector_within_wall_bound(make, wall_s: float) -> None:
 
 def _apply_laplacian(g: DirectedMultigraph, x, f) -> tuple[int, ...]:
     """x + L f, straight from the multiplicity matrix."""
+    mult = g.mult
     out = list(x)
     for v, k in enumerate(f):
-        out[v] -= k * sum(g.mult[v])
-        for u, m in enumerate(g.mult[v]):
+        out[v] -= k * sum(mult[v])
+        for u, m in enumerate(mult[v]):
             out[u] += k * m
     return tuple(out)
 
 
 def test_primitive_period_vector_eulerian_n300_within_wall_bound() -> None:
     # a balanced graph gets the ones vector from one pass over its
-    # adjacency, which is built first: measured 0.7-2.9 ms on seeds 0-2,
-    # against 37.5 s for the elimination.  Best of three calls, so one
-    # scheduling pause does not decide a bound this short.
+    # adjacency, the graph's stored form: measured 0.7-2.9 ms on seeds
+    # 0-2, against 37.5 s for the elimination.  Best of three calls, so
+    # one scheduling pause does not decide a bound this short.
     g = gen_graph("eulerian", 300, Random(0))
-    g.adjacency()
     elapsed = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -235,3 +237,34 @@ def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
         assert all(o == b or c <= 0 for o, b, c in zip(odometer, bound, res.final.chips))
         assert odometer_equals_bound(ribbon, config, bound) == (odometer == bound)
     assert elapsed < 1.0, f"bounded_rotor_game n=300: {elapsed:.2f}s >= 1.0s"
+
+
+@pytest.mark.parametrize(
+    "argv, first, wall_s",
+    [
+        (["chip-halting"], "status=non-halting", 0.3),
+        (["rotor-route", "--r", ",".join(["3"] * MAX_VERTICES)], "chips=", 0.3),
+        (["rotor-odom", "--r", ",".join(["3"] * MAX_VERTICES)], "odometer=3,", 0.3),
+    ],
+    ids=["chip-halting", "rotor-route", "rotor-odom"],
+)
+def test_game_commands_at_the_vertex_cap_within_wall_bound(
+    tmp_path, capsys, argv: list[str], first: str, wall_s: float
+) -> None:
+    # a bidirected cycle on MAX_VERTICES vertices, one chip above n: the
+    # parse keeps the runs, so a whole call took 20-40 ms, where filling
+    # and reading a dense matrix took 0.4-1.0 s
+    n = MAX_VERTICES
+    path = tmp_path / "cycle.rcg"
+    path.write_text(
+        f"graph {n}\n"
+        + "".join(f"ribbon {v} : {(v + 1) % n}:1 {(v - 1) % n}:1\n" for v in range(n))
+        + "chips 2" + " 1" * (n - 1) + "\n",
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    code = run_command([*argv, str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out.startswith(first)
+    assert elapsed < wall_s, f"{argv[0]} n={n}: {elapsed:.2f}s >= {wall_s}s"
