@@ -24,18 +24,21 @@ import tracemalloc
 
 from rotorchip.generators import gen_instance
 from rotorchip.instancefile import parse_instance, serialize_instance
+from rotorchip.multigraph import head_totals
 
 FAMILIES = ("eulerian", "heavy-multiplicity")
 
 
-def with_edge_lines(text: str, mult) -> str:
-    """One ``edge`` line per nonzero multiplicity, after the graph line."""
+def with_edge_lines(text: str, graph) -> str:
+    """One ``edge`` line per nonzero multiplicity, after the graph line.
+
+    Reads the graph's runs, heads ascending, in O(runs): no n x n view.
+    """
     first, rest = text.split("\n", 1)
     edges = "".join(
         f"edge {u} {v} {m}\n"
-        for u, row in enumerate(mult)
-        for v, m in enumerate(row)
-        if m
+        for u, out in enumerate(graph.adjacency())
+        for v, m in sorted(head_totals(out.edges).items())
     )
     return f"{first}\n{edges}{rest}"
 
@@ -68,7 +71,7 @@ def main() -> int:
             ribbon_only = serialize_instance(instance)
             spellings = {
                 "ribbon-only": ribbon_only,
-                "with-edges": with_edge_lines(ribbon_only, instance.graph.mult),
+                "with-edges": with_edge_lines(ribbon_only, instance.graph),
             }
             for spelling, text in spellings.items():
                 parsed = parse_instance(text)

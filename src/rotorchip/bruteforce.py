@@ -6,7 +6,8 @@ with its oracle.  All searches carry explicit state budgets and raise
 BudgetExceededError rather than run unbounded; the sweeps size their
 instances so the budgets are never the binding constraint.
 The Hermite-normal-form integer solver lives here too, as the oracle for
-the engine's exact linear algebra.
+the engine's exact linear algebra, and the dense ``laplacian``; no other
+module reads the graph's dense ``mult`` view.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ from .rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_MAX_STEPS = 200_000
+
+
+def laplacian(g: DirectedMultigraph) -> IntMatrix:
+    """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].
+
+    Column v is the chip movement caused by firing v once; every column
+    sums to zero.  Dense: O(n^2) time and memory.
+    """
+    mult = g.mult
+    degs = [sum(row) for row in mult]
+    return tuple([
+        tuple([-degs[v] if u == v else mult[v][u] for v in range(g.n)])
+        for u in range(g.n)
+    ])
 
 
 def _chip_successors(g: DirectedMultigraph, x: IntVector):

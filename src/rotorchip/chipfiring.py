@@ -34,7 +34,6 @@ from .multigraph import (
     DirectedMultigraph,
     IntVector,
     OutEdges,
-    is_strongly_connected,
     scc_decompose,
 )
 
@@ -226,7 +225,7 @@ def is_recurrent(
     (``chip-recurrent`` exits 3), the designed outcome where per(G) is
     large.
     """
-    p = _require_period(g)
+    p = primitive_period_vector(g)
     return bounded_chip_game(g, x, p, max_batches=max_batches).firing_vector == p
 
 
@@ -243,7 +242,7 @@ def is_recurrent_via_reach(
     takes at most per(G) - 1 batches, with the same cost and the same
     BudgetExceededError past ``max_batches`` as ``is_recurrent``.
     """
-    p = _require_period(g)
+    p = primitive_period_vector(g)
     v = next((u for u in range(g.n) if is_legal_fire(g, x, u)), None)
     if v is None:
         return False
@@ -373,12 +372,6 @@ def validate_legal_firing_sequence(g: DirectedMultigraph, x: ChipConfig, seq) ->
             return False
         cur = fire(g, cur, v)
     return True
-
-
-def _require_period(g: DirectedMultigraph) -> IntVector:
-    if not is_strongly_connected(g):
-        raise ValueError("recurrence requires a strongly connected graph")
-    return primitive_period_vector(g)
 
 
 def _check_count_vector(g: DirectedMultigraph, vec: IntVector) -> None:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
+from .bruteforce import laplacian
 from .instancefile import Instance
-from .multigraph import DirectedMultigraph
+from .multigraph import DirectedMultigraph, head_totals
 from .rotorrouting import (
     ChipRotorConfig,
     RibbonStructure,
@@ -33,9 +34,8 @@ _CASE_MULT_MAX = 3
 _CASE_CHIPS_MAX = 3
 
 
-def _add_cycle(rows: list[list[int]], cycle: list[int], m: int) -> None:
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        rows[a][b] += m
+def _add_cycle(edges: list[tuple[int, int, int]], cycle: list[int], m: int) -> None:
+    edges.extend([(a, b, m) for a, b in zip(cycle, cycle[1:] + cycle[:1])])
 
 
 def gen_graph(
@@ -55,29 +55,29 @@ def gen_graph(
     if size < 2:
         raise ValueError(f"graph size must be at least 2, got {size}")
     n = size
-    rows = [[0] * n for _ in range(n)]
+    edges: list[tuple[int, int, int]] = []
     if family == "eulerian":
-        _add_cycle(rows, list(range(n)), 1)
+        _add_cycle(edges, list(range(n)), 1)
         for _ in range(rng.randint(1, n + 1)):
             verts = rng.sample(range(n), rng.randint(2, n))
-            _add_cycle(rows, verts, rng.randint(1, 3))
+            _add_cycle(edges, verts, rng.randint(1, 3))
     elif family == "strongly-connected":
-        _add_cycle(rows, list(range(n)), rng.randint(1, 2))
+        _add_cycle(edges, list(range(n)), rng.randint(1, 2))
         for _ in range(rng.randint(0, 2 * n)):
             u, v = rng.sample(range(n), 2)
-            rows[u][v] += rng.randint(1, 3)
+            edges.append((u, v, rng.randint(1, 3)))
     elif family == "heavy-multiplicity":
         lo, hi = 10 ** (digits - 1), 10**digits - 1
-        _add_cycle(rows, list(range(n)), rng.randint(lo, hi))
+        _add_cycle(edges, list(range(n)), rng.randint(lo, hi))
         for _ in range(rng.randint(0, n)):
             u, v = rng.sample(range(n), 2)
-            rows[u][v] += rng.randint(lo, hi)
+            edges.append((u, v, rng.randint(lo, hi)))
     else:
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < 0.5:
-                    rows[u][v] = rng.randint(1, 3)
-    return DirectedMultigraph(n, tuple(tuple(r) for r in rows))
+                    edges.append((u, v, rng.randint(1, 3)))
+    return DirectedMultigraph.from_edges(n, edges)
 
 
 def random_ribbon(g: DirectedMultigraph, rng: Random) -> RibbonStructure:
@@ -88,10 +88,9 @@ def random_ribbon(g: DirectedMultigraph, rng: Random) -> RibbonStructure:
     succinct.
     """
     all_runs = []
-    for row in g.mult:
-        base = [(u, m) for u, m in enumerate(row) if m]
-        deg = sum(m for _, m in base)
-        if deg <= _EXPAND_LIMIT:
+    for out in g.adjacency():
+        base = sorted(head_totals(out.edges).items())
+        if out.degree <= _EXPAND_LIMIT:
             flat = [u for u, m in base for _ in range(m)]
             rng.shuffle(flat)
             runs: list[tuple[int, int]] = []
@@ -126,7 +125,8 @@ def _random_small_graph(
     n = rng.randint(2, _CASE_N_MAX)
     rows = [[0] * n for _ in range(n)]
     if force_strongly_connected:
-        _add_cycle(rows, list(range(n)), 1)
+        for u in range(n):
+            rows[u][(u + 1) % n] = 1
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < 0.45:
@@ -219,7 +219,7 @@ def chip_case_stream(seed: int):
         if mode == "random":
             target = _random_chips(rng, g.n)
         elif mode == "laplacian-image":
-            lap = g.laplacian()
+            lap = laplacian(g)
             f = tuple(rng.randint(0, 3) for _ in range(g.n))
             target = tuple(
                 source[u] + sum(lap[u][v] * f[v] for v in range(g.n))

@@ -313,12 +313,9 @@ def is_reduced(g: DirectedMultigraph, f: IntVector) -> bool:
     """True when f >= 0 dominates no nonzero period vector.
 
     Equivalently: in every sink component some vertex stays below the
-    component's primitive period vector.
+    component's primitive period vector, so ``reduce_vector`` keeps f.
     """
-    _check_nonneg(g, f)
-    return not any(
-        all(f[v] >= p[v] for v in comp) for comp, p in _sink_steps(g, (1,) * g.n)
-    )
+    return reduce_vector(g, f) == tuple(f)
 
 
 def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
@@ -326,12 +323,10 @@ def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
 
     Routing period vectors scale each period vector entry by the vertex
     out-degree.  Trivial sink components (out-degree-zero vertices) have
-    the zero routing period vector and impose no constraint.
+    the zero routing period vector and impose no constraint; r is
+    reduced when ``reduce_routing_vector`` keeps it.
     """
-    _check_nonneg(g, r)
-    return not any(
-        all(r[v] >= p[v] for v in comp) for comp, p in _sink_steps(g, g.out_degrees())
-    )
+    return reduce_routing_vector(g, r) == tuple(r)
 
 
 def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:

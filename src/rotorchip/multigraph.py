@@ -84,12 +84,12 @@ class DirectedMultigraph:
     It stores its adjacency only, an ``OutEdges`` per vertex: a parsed
     graph holds its ribbon's runs, the other constructors one run per
     head, heads ascending.  ``mult[u][v]`` counts the parallel edges
-    u -> v; it is a view built on each access in O(n^2), so readers bind
-    it once.  Graphs compare, hash and print by ``n`` and ``mult``,
-    whatever the run order.  Counts are plain Python ints, so
-    multiplicities far beyond machine word size stay exact.  Instances
-    are immutable and use slots, because sweeps and benchmarks hold
-    thousands of small graphs at once.
+    u -> v; it is the oracles' dense view, built on each access in O(n^2),
+    so readers bind it once.  Graphs compare, hash and print by their
+    per-head edge totals, in O(runs) whatever the run order.  Counts are
+    plain Python ints, so multiplicities far beyond machine word size
+    stay exact.  Instances are immutable and use slots, because sweeps
+    and benchmarks hold thousands of small graphs at once.
     """
 
     n: int
@@ -121,28 +121,38 @@ class DirectedMultigraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> DirectedMultigraph:
-        """Build from ``(u, v, mult)`` triples; repeated pairs accumulate."""
-        rows = [[0] * n for _ in range(n)]
+        """Build from ``(u, v, mult)`` triples in O(n + triples); repeated pairs add up."""
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
+        totals: list[dict[int, int]] = [{} for _ in range(n)]
         for u, v, m in edges:
             _check_edge(n, u, v, m)
-            rows[u][v] += m
-        return cls(n, rows)
+            if m:
+                totals[u][v] = totals[u].get(v, 0) + m
+        return cls.from_checked_adjacency(tuple([
+            OutEdges(sum(heads.values()), tuple(sorted(heads.items()))) for heads in totals
+        ]))
 
     @property
     def mult(self) -> IntMatrix:
         """The n x n multiplicity matrix, built from the runs on each access."""
         return share_small(tuple([dense_row(self.n, out) for out in self._adj]), _shared_row)
 
+    def _edge_totals(self) -> tuple[tuple[Run, ...], ...]:
+        """Per vertex, its (head, total) pairs, heads ascending: O(runs) plus the sorts."""
+        return tuple([tuple(sorted(head_totals(out.edges).items())) for out in self._adj])
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedMultigraph):
             return NotImplemented
-        return (self.n, self.mult) == (other.n, other.mult)
+        return self._edge_totals() == other._edge_totals()
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mult))
+        return hash(self._edge_totals())
 
     def __repr__(self) -> str:
-        return f"DirectedMultigraph(n={self.n!r}, mult={self.mult!r})"
+        edges = [(u, v, m) for u, heads in enumerate(self._edge_totals()) for v, m in heads]
+        return f"DirectedMultigraph(n={self.n!r}, edges={edges!r})"
 
     def adjacency(self) -> tuple[OutEdges, ...]:
         """Per vertex, its out-degree and its out-edges as runs."""
@@ -151,24 +161,8 @@ class DirectedMultigraph:
     def out_degree(self, v: int) -> int:
         return self._adj[v].degree
 
-    def in_degree(self, v: int) -> int:
-        return sum([count for out in self._adj for head, count in out.edges if head == v])
-
     def out_degrees(self) -> IntVector:
         return tuple([out.degree for out in self._adj])
-
-    def laplacian(self) -> IntMatrix:
-        """Laplacian L with L[u][v] = -outdeg(v) if u == v else mult[v][u].
-
-        Column v is the chip movement caused by firing v once; every
-        column sums to zero.
-        """
-        degs = self.out_degrees()
-        mult = self.mult
-        return tuple([
-            tuple([-degs[v] if u == v else mult[v][u] for v in range(self.n)])
-            for u in range(self.n)
-        ])
 
 
 def _check_edge(n: int, u: int, v: int, m: int) -> None:

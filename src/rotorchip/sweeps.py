@@ -308,7 +308,7 @@ def _after_firing(g: DirectedMultigraph, x, seq):
 
 
 def _random_bounded_chip_sequence(g, x, bound, rng) -> tuple[int, ...]:
-    mult = g.mult
+    adj = g.adjacency()
     degs = g.out_degrees()
     cur = list(x)
     left = list(bound)
@@ -321,7 +321,7 @@ def _random_bounded_chip_sequence(g, x, bound, rng) -> tuple[int, ...]:
             return tuple(seq)
         v = rng.choice(legal)
         cur[v] -= degs[v]
-        for u, m in enumerate(mult[v]):
+        for u, m in adj[v].edges:
             cur[u] += m
         left[v] -= 1
         seq.append(v)
@@ -373,7 +373,7 @@ def run_reduce_sweep(count: int, seed: int) -> SweepReport:
     rng = Random(seed ^ 0x72656475)
     for _ in range(count):
         g = next(stream).graph
-        lap = g.laplacian()
+        lap = bruteforce.laplacian(g)
         basis = intlinalg.period_basis(g)
         f = tuple(rng.randint(0, 6) for _ in range(g.n))
         reduced = intlinalg.reduce_vector(g, f)

@@ -185,8 +185,25 @@ class TestRecurrence:
                 assert is_recurrent_via_reach(d21, x) == expected
 
     def test_requires_strongly_connected(self, fig1: DirectedMultigraph) -> None:
-        with pytest.raises(ValueError):
-            is_recurrent(fig1, (0, 0, 0, 0))
+        for query in (is_recurrent, is_recurrent_via_reach):
+            with pytest.raises(ValueError, match="strongly connected"):
+                query(fig1, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])
+    def test_one_decomposition_per_call(self, monkeypatch, c2, d21, query) -> None:
+        cases = [(c2, (1, 0), True), (c2, (0, 0), False), (d21, (2, 0), True), (d21, (1, 0), False)]
+        calls = []
+
+        def counting(g: DirectedMultigraph) -> SccDecomposition:
+            calls.append(g)
+            return scc_decompose(g)
+
+        for module in (multigraph, intlinalg, chipfiring):
+            monkeypatch.setattr(module, "scc_decompose", counting)
+        for g, x, want in cases:
+            calls.clear()
+            assert query(g, x) == want
+            assert len(calls) == 1
 
 
 class TestLinEquiv:

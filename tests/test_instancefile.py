@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from parser_reference import with_edge_lines
 
 from rotorchip.chipfiring import bounded_chip_game, halts
 from rotorchip.errors import InstanceFormatError
-from rotorchip.generators import FAMILIES, gen_instance
+from rotorchip.generators import FAMILIES, gen_instance, random_ribbon
 from rotorchip.instancefile import (
     MAX_VERTICES,
     Instance,
@@ -205,6 +206,23 @@ class TestParseMemory:
             f"ribbon {v} : {(v + 1) % n}:1 {(v - 1) % n}:1\n" for v in range(n)
         )
         assert _parse_peak_bytes(text) < 10e6
+
+    def test_comparing_and_hashing_cycles_at_the_cap_costs_the_runs(self) -> None:
+        # two parsed bidirected cycles: equality and hashing read the
+        # per-head totals of the runs, measured at a 1.4 MB peak, where
+        # building both dense views for them peaked at 256 MB
+        n = MAX_VERTICES
+        text = f"graph {n}\n" + "".join(
+            f"ribbon {v} : {(v + 1) % n}:1 {(v - 1) % n}:1\n" for v in range(n)
+        )
+        a, b = parse_instance(text).graph, parse_instance(text).graph
+        tracemalloc.start()
+        try:
+            assert a == b and hash(a) == hash(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_repeated_runs_share_one_tuple(self) -> None:
         # a ribbon-only eulerian file on 500 vertices holds 89,698 runs,
@@ -586,6 +604,20 @@ def _result(query, g: DirectedMultigraph):
         return ("raised", str(exc))
 
 
+def _split_triples(data, rows) -> list[tuple[int, int, int]]:
+    """The rows as shuffled (u, v, m) triples: entries split, zero ones added."""
+    triples = []
+    for u, row in enumerate(rows):
+        for v, m in enumerate(row):
+            while m:
+                count = data.draw(st.integers(min_value=1, max_value=m))
+                triples.append((u, v, count))
+                m -= count
+            if u != v and data.draw(st.booleans()):
+                triples.append((u, v, 0))
+    return data.draw(st.permutations(triples))
+
+
 class TestRunOrder:
     @given(_shuffled_run_files(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -596,18 +628,33 @@ class TestRunOrder:
         # the oracles read this view, so it must give the rows back
         assert dense.mult == rows
         parsed = parse_instance(text).graph
-        assert parsed == dense and parsed.mult == rows
+        from_triples = DirectedMultigraph.from_edges(n, _split_triples(data, rows))
+        for g in (parsed, from_triples):
+            assert g == dense and g.mult == rows
+            assert hash(g) == hash(dense) and repr(g) == repr(dense)
         vectors = st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n)
         x, bound = data.draw(vectors), data.draw(vectors)
         d = data.draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32))
         for query in (
             scc_decompose,
             is_eulerian,
             period_basis,
             primitive_period_vector,
             default_ribbon,
+            lambda g: random_ribbon(g, Random(seed)),
             lambda g: nonneg_reduced_solution(g, tuple(d)),
             lambda g: halts(g, tuple(x)),
             lambda g: bounded_chip_game(g, tuple(x), tuple(bound)),
         ):
-            assert _result(query, parsed) == _result(query, dense)
+            want = _result(query, dense)
+            assert _result(query, parsed) == want
+            assert _result(query, from_triples) == want
+        if n > 1:
+            u = data.draw(st.integers(min_value=0, max_value=n - 1))
+            v = data.draw(st.integers(min_value=0, max_value=n - 2))
+            v += v >= u  # any vertex but u
+            changed = [list(row) for row in rows]
+            changed[u][v] += data.draw(st.sampled_from([-1, 1])) if rows[u][v] else 1
+            other = DirectedMultigraph(n, changed)
+            assert other != parsed and other != from_triples

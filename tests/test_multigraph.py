@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import enumerate_digraphs, reachability_matrix
+from rotorchip.bruteforce import enumerate_digraphs, laplacian, reachability_matrix
 from rotorchip.generators import FAMILIES, gen_graph
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
@@ -52,10 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedMultigraph(n=2, mult=((0, 1),))
 
+    def test_rejects_no_vertex(self) -> None:
+        with pytest.raises(ValueError, match="at least one vertex"):
+            DirectedMultigraph(0, ())
+        with pytest.raises(ValueError, match="at least one vertex"):
+            DirectedMultigraph.from_edges(0, [])
+
     def test_degrees(self) -> None:
         g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (0, 2, 1), (1, 0, 1)])
         assert g.out_degree(0) == 3
-        assert g.in_degree(0) == 1
         assert g.out_degree(2) == 0
 
     @given(small_graphs(max_n=12, max_mult=10**18))
@@ -72,23 +77,23 @@ class TestConstruction:
         n = SMALL_GRAPH_MAX_N + 1
         big = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
         assert big.adjacency() is big.adjacency()
-        g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
-        h = DirectedMultigraph.from_edges(3, [(0, 1, 2), (2, 1, 1)])
+        g = DirectedMultigraph(3, ((0, 2, 0), (0, 0, 1), (0, 0, 0)))
+        h = DirectedMultigraph(3, ((0, 2, 0), (0, 0, 0), (0, 1, 0)))
         assert g.adjacency()[0] is h.adjacency()[0]
 
 
 class TestLaplacian:
     def test_two_cycle(self, c2: DirectedMultigraph) -> None:
         # Column v carries -outdeg(v) on the diagonal and d(v, u) off it.
-        assert c2.laplacian() == ((-1, 1), (1, -1))
+        assert laplacian(c2) == ((-1, 1), (1, -1))
 
     def test_double_edge(self, d21: DirectedMultigraph) -> None:
-        assert d21.laplacian() == ((-2, 1), (2, -1))
+        assert laplacian(d21) == ((-2, 1), (2, -1))
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_columns_sum_to_zero(self, g: DirectedMultigraph) -> None:
-        lap = g.laplacian()
+        lap = laplacian(g)
         for v in range(g.n):
             assert sum(lap[u][v] for u in range(g.n)) == 0
 

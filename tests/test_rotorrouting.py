@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import _expanded_heads, bfs_reach_rotor, enumerate_digraphs
+from rotorchip.bruteforce import _expanded_heads, bfs_reach_rotor, enumerate_digraphs, laplacian
 from rotorchip.errors import BudgetExceededError
 from rotorchip.generators import gen_graph, random_ribbon
 from rotorchip.intlinalg import is_routing_reduced, primitive_period_vector
@@ -152,7 +152,7 @@ class TestPiR:
 
     def test_full_turn_is_rotor_identity(self, fig1: DirectedMultigraph, fig1_ribbon: RibbonStructure) -> None:
         # Routing outdeg(v) times from v fires v once and restores the rotor.
-        lap = fig1.laplacian()
+        lap = laplacian(fig1)
         x = (5, 5, 5, 0)
         cfg = ChipRotorConfig(x, (1, 2, 0, None))
         r = tuple(fig1.out_degree(v) if v != 3 else 0 for v in range(4))

@@ -8,6 +8,7 @@ slowdowns.
 
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 from math import gcd, isqrt
@@ -15,11 +16,11 @@ from random import Random
 
 import pytest
 
-from rotorchip.bruteforce import random_legal_chip_sequence
+from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
 from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
 from rotorchip.cli import run_command
-from rotorchip.generators import gen_graph, random_ribbon
-from rotorchip.instancefile import MAX_VERTICES
+from rotorchip.generators import FAMILIES, gen_graph, gen_instance, random_ribbon
+from rotorchip.instancefile import MAX_VERTICES, serialize_instance
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
 from rotorchip.rotorrouting import (
@@ -68,7 +69,7 @@ def _hadamard_bound(g: DirectedMultigraph, d: tuple[int, ...]) -> int:
     scc = scc_decompose(g)
     roots = {scc.components[i][0] for i in scc.sink_component_ids()}
     rest = [v for v in range(g.n) if v not in roots]
-    lap = g.laplacian()
+    lap = laplacian(g)
     columns = [[lap[u][v] for u in rest] for v in rest] + [[d[u] for u in rest]]
     bound = 1
     for col in columns:
@@ -268,3 +269,42 @@ def test_game_commands_at_the_vertex_cap_within_wall_bound(
     assert code == 0
     assert capsys.readouterr().out.startswith(first)
     assert elapsed < wall_s, f"{argv[0]} n={n}: {elapsed:.2f}s >= {wall_s}s"
+
+
+@pytest.mark.parametrize("family", ["strongly-connected", "heavy-multiplicity"])
+def test_gen_at_the_vertex_cap_within_memory_bound(family: str) -> None:
+    # the generator hands triples to from_edges and holds no row: measured
+    # peaks of 3.4 MB and 4.3 MB for files of 0.15 and 0.30 MB, where
+    # filling a dense matrix and reading its view peaked at 257 MB
+    tracemalloc.start()
+    try:
+        serialize_instance(gen_instance(family, MAX_VERTICES, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"gen {family} n={MAX_VERTICES}: peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("family", ["strongly-connected", "heavy-multiplicity"])
+def test_gen_command_at_the_vertex_cap_within_wall_bound(tmp_path, capsys, family: str) -> None:
+    # measured 0.07-0.08 s a call, against 3.9-4.0 s while gen_graph
+    # filled a dense matrix
+    path = tmp_path / "gen.rcg"
+    argv = ["gen", "--family", family, "--size", str(MAX_VERTICES), "--seed", "1", "--out", str(path)]
+    start = time.perf_counter()
+    code = run_command(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == f"written={path}\n"
+    assert elapsed < 1.0, f"gen {family} n={MAX_VERTICES}: {elapsed:.2f}s >= 1.0s"
+
+
+def test_gen_bytes_are_pinned() -> None:
+    # the digest of every family at five seeds and sizes from 2 to 500,
+    # as the dense-row generator wrote them
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for seed in range(5):
+            for size in (2, 4, 24, 140, 500):
+                digest.update(serialize_instance(gen_instance(family, size, seed)).encode())
+    assert digest.hexdigest() == "675bf79f41a409f25344ea7fc6a3a93526fcf933d7f612e195b016ca5642091e"
