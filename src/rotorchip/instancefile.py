@@ -12,8 +12,9 @@ ignored):
 The ``graph`` line comes first, with at most ``MAX_VERTICES`` vertices;
 a larger count is rejected with InstanceFormatError (CLI exit 2) before
 anything is allocated.  Loading an instance costs time and memory linear
-in the file and in n: the graph keeps the ribbon's runs, and no n x n
-matrix (``scripts/parse_timing.py`` measures time and peak).
+in the file and in n: the edges are stored once, as the ribbon's runs,
+and the instance's graph is ``ribbon.graph`` on the same tuple; no n x n
+matrix is built (``scripts/parse_timing.py`` measures time and peak).
 Multiplicities and chip counts are decimals of at most
 ``sys.get_int_max_str_digits()`` digits (4300 by default, none with
 ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.
@@ -50,7 +51,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import InstanceFormatError
-from .multigraph import DirectedMultigraph, OutEdges, same_edges
+from .multigraph import DirectedMultigraph, OutEdges, head_totals
 from .rotorrouting import ChipRotorConfig, RibbonStructure
 
 DEFAULT_CONFIG_NAME = "default"
@@ -152,9 +153,10 @@ def parse_instance(text: str) -> Instance:
     (with the ribbon line's number), and, without a line number, a rotor
     at a sink, a rotor position out of range and rotor lines without a
     chips line.  ``rotor 0 5`` on line 5, past vertex 0's degree, then
-    ``bogus`` on line 6 reports line 6.  The graph and ribbon are built
-    without the constructors' checks, and the graph holds the ribbon's
-    run tuples.  Edge lines add up per tail in a dict, which also gives
+    ``bogus`` on line 6 reports line 6.  The runs are wrapped as a graph
+    without the constructors' checks, the ribbon is that graph's run
+    order, and the instance holds ``ribbon.graph``: one edge store.
+    Edge lines add up per tail in a dict, which also gives
     the default order (heads ascending) where no ribbon line does.
     """
     n: int | None = None
@@ -285,7 +287,7 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError("missing graph line")
     if edge_lines:
         for v, (runs_v, lineno) in ribbon_lines.items():
-            if not same_edges(runs_v, edge_lines.get(v, {}).items()):
+            if head_totals(runs_v) != edge_lines.get(v, {}):
                 raise InstanceFormatError(
                     f"ribbon runs at vertex {v} do not match edge multiplicities",
                     lineno,
@@ -296,12 +298,8 @@ def parse_instance(text: str) -> Instance:
         ribbon_lines[v][0] if v in ribbon_lines else tuple(sorted(edge_lines.get(v, {}).items()))
         for v in range(n)
     ]
-    degs = tuple([sum([count for _, count in runs_v]) for runs_v in runs])
-    ribbon = RibbonStructure.from_checked_runs(tuple(runs), degs)
-    # the graph holds the ribbon's run tuples, so each edge is stored once
-    graph = DirectedMultigraph.from_checked_adjacency(
-        tuple([OutEdges(d, runs_v) for d, runs_v in zip(degs, ribbon.runs)])
-    )
+    adj = tuple([OutEdges(sum([count for _, count in runs_v]), runs_v) for runs_v in runs])
+    ribbon = RibbonStructure.of(DirectedMultigraph.from_checked_adjacency(adj))
 
     for name, positions in rotor_lines.items():
         if name not in chip_lines:
@@ -309,11 +307,11 @@ def parse_instance(text: str) -> Instance:
                 f"rotor lines for configuration {name!r} without a chips line"
             )
         for v, pos in positions.items():
-            if degs[v] == 0:
+            if adj[v].degree == 0:
                 raise InstanceFormatError(
                     f"rotor position for sink vertex {v} in configuration {name!r}"
                 )
-            if not 0 <= pos < degs[v]:
+            if not 0 <= pos < adj[v].degree:
                 raise InstanceFormatError(
                     f"rotor position {pos} out of range at vertex {v} "
                     f"in configuration {name!r}"
@@ -323,30 +321,29 @@ def parse_instance(text: str) -> Instance:
     for name, chips in chip_lines.items():
         positions = rotor_lines.get(name, {})
         rotors = tuple(
-            [None if degs[v] == 0 else positions.get(v, 0) for v in range(n)]
+            [None if out.degree == 0 else positions.get(v, 0) for v, out in enumerate(adj)]
         )
         configs[name] = ChipRotorConfig(chips, rotors)
-    return Instance(graph, ribbon, configs)
+    return Instance(ribbon.graph, ribbon, configs)
 
 
 def serialize_instance(instance: Instance) -> str:
     """Canonical text: merged ribbon runs, explicit rotors, no edge lines.
 
-    The ribbon runs state every out-edge, so a ribbon that does not match
-    the graph raises ValueError.  parse(serialize(i)) equals i whenever
-    i's ribbon runs are already canonical (adjacent equal heads merged),
-    which holds for every generated instance.  An integer past the
+    The ribbon runs state every out-edge, so a ribbon whose graph does
+    not equal the instance's graph raises ValueError.  parse(serialize(i))
+    equals i whenever i's ribbon runs are already canonical (adjacent
+    equal heads merged), which holds for every generated instance.  An integer past the
     int-string limit raises ValueError naming the limit.
     """
     g = instance.graph
-    instance.ribbon.validate_against(g)
+    if instance.ribbon.graph != g:
+        raise ValueError("ribbon runs do not match the graph's edge multiplicities")
     out = [f"graph {g.n}"]
     try:
-        ribbon = instance.ribbon.canonical()
-        for v in range(g.n):
-            if ribbon.degree(v):
-                runs = " ".join(f"{h}:{c}" for h, c in ribbon.runs[v])
-                out.append(f"ribbon {v} : {runs}")
+        for v, (degree, runs) in enumerate(instance.ribbon.canonical().adjacency()):
+            if degree:
+                out.append(f"ribbon {v} : " + " ".join(f"{h}:{c}" for h, c in runs))
         for name, config in instance.configs.items():
             prefix = "" if name == DEFAULT_CONFIG_NAME else f"{name} : "
             out.append(f"chips {prefix}" + " ".join(str(c) for c in config.chips))

@@ -20,10 +20,14 @@ Run = tuple[int, int]
 SMALL_GRAPH_MAX_N = 8
 
 
-def share_small(items: tuple, shared) -> tuple:
-    """On a small graph or ribbon, each item as the bounded cache ``shared`` first saw it."""
+# the first equal item seen: rows of a dense view, or ribbon vertex orders
+_first_seen = lru_cache(maxsize=2048)(lambda item: item)
+
+
+def share_small(items: tuple) -> tuple:
+    """On a small graph or ribbon, each item as one bounded cache first saw it."""
     if len(items) <= SMALL_GRAPH_MAX_N:
-        return tuple([shared(item) for item in items])
+        return tuple([_first_seen(item) for item in items])
     return items
 
 
@@ -52,9 +56,6 @@ def out_edges(row: IntVector) -> OutEdges:
 
 _shared_out_edges = lru_cache(maxsize=1024)(out_edges)
 
-# tuple() returns a tuple itself, so this keeps the first equal row seen
-_shared_row = lru_cache(maxsize=1024)(tuple)
-
 
 def dense_row(n: int, out: OutEdges) -> IntVector:
     """The multiplicity row of one adjacency entry, in O(n + runs)."""
@@ -72,24 +73,19 @@ def head_totals(runs) -> dict[int, int]:
     return totals
 
 
-def same_edges(runs_a, runs_b) -> bool:
-    """True when two run lists put the same number of edges on every head."""
-    return head_totals(runs_a) == head_totals(runs_b)
-
-
 @dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class DirectedMultigraph:
     """Loopless directed multigraph on vertices ``0..n-1``.
 
-    It stores its adjacency only, an ``OutEdges`` per vertex: a parsed
-    graph holds its ribbon's runs, the other constructors one run per
-    head, heads ascending.  ``mult[u][v]`` counts the parallel edges
-    u -> v; it is the oracles' dense view, built on each access in O(n^2),
-    so readers bind it once.  Graphs compare, hash and print by their
-    per-head edge totals, in O(runs) whatever the run order.  Counts are
-    plain Python ints, so multiplicities far beyond machine word size
-    stay exact.  Instances are immutable and use slots, because sweeps
-    and benchmarks hold thousands of small graphs at once.
+    It stores its adjacency only, an ``OutEdges`` per vertex: the graph of
+    a ribbon, as instances hold, keeps the ribbon's runs, and the
+    constructors one run per head, heads ascending.  ``mult[u][v]`` counts
+    the parallel edges u -> v; it is the oracles' dense view, built on
+    each access in O(n^2), so readers bind it once.  Graphs compare, hash
+    and print by their per-head edge totals, in O(runs) whatever the run
+    order.  Counts are plain Python ints, so multiplicities far beyond
+    machine word size stay exact.  Instances are immutable and use slots,
+    because sweeps and benchmarks hold thousands of small graphs at once.
     """
 
     n: int
@@ -103,6 +99,8 @@ class DirectedMultigraph:
             raise ValueError("multiplicity matrix must be n x n")
         for u, row in enumerate(rows):
             for v, m in enumerate(row):
+                if not isinstance(m, int):
+                    raise ValueError(f"multiplicity {m!r} on edge {u}->{v} is not an integer")
                 if m < 0:
                     raise ValueError(f"negative multiplicity on edge {u}->{v}")
                 if u == v and m != 0:
@@ -136,7 +134,7 @@ class DirectedMultigraph:
     @property
     def mult(self) -> IntMatrix:
         """The n x n multiplicity matrix, built from the runs on each access."""
-        return share_small(tuple([dense_row(self.n, out) for out in self._adj]), _shared_row)
+        return share_small(tuple([dense_row(self.n, out) for out in self._adj]))
 
     def _edge_totals(self) -> tuple[tuple[Run, ...], ...]:
         """Per vertex, its (head, total) pairs, heads ascending: O(runs) plus the sorts."""
@@ -166,6 +164,8 @@ class DirectedMultigraph:
 
 
 def _check_edge(n: int, u: int, v: int, m: int) -> None:
+    if not (isinstance(u, int) and isinstance(v, int) and isinstance(m, int)):
+        raise ValueError(f"edge {(u, v, m)!r} is not three integers")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge {u}->{v} out of range for {n} vertices")
     if u == v:

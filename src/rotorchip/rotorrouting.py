@@ -2,7 +2,8 @@
 
 A ribbon structure fixes, for every vertex, a cyclic order of its
 outgoing edges.  Orders are stored as runs (head, count): ``count``
-consecutive parallel edges to ``head``.  All closed-form operations cost
+consecutive parallel edges to ``head``.  They state every edge, so a
+ribbon and its graph share one store.  All closed-form operations cost
 O(number of runs) arbitrary-precision operations, never O(degree), so
 multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``_route_vertex``, routes a single vertex k times in O(runs(v));
@@ -20,47 +21,45 @@ chip.  Sinks have no rotor and are never routed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
-from .multigraph import DirectedMultigraph, IntVector, Run, head_totals, same_edges, share_small
+from .multigraph import DirectedMultigraph, IntVector, OutEdges, Run, head_totals, share_small
 
 CountVector = IntVector
 
 DEFAULT_MAX_BATCHES = 1_000_000
 
 
-# the first equal vertex order seen: tuple() returns a tuple itself
-_shared_runs = lru_cache(maxsize=1024)(tuple)
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RibbonStructure:
-    """Cyclic out-edge orders, one run list per vertex.
+    """Cyclic out-edge orders: one ``OutEdges`` per vertex, its runs in order.
 
-    ``runs[v]`` lists (head, count) pairs; position i in [0, degree(v))
-    refers to the i-th edge when the runs are laid out in order.  The
-    cyclic order wraps from the last position back to position 0.
-    Construction validates shape only, in one pass per vertex;
-    ``validate_against`` ties the run totals to a graph's edge
-    multiplicities, one ``same_edges`` call per vertex.
+    Position i in [0, degree(v)) is the i-th edge when v's runs are laid
+    out in order; the order wraps from the last position back to 0.  The
+    runs fix the multigraph, so they are its one edge store: ``graph``
+    wraps the same tuple and ``of(g)`` takes g's run order, both in O(1).
+    The constructor checks the runs in one pass per vertex.  Ribbons
+    compare, hash and print by their runs, in order.  ``runs`` and
+    ``degrees`` build a tuple on each access, in O(n).
     """
 
-    runs: tuple[tuple[Run, ...], ...]
-    degrees: IntVector = field(init=False, repr=False, compare=False)
+    _adj: tuple[OutEdges, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.runs)
-        runs = []
-        degrees = []
-        for v, rs in enumerate(self.runs):
-            rs = tuple([(int(h), int(c)) for h, c in rs])
+    def __init__(self, runs: tuple[tuple[Run, ...], ...]) -> None:
+        n = len(runs)
+        adj = []
+        for v, vertex_runs in enumerate(runs):
+            rs = tuple([(head, count) for head, count in vertex_runs])
             degree = 0
             for head, count in rs:
+                if not (isinstance(head, int) and isinstance(count, int)):
+                    raise ValueError(f"run {(head, count)!r} at vertex {v} is not two integers")
                 if not 0 <= head < n:
                     raise ValueError(f"run head {head} out of range at vertex {v}")
                 if head == v:
@@ -68,69 +67,64 @@ class RibbonStructure:
                 if count < 1:
                     raise ValueError(f"run count must be positive at vertex {v}")
                 degree += count
-            runs.append(rs)
-            degrees.append(degree)
-        object.__setattr__(self, "runs", share_small(tuple(runs), _shared_runs))
-        object.__setattr__(self, "degrees", tuple(degrees))
+            adj.append(OutEdges(degree, rs))
+        object.__setattr__(self, "_adj", share_small(tuple(adj)))
 
     @classmethod
-    def from_checked_runs(
-        cls, runs: tuple[tuple[Run, ...], ...], degrees: IntVector
-    ) -> RibbonStructure:
-        """Wrap int runs and their degrees without checking them again.
-
-        For callers that have already made the constructor's checks
-        (heads in range, no loops, positive counts) and report failures
-        their own way, as the instance parser does with line numbers.
-        """
+    def of(cls, g: DirectedMultigraph) -> RibbonStructure:
+        """g's run order as a ribbon, unchecked: a graph's runs pass the checks."""
         ribbon = object.__new__(cls)
-        object.__setattr__(ribbon, "runs", share_small(runs, _shared_runs))
-        object.__setattr__(ribbon, "degrees", degrees)
+        object.__setattr__(ribbon, "_adj", g.adjacency())
         return ribbon
 
     @property
+    def graph(self) -> DirectedMultigraph:
+        """The multigraph the runs state, on the same tuple, in O(1)."""
+        return DirectedMultigraph.from_checked_adjacency(self._adj)
+
+    def __repr__(self) -> str:
+        return f"RibbonStructure(runs={self.runs!r})"
+
+    def adjacency(self) -> tuple[OutEdges, ...]:
+        """Per vertex, its out-degree and its out-edges as runs in cyclic order."""
+        return self._adj
+
+    @property
+    def runs(self) -> tuple[tuple[Run, ...], ...]:
+        return tuple([out.edges for out in self._adj])
+
+    @property
+    def degrees(self) -> IntVector:
+        return tuple([out.degree for out in self._adj])
+
+    @property
     def n(self) -> int:
-        return len(self.runs)
+        return len(self._adj)
 
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        return self._adj[v].degree
 
     def is_sink(self, v: int) -> bool:
-        return self.degrees[v] == 0
+        return self._adj[v].degree == 0
 
     def head_at(self, v: int, pos: int) -> int:
         """Head of the out-edge at flat position pos in v's cyclic order."""
-        if not 0 <= pos < self.degrees[v]:
+        degree, edges = self._adj[v]
+        if not 0 <= pos < degree:
             raise ValueError(f"position {pos} out of range at vertex {v}")
         acc = 0
-        for head, count in self.runs[v]:
+        for head, count in edges:
             acc += count
             if pos < acc:
                 return head
         raise AssertionError("unreachable: runs cover all positions")
 
-    def validate_against(self, g: DirectedMultigraph) -> None:
-        """Require run totals per head to equal the graph's multiplicities."""
-        if self.n != g.n:
-            raise ValueError("ribbon vertex count differs from the graph")
-        for v, out in enumerate(g.adjacency()):
-            if not same_edges(self.runs[v], out.edges):
-                raise ValueError(
-                    f"ribbon runs at vertex {v} do not match edge multiplicities"
-                )
-
-    def canonical(self) -> "RibbonStructure":
+    def canonical(self) -> RibbonStructure:
         """Merge adjacent runs with equal heads (positions are preserved)."""
-        merged = []
-        for rs in self.runs:
-            out: list[Run] = []
-            for head, count in rs:
-                if out and out[-1][0] == head:
-                    out[-1] = (head, out[-1][1] + count)
-                else:
-                    out.append((head, count))
-            merged.append(tuple(out))
-        return RibbonStructure(tuple(merged))
+        merged = [groupby(out.edges, itemgetter(0)) for out in self._adj]
+        return RibbonStructure(tuple([
+            tuple([(head, sum([c for _, c in runs])) for head, runs in groups]) for groups in merged
+        ]))
 
 
 def default_ribbon(g: DirectedMultigraph) -> RibbonStructure:
@@ -150,12 +144,11 @@ def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
     n = ribbon.n
     if len(config.chips) != n or len(config.rotors) != n:
         raise ValueError("configuration length must match the vertex count")
-    for v in range(n):
-        pos = config.rotors[v]
-        if ribbon.is_sink(v):
+    for v, (out, pos) in enumerate(zip(ribbon.adjacency(), config.rotors)):
+        if out.degree == 0:
             if pos is not None:
                 raise ValueError(f"sink vertex {v} must carry no rotor")
-        elif pos is None or not 0 <= pos < ribbon.degree(v):
+        elif pos is None or not 0 <= pos < out.degree:
             raise ValueError(f"rotor position at vertex {v} out of range")
 
 
@@ -176,14 +169,9 @@ def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotor
 
 
 def _route_vertex(
-    runs_v: tuple[Run, ...],
-    degree: int,
-    chips: list[int],
-    rotors: list[int | None],
-    v: int,
-    k: int,
+    out: OutEdges, chips: list[int], rotors: list[int | None], v: int, k: int
 ) -> None:
-    """Route non-sink v k times in place, ignoring legality.
+    """Route non-sink v, with order ``out``, k times in place, ignoring legality.
 
     Each full rotor turn sends one chip along every out-edge; the partial
     turn sends one along each of the k % degree positions stepped onto,
@@ -193,6 +181,7 @@ def _route_vertex(
     degree); without full turns the walk stops past the window.  Cost is
     O(runs(v)) big-integer operations.
     """
+    degree, edges = out
     pos = rotors[v]
     full, rem = divmod(k, degree)
     chips[v] -= k
@@ -201,7 +190,7 @@ def _route_vertex(
     b = a + rem
     wrap = b - degree
     start = 0
-    for head, count in runs_v:
+    for head, count in edges:
         end = start + count
         lo = start if start > a else a
         hi = end if end < b else b
@@ -226,11 +215,12 @@ def pi_r(
     Cost is O(total runs) big-integer operations.
     """
     _check_routing_vector(ribbon, r)
+    adj = ribbon.adjacency()
     chips = list(config.chips)
     rotors = list(config.rotors)
     for v, rv in enumerate(r):
         if rv:
-            _route_vertex(ribbon.runs[v], ribbon.degrees[v], chips, rotors, v, rv)
+            _route_vertex(adj[v], chips, rotors, v, rv)
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
 
@@ -254,7 +244,7 @@ def route_many(
         raise ValueError(f"routing vector positive at sink vertex {v}")
     chips = list(config.chips)
     rotors = list(config.rotors)
-    _route_vertex(ribbon.runs[v], ribbon.degrees[v], chips, rotors, v, k)
+    _route_vertex(ribbon.adjacency()[v], chips, rotors, v, k)
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
 
@@ -274,14 +264,14 @@ class RotorGameTrace:
         routing, so chips(v) >= k certifies all k leg checks.  Each
         batch costs O(runs(v)).
         """
-        degs = ribbon.degrees
+        adj = ribbon.adjacency()
         chips = list(self.initial.chips)
         rotors = list(self.initial.rotors)
-        routed = [0] * ribbon.n
+        routed = [0] * len(adj)
         for v, k in self.batches:
-            if not 0 <= v < ribbon.n or k < 1 or degs[v] == 0 or chips[v] < k:
+            if not 0 <= v < len(adj) or k < 1 or adj[v].degree == 0 or chips[v] < k:
                 return False
-            _route_vertex(ribbon.runs[v], degs[v], chips, rotors, v, k)
+            _route_vertex(adj[v], chips, rotors, v, k)
             routed[v] += k
         final = ChipRotorConfig(tuple(chips), tuple(rotors))
         return final == self.final and tuple(routed) == self.routing_vector
@@ -313,7 +303,7 @@ def bounded_rotor_game(
         raise ValueError("bound length must match the vertex count")
     if any(b < 0 for b in bound):
         raise ValueError("bound must be nonnegative")
-    runs, degs = ribbon.runs, ribbon.degrees
+    adj, degs = ribbon.adjacency(), ribbon.degrees
     chips = list(config.chips)
     rotors = list(config.rotors)
     routed = [0] * ribbon.n
@@ -328,10 +318,10 @@ def bounded_rotor_game(
             raise BudgetExceededError(
                 f"bounded rotor game exceeded {max_batches} batches"
             )
-        _route_vertex(runs[v], degs[v], chips, rotors, v, k)
+        _route_vertex(adj[v], chips, rotors, v, k)
         routed[v] += k
         batches.append((v, k))
-        for u, _ in runs[v]:
+        for u, _ in adj[v].edges:
             if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
                 queued[u] = True
                 heappush(heap, u)
@@ -354,7 +344,8 @@ def unconstrained_reach(
     Rotor positions force r modulo the degrees (the alignment part r1);
     beyond that only whole turns remain, and a whole turn at v moves
     chips exactly like firing v.  So r = r1 + z * deg with z the reduced
-    nonnegative solution of L z = chips2 - pi_r1(c1).chips.
+    nonnegative solution of L z = chips2 - pi_r1(c1).chips, solved on
+    ``g``, which must equal ``ribbon.graph``.
     """
     validate_config(ribbon, c1)
     validate_config(ribbon, c2)
@@ -451,7 +442,8 @@ def reach_rotor(
     played as well; it achieves odometer r, so its trace is a legal
     witness.  If its budget of ``max_batches`` runs out the decision
     stands with trace = None and reason "trace-budget-exceeded".  Without
-    ``trace`` no game is played and ``max_batches`` is not used.
+    ``trace`` no game is played and ``max_batches`` is not used.  ``g``
+    must equal ``ribbon.graph``.
     """
     r = unconstrained_reach(g, ribbon, c1, c2)
     if r is None:

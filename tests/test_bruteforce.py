@@ -109,7 +109,7 @@ class TestEnumerators:
     def test_exhaustive_instances_are_valid(self) -> None:
         seen = 0
         for g, ribbon, cfg in itertools.islice(enumerate_instances(2, 1, 1), 50):
-            ribbon.validate_against(g)
+            assert ribbon.graph == g
             assert len(cfg.chips) == g.n
             for v in range(g.n):
                 if g.out_degree(v) == 0:

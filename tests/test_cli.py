@@ -9,6 +9,7 @@ from parser_reference import with_edge_lines
 
 from rotorchip import cli
 from rotorchip.cli import build_parser, run_command
+from rotorchip.generators import DENSE_FAMILIES
 from rotorchip.instancefile import MAX_VERTICES, parse_instance
 from rotorchip.sweeps import SWEEPS, SweepReport
 
@@ -594,6 +595,22 @@ class TestGen:
         assert captured.err == (
             f"error=--size {MAX_VERTICES + 1} exceeds the limit of "
             f"{MAX_VERTICES} vertices\n"
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("family", DENSE_FAMILIES)
+    def test_dense_family_above_its_cap_exits_2_before_generating(
+        self, capsys, family: str
+    ) -> None:
+        # random at 2048 vertices took 9.3 s and 688 MB; the cap is 1024
+        start = time.perf_counter()
+        code = run_command(["gen", "--family", family, "--size", "1025"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error=family {family} has Theta(n^2) edges and is capped at "
+            f"1024 vertices, got 1025\n"
         )
         assert elapsed < 1.0
 

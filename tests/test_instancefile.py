@@ -231,6 +231,19 @@ class TestParseMemory:
         text = serialize_instance(gen_instance("eulerian", 500, 0))
         assert _parse_peak_bytes(text) < 6e6
 
+    def test_generated_instance_holds_its_edges_once(self) -> None:
+        # the instance's graph is its ribbon's graph: measured 1.76 MB
+        # held, where a graph with its own runs beside the ribbon's held
+        # 2.58 MB
+        tracemalloc.start()
+        try:
+            inst = gen_instance("heavy-multiplicity", MAX_VERTICES, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert inst.graph.n == MAX_VERTICES
+        assert held < 2.0e6, f"held {held / 1e6:.2f} MB"
+
 
 class TestRoundTrip:
     def test_basic_round_trip(self) -> None:
@@ -270,7 +283,7 @@ class TestRoundTrip:
         with pytest.raises(ValueError) as exc:
             serialize_instance(inst)
         assert str(exc.value) == (
-            "ribbon runs at vertex 0 do not match edge multiplicities"
+            "ribbon runs do not match the graph's edge multiplicities"
         )
 
     def test_multiplicity_past_the_digit_limit(self, digit_limit: int) -> None:
@@ -556,7 +569,7 @@ class TestRibbonOnly:
             # the parser skipped the constructors' checks: they must pass
             ribbon = RibbonStructure(inst.ribbon.runs)
             assert ribbon.degrees == inst.ribbon.degrees
-            ribbon.validate_against(DirectedMultigraph(inst.graph.n, inst.graph.mult))
+            assert ribbon.graph == DirectedMultigraph(inst.graph.n, inst.graph.mult)
         assert _outcome(parse_instance, text) == _reference_outcome(text)
 
 
@@ -658,3 +671,29 @@ class TestRunOrder:
             changed[u][v] += data.draw(st.sampled_from([-1, 1])) if rows[u][v] else 1
             other = DirectedMultigraph(n, changed)
             assert other != parsed and other != from_triples
+
+
+class TestOneEdgeStore:
+    @given(_shuffled_run_files(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_graph_is_a_ribbon_of_itself(self, drawn, data) -> None:
+        rows, text = drawn
+        n = len(rows)
+        for g in (
+            DirectedMultigraph(n, rows),
+            DirectedMultigraph.from_edges(n, _split_triples(data, rows)),
+            parse_instance(text).graph,
+        ):
+            ribbon = RibbonStructure.of(g)
+            # the unchecked ribbon passes the checked constructor's checks
+            assert RibbonStructure(ribbon.runs) == ribbon
+            assert ribbon.graph == g
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [3, 40])
+    def test_instances_hold_the_ribbons_runs(self, family: str, size: int) -> None:
+        generated = gen_instance(family, size, 5)
+        for inst in (generated, parse_instance(serialize_instance(generated))):
+            runs = inst.ribbon.runs
+            for v, out in enumerate(inst.graph.adjacency()):
+                assert out.edges is runs[v]

@@ -48,6 +48,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedMultigraph(n=2, mult=((0, -1), (0, 0)))
 
+    @pytest.mark.parametrize("m", [2.7, "1", 1.0])
+    def test_rejects_a_multiplicity_that_is_not_an_integer(self, m) -> None:
+        with pytest.raises(ValueError) as exc:
+            DirectedMultigraph.from_edges(2, [(0, 1, m), (1, 0, 1)])
+        assert str(exc.value) == f"edge {(0, 1, m)!r} is not three integers"
+        with pytest.raises(ValueError) as exc:
+            DirectedMultigraph(2, ((0, m), (1, 0)))
+        assert str(exc.value) == f"multiplicity {m!r} on edge 0->1 is not an integer"
+
+    def test_rejects_an_endpoint_that_is_not_an_integer(self) -> None:
+        with pytest.raises(ValueError, match="is not three integers"):
+            DirectedMultigraph.from_edges(2, [(0, 1.0, 1)])
+
     def test_rejects_bad_shape(self) -> None:
         with pytest.raises(ValueError):
             DirectedMultigraph(n=2, mult=((0, 1),))

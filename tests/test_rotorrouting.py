@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -49,32 +50,45 @@ class TestRibbon:
         with pytest.raises(ValueError):
             RibbonStructure(runs=(((1, 0),), ()))
 
+    @pytest.mark.parametrize("runs, message", [
+        ((((1, 2.7),), ((0, 1),)), "run (1, 2.7) at vertex 0 is not two integers"),
+        ((((1, 1),), ((0, '1'),)), "run (0, '1') at vertex 1 is not two integers"),
+        ((((1.0, 1),), ((0, 1),)), "run (1.0, 1) at vertex 0 is not two integers"),
+    ])
+    def test_rejects_a_head_or_count_that_is_not_an_integer(self, runs, message) -> None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RibbonStructure(runs=runs)
+
     def test_canonical_merges_adjacent_runs(self) -> None:
         rib = RibbonStructure(runs=(((1, 2), (1, 3), (2, 1)), (), ()))
         assert rib.canonical().runs == (((1, 5), (2, 1)), (), ())
 
-    def test_validate_against(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
-        d21_ribbon.validate_against(d21)
-        with pytest.raises(ValueError):
-            RibbonStructure(runs=(((1, 1),), ((0, 1),))).validate_against(d21)
+    def test_run_order_is_the_ribbon_but_not_the_graph(self) -> None:
+        a = RibbonStructure(runs=(((1, 1), (2, 1)), ((0, 1),), ((0, 1),)))
+        b = RibbonStructure(runs=(((2, 1), (1, 1)), ((0, 1),), ((0, 1),)))
+        assert a != b and a.graph == b.graph
+        assert repr(b) == "RibbonStructure(runs=(((2, 1), (1, 1)), ((0, 1),), ((0, 1),)))"
+        assert RibbonStructure.of(b.graph) == b
 
-    def test_validate_against_is_per_head(self) -> None:
-        # Correct total degree but wrong head distribution must be rejected.
+    def test_graph_equality(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
+        assert d21_ribbon.graph == d21
+        assert RibbonStructure(runs=(((1, 1),), ((0, 1),))).graph != d21
+
+    def test_graph_equality_is_per_head(self) -> None:
+        # Correct total degree but wrong head distribution must be unequal.
         g = DirectedMultigraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 0, 1), (2, 0, 1)])
         bad = RibbonStructure(runs=(((1, 2),), ((0, 1),), ((0, 1),)))
-        with pytest.raises(ValueError):
-            bad.validate_against(g)
+        assert bad.graph != g
 
-    def test_validate_against_missing_head(self) -> None:
+    def test_graph_equality_sees_a_missing_head(self) -> None:
         # Every head the runs name matches; the edge 0 -> 2 has no run.
         g = DirectedMultigraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 0, 1), (2, 0, 1)])
         bad = RibbonStructure(runs=(((1, 1),), ((0, 1),), ((0, 1),)))
-        with pytest.raises(ValueError, match="vertex 0"):
-            bad.validate_against(g)
+        assert bad.graph != g
 
     def test_default_ribbon(self, fig1: DirectedMultigraph) -> None:
         rib = default_ribbon(fig1)
-        rib.validate_against(fig1)
+        assert rib.graph == fig1
         assert rib.runs[0] == ((1, 1), (2, 1), (3, 1))
         assert rib.runs[3] == ()
 
@@ -138,7 +152,7 @@ class TestPiR:
             3, [(0, 1, big), (0, 2, 1), (1, 0, 1), (2, 0, 1)]
         )
         rib = RibbonStructure(runs=(((1, big), (2, 1)), ((0, 1),), ((0, 1),)))
-        rib.validate_against(g)
+        assert rib.graph == g
         out = pi_r(rib, ChipRotorConfig((big, 0, 0), (0, 0, 0)), (big, 0, 0))
         assert out.chips == (0, big - 1, 1)
         assert out.rotors == (big, 0, 0)
@@ -180,7 +194,7 @@ class TestPiR:
             3, [(0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 0, 2), (2, 0, 1)]
         )
         rib = RibbonStructure(runs=(((1, 2), (2, 1)), ((2, 1), (0, 2)), ((0, 1),)))
-        rib.validate_against(g)
+        assert rib.graph == g
         cfg = ChipRotorConfig(
             (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)),
             (rng.randrange(3), rng.randrange(3), 0),
