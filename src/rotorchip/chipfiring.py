@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .intlinalg import (
     _component_period,
     _reduced_solution,
@@ -39,9 +39,6 @@ from .multigraph import (
 
 ChipConfig = IntVector
 CountVector = IntVector
-
-DEFAULT_MAX_BATCHES = 1_000_000
-DEFAULT_MAX_STEPS = 1_000_000
 
 
 def _fire_in_place(chips: list[int], out: OutEdges, v: int, k: int) -> None:
@@ -113,7 +110,7 @@ def bounded_chip_game(
     g: DirectedMultigraph,
     x: ChipConfig,
     bound: CountVector,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
 ) -> BoundedChipResult:
     """Play a maximal legal game firing each v at most bound(v) times.
 
@@ -180,7 +177,7 @@ def reach_chip(
     g: DirectedMultigraph,
     x: ChipConfig,
     y: ChipConfig,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
 ) -> ChipReachVerdict:
     """Decide whether some legal game leads from x to y.
 
@@ -214,7 +211,7 @@ def reach_chip(
 def is_recurrent(
     g: DirectedMultigraph,
     x: ChipConfig,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
 ) -> bool:
     """Whether a nonempty legal game returns to x (strongly connected g).
 
@@ -232,7 +229,7 @@ def is_recurrent(
 def is_recurrent_via_reach(
     g: DirectedMultigraph,
     x: ChipConfig,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
 ) -> bool:
     """Recurrence through the reachability reduction.
 
@@ -291,7 +288,7 @@ class HaltingVerdict:
 def halts(
     g: DirectedMultigraph,
     x: ChipConfig,
-    max_steps: int = DEFAULT_MAX_STEPS,
+    max_steps: int = DEFAULT_GAME_BUDGET,
 ) -> HaltingVerdict:
     """Simulate the greedy legal game until it stabilizes or fires p.
 

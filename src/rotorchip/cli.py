@@ -15,7 +15,7 @@ import sys
 
 from . import chipfiring, rotorrouting
 from .bruteforce import bfs_reach_chip, bfs_reach_rotor
-from .errors import BudgetExceededError
+from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .generators import FAMILIES, gen_instance
 from .instancefile import (
     DECIMAL_RE,
@@ -308,7 +308,7 @@ _SHARED_ARGUMENTS = {
     "--config": {"default": None},
     "--budget-steps": {
         "type": _nonnegative_int,
-        "default": 1_000_000,
+        "default": DEFAULT_GAME_BUDGET,
         "help": "cap on game batches/steps before giving up (exit 3)",
     },
     "--trace": {"action": "store_true", "help": "also print the legal game trace"},

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the default game budget."""
+
+# Default cap on the batches of a bounded game and on the firings of
+# ``halts``; the CLI's ``--budget-steps`` defaults to it too.
+DEFAULT_GAME_BUDGET = 1_000_000
 
 
 class BudgetExceededError(RuntimeError):

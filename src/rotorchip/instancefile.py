@@ -14,7 +14,7 @@ a larger count is rejected with InstanceFormatError (CLI exit 2) before
 anything is allocated.  Loading an instance costs time and memory linear
 in the file and in n: the edges are stored once, as the ribbon's runs,
 and the instance's graph is ``ribbon.graph`` on the same tuple; no n x n
-matrix is built (``scripts/parse_timing.py`` measures time and peak).
+matrix is built (``scripts/bench.py parse`` measures time and peak).
 Multiplicities and chip counts are decimals of at most
 ``sys.get_int_max_str_digits()`` digits (4300 by default, none with
 ``PYTHONINTMAXSTRDIGITS=0``); chips may be negative.

@@ -27,13 +27,11 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
 from .multigraph import DirectedMultigraph, IntVector, OutEdges, Run, head_totals, share_small
 
 CountVector = IntVector
-
-DEFAULT_MAX_BATCHES = 1_000_000
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -288,7 +286,7 @@ def bounded_rotor_game(
     ribbon: RibbonStructure,
     config: ChipRotorConfig,
     bound: CountVector,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
 ) -> BoundedRotorResult:
     """Play a maximal legal rotor game routing each v at most bound(v) times.
 
@@ -431,7 +429,7 @@ def reach_rotor(
     ribbon: RibbonStructure,
     c1: ChipRotorConfig,
     c2: ChipRotorConfig,
-    max_batches: int = DEFAULT_MAX_BATCHES,
+    max_batches: int = DEFAULT_GAME_BUDGET,
     trace: bool = True,
 ) -> RotorReachVerdict:
     """Decide whether some legal rotor game leads from c1 to c2.

@@ -13,7 +13,6 @@ from rotorchip.bruteforce import (
     random_maximal_bounded_chip_game,
 )
 from rotorchip.chipfiring import (
-    DEFAULT_MAX_STEPS,
     HaltingVerdict,
     bounded_chip_game,
     fire,
@@ -28,7 +27,7 @@ from rotorchip.chipfiring import (
     verify_nonhalting_certificate,
 )
 from rotorchip import chipfiring, intlinalg, multigraph
-from rotorchip.errors import BudgetExceededError
+from rotorchip.errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from rotorchip.generators import gen_graph
 from rotorchip.intlinalg import nonneg_reduced_solution, primitive_period_vector
 from rotorchip.multigraph import (
@@ -540,7 +539,7 @@ class TestPeriodDomination:
         degs = g.out_degrees()
         x = tuple(data.draw(st.integers(min_value=d - 1, max_value=2 * d)) for d in degs)
         verdict = halts(g, x)
-        expected = _dense_halts(g, x, DEFAULT_MAX_STEPS)
+        expected = _dense_halts(g, x, DEFAULT_GAME_BUDGET)
         assert verdict.kind == expected.kind
         if verdict.kind != "non-halting":
             return

@@ -1,4 +1,4 @@
-"""Smoke test: each timing script runs at its smallest settings and exits 0."""
+"""Smoke test: the timing script runs every section at its smallest settings."""
 
 from __future__ import annotations
 
@@ -7,23 +7,29 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
+# Each section's first column title and the first field of its first row.
+SECTIONS = {
+    "cli": ("family", "eulerian"),
+    "parse": ("family", "eulerian"),
+    "succinct": ("multiplicity", "4"),
+}
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("cli_timing.py", ["--sizes", "4", "--repeats", "1", "--calls", "5"]),
-        ("parse_timing.py", ["--sizes", "10", "--repeats", "1"]),
-        ("succinct_timing.py", ["--max-exponent", "3", "--repeats", "1"]),
-    ],
-)
-def test_script_exits_0(script: str, args: list[str]) -> None:
+
+def test_bench_runs_every_section_and_exits_0() -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / "scripts" / "bench.py"),
+         "--cli-sizes", "4", "--parse-sizes", "10", "--repeats", "1",
+         "--calls", "5", "--max-exponent", "3"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert result.returncode == 0, result.stdout + result.stderr
+    output = result.stdout + result.stderr
+    assert result.returncode == 0, output
+    lines = result.stdout.splitlines()
+    for name, (title, first) in SECTIONS.items():
+        assert f"[{name}]" in lines, output
+        start = lines.index(f"[{name}]")
+        firsts = [line.split()[0] for line in lines[start + 1:start + 3]]
+        assert firsts == [title, first], output
