@@ -34,6 +34,7 @@ from .multigraph import (
     DirectedMultigraph,
     IntVector,
     OutEdges,
+    _check_vector,
     scc_decompose,
 )
 
@@ -79,24 +80,27 @@ class ChipGameTrace:
     firing_vector: CountVector
 
     def replay(self, g: DirectedMultigraph) -> bool:
-        """Re-run the batches, checking legality of every single firing.
+        """Re-run the batches, checking legality of every single firing."""
+        return _play_batches(g, self.initial, self.batches) == (self.final, self.firing_vector)
 
-        Each batch costs O(runs(v)) over the graph's adjacency.
-        """
-        adj = g.adjacency()
-        cur = list(self.initial)
-        fired = [0] * g.n
-        for v, k in self.batches:
-            if not 0 <= v < g.n:
-                return False
-            deg = adj[v].degree
-            # within a batch v only loses chips, so checking the k-th
-            # firing's precondition covers all k of them
-            if k < 1 or cur[v] < (k * deg if deg else 0):
-                return False
-            _fire_in_place(cur, adj[v], v, k)
-            fired[v] += k
-        return tuple(cur) == self.final and tuple(fired) == self.firing_vector
+
+def _play_batches(
+    g: DirectedMultigraph, x: ChipConfig, batches
+) -> tuple[ChipConfig, CountVector] | None:
+    """(final, firing vector) after the (v, k) batches from x; None at an illegal one.
+
+    Within a batch v only loses chips, so checking the k-th firing's
+    precondition covers all k of them: O(runs(v)) per batch.
+    """
+    adj = g.adjacency()
+    cur = list(x)
+    fired = [0] * g.n
+    for v, k in batches:
+        if not 0 <= v < g.n or k < 1 or cur[v] < k * adj[v].degree:
+            return None
+        _fire_in_place(cur, adj[v], v, k)
+        fired[v] += k
+    return tuple(cur), tuple(fired)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +127,8 @@ def bounded_chip_game(
     Raises BudgetExceededError when more than ``max_batches`` batches are
     needed.
     """
-    _check_count_vector(g, bound)
-    if len(x) != g.n:
-        raise ValueError("chip configuration length must match the vertex count")
+    _check_vector(g.n, bound, "count vector", nonneg=True)
+    _check_vector(g.n, x, "chip configuration")
     adj = g.adjacency()
     degs = [out.degree for out in adj]
     cur = list(x)
@@ -193,8 +196,8 @@ def reach_chip(
     UNKNOWN (``chip-reach`` exits 3); that is the designed outcome, since
     chip reachability is hard in general.
     """
-    if len(x) != g.n or len(y) != g.n:
-        raise ValueError("configuration length must match the vertex count")
+    _check_vector(g.n, x, "configuration")
+    _check_vector(g.n, y, "configuration")
     d = tuple([b - a for a, b in zip(x, y)])
     f = nonneg_reduced_solution(g, d)
     if f is None:
@@ -257,8 +260,8 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
     scc = scc_decompose(g)
     if len(scc.components) != 1:
         raise ValueError("linear equivalence requires a strongly connected graph")
-    if len(x) != g.n or len(y) != g.n:
-        raise ValueError("configuration length must match the vertex count")
+    _check_vector(g.n, x, "configuration")
+    _check_vector(g.n, y, "configuration")
     return _reduced_solution(g, scc, tuple([b - a for a, b in zip(x, y)]))
 
 
@@ -306,13 +309,13 @@ def halts(
     all ones at first, then p, computed once every vertex has fired.  The
     legal vertices sit in a min-heap, smallest fired first, so a firing
     costs O(runs(v) + log n) and the game keeps O(n) memory
-    whatever ``max_steps``, its one budget, allows.
+    whatever ``max_steps``, its one budget, allows: at most that many
+    firings, so a game stable after exactly ``max_steps`` of them halts.
     """
     scc = scc_decompose(g)
     if len(scc.components) != 1:
         raise ValueError("halting analysis requires a strongly connected graph")
-    if len(x) != g.n:
-        raise ValueError("configuration length must match the vertex count")
+    _check_vector(g.n, x, "configuration")
     adj = g.adjacency()
     degs = [out.degree for out in adj]
     cur = list(x)
@@ -324,7 +327,7 @@ def halts(
     heap = [v for v in range(g.n) if queued[v]]  # ascending, so a heap
     for _ in range(max_steps):
         if not heap:
-            return HaltingVerdict("halts", final=tuple(cur), firing_vector=tuple(fired))
+            break
         v = heap[0]
         deg, edges = adj[v]
         left = cur[v] - deg
@@ -353,7 +356,9 @@ def halts(
                     witness_to_certificate=tuple(fired),
                     witness_cycle=period,
                 )
-    return HaltingVerdict("budget-exceeded", reason="max-steps")
+    if heap:
+        return HaltingVerdict("budget-exceeded", reason="max-steps")
+    return HaltingVerdict("halts", final=tuple(cur), firing_vector=tuple(fired))
 
 
 def verify_nonhalting_certificate(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> bool:
@@ -362,17 +367,5 @@ def verify_nonhalting_certificate(g: DirectedMultigraph, x: ChipConfig, y: ChipC
 
 
 def validate_legal_firing_sequence(g: DirectedMultigraph, x: ChipConfig, seq) -> bool:
-    """True when each firing in seq is legal at its moment."""
-    cur = x
-    for v in seq:
-        if not is_legal_fire(g, cur, v):
-            return False
-        cur = fire(g, cur, v)
-    return True
-
-
-def _check_count_vector(g: DirectedMultigraph, vec: IntVector) -> None:
-    if len(vec) != g.n:
-        raise ValueError("count vector length must match the vertex count")
-    if any(k < 0 for k in vec):
-        raise ValueError("count vector must be nonnegative")
+    """True when each firing in seq is legal at its moment: O(runs(v)) per firing."""
+    return _play_batches(g, x, ((v, 1) for v in seq)) is not None

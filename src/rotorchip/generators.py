@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from random import Random
 
-from .bruteforce import laplacian
 from .instancefile import Instance
 from .multigraph import DirectedMultigraph, head_totals
 from .rotorrouting import (
@@ -21,7 +20,7 @@ from .rotorrouting import (
     pi_r,
     route,
 )
-from .chipfiring import fire, is_legal_fire
+from .chipfiring import fire, fire_many, is_legal_fire
 
 FAMILIES = ("eulerian", "strongly-connected", "heavy-multiplicity", "random")
 
@@ -227,12 +226,10 @@ def chip_case_stream(seed: int):
         if mode == "random":
             target = _random_chips(rng, g.n)
         elif mode == "laplacian-image":
-            lap = laplacian(g)
-            f = tuple(rng.randint(0, 3) for _ in range(g.n))
-            target = tuple(
-                source[u] + sum(lap[u][v] * f[v] for v in range(g.n))
-                for u in range(g.n)
-            )
+            # source + L f: fire each v f(v) times
+            target = source
+            for v, k in enumerate([rng.randint(0, 3) for _ in range(g.n)]):
+                target = fire_many(g, target, v, k)
         else:
             target = source
             for _ in range(rng.randint(0, 8)):

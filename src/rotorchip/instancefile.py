@@ -101,7 +101,10 @@ class Instance:
         )
 
 
-def _int(token: str, what: str, line: int) -> int:
+def _int(token: str, what: str, line: int, ids: dict[str, int] | None = None) -> int:
+    """The integer a token spells: its entry in ``ids``, else ``int``'s with its checks."""
+    if ids is not None and token in ids:
+        return ids[token]
     try:
         return int(token)
     except ValueError:
@@ -138,11 +141,11 @@ def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[st
 def parse_instance(text: str) -> Instance:
     """Parse and check an instance file in one pass over its lines.
 
-    Each token is converted once.  Vertex tokens, multiplicities and run
-    counts are looked up in a table of the canonical spellings ``str(i)``,
-    ``0 <= i < n``: a hit is the integer and its range check at once, and
-    any other spelling (``+3``, ``007``, a count of n or more) takes the
-    ``int`` path with the same checks and messages.
+    Each token is converted once.  ``_int`` looks vertex tokens,
+    multiplicities and run counts up in a table of the canonical spellings
+    ``str(i)``, ``0 <= i < n``, before it calls ``int``: a hit is always in
+    range, and any other spelling (``+3``, ``007``, a count of n or more)
+    gets the same checks and messages.
     Each distinct run token is converted and checked once: a token that
     passed every check is kept, for this call only, as its ``(head,
     count)`` tuple, and where it comes back only the loop check is left,
@@ -187,15 +190,9 @@ def parse_instance(text: str) -> Instance:
         elif directive == "edge":
             if len(tokens) != 4:
                 raise InstanceFormatError("expected: edge <u> <v> <mult>", lineno)
-            u = ids.get(tokens[1])
-            if u is None:
-                u = _int(tokens[1], "edge tail", lineno)
-            v = ids.get(tokens[2])
-            if v is None:
-                v = _int(tokens[2], "edge head", lineno)
-            m = ids.get(tokens[3])
-            if m is None:
-                m = _int(tokens[3], "edge multiplicity", lineno)
+            u = _int(tokens[1], "edge tail", lineno, ids)
+            v = _int(tokens[2], "edge head", lineno, ids)
+            m = _int(tokens[3], "edge multiplicity", lineno, ids)
             if not (0 <= u < n and 0 <= v < n):
                 raise InstanceFormatError("edge endpoint out of range", lineno)
             if u == v:
@@ -210,11 +207,9 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     "expected: ribbon <v> : <head>:<count> ...", lineno
                 )
-            v = ids.get(tokens[1])
-            if v is None:
-                v = _int(tokens[1], "ribbon vertex", lineno)
-                if not 0 <= v < n:
-                    raise InstanceFormatError("ribbon vertex out of range", lineno)
+            v = _int(tokens[1], "ribbon vertex", lineno, ids)
+            if not 0 <= v < n:
+                raise InstanceFormatError("ribbon vertex out of range", lineno)
             if v in ribbon_lines:
                 raise InstanceFormatError(
                     f"duplicate ribbon line for vertex {v}", lineno
@@ -229,12 +224,8 @@ def parse_instance(text: str) -> Instance:
                             f"ribbon run {tok!r} must look like <head>:<count>",
                             lineno,
                         )
-                    head = ids.get(head_s)
-                    if head is None:
-                        head = _int(head_s, "run head", lineno)
-                    count = ids.get(count_s)
-                    if count is None:
-                        count = _int(count_s, "run count", lineno)
+                    head = _int(head_s, "run head", lineno, ids)
+                    count = _int(count_s, "run count", lineno, ids)
                     if not 0 <= head < n:
                         raise InstanceFormatError("run head out of range", lineno)
                     if head == v:
@@ -265,9 +256,7 @@ def parse_instance(text: str) -> Instance:
             name, rest = _config_name(tokens[1:], usage, lineno)
             if len(rest) != 2:
                 raise InstanceFormatError(f"expected: {usage}", lineno)
-            v = ids.get(rest[0])
-            if v is None:
-                v = _int(rest[0], "rotor vertex", lineno)
+            v = _int(rest[0], "rotor vertex", lineno, ids)
             pos = _int(rest[1], "rotor position", lineno)
             if not 0 <= v < n:
                 raise InstanceFormatError("rotor vertex out of range", lineno)

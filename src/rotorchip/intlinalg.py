@@ -37,6 +37,7 @@ from .multigraph import (
     DirectedMultigraph,
     IntVector,
     SccDecomposition,
+    _check_vector,
     dense_row,
     is_strongly_connected,
     scc_decompose,
@@ -242,16 +243,17 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
 
     One elimination of the reduced Laplacian (one root per sink
     component) yields det times a rational solution f0 that is zero at
-    the roots, and det times each sink component's kernel vector.  The
-    deleted root rows decide rational solvability.  Entries outside sink
-    components are forced and must be integral and nonnegative; inside
-    sink component i every solution is f0 + t * p_i, and integrality is a
-    set of linear congruences in the one unknown shift, solved with gcd
-    and modular inverses.  Finally each sink component is shifted by
-    its period vector until it is nonnegative and does not dominate it.
+    the roots, and det times each nontrivial sink component's kernel
+    vector.  The deleted root rows decide rational solvability.  Entries
+    outside sink components are forced and must be integral and
+    nonnegative; a trivial sink s has period e_s, so its entry is 0;
+    inside any other sink component i every solution is f0 + t * p_i,
+    and integrality is a set of linear congruences in the one unknown
+    shift, solved with gcd and modular inverses.  Finally each such
+    component is shifted by its period vector until it is nonnegative
+    and does not dominate it.
     """
-    if len(d) != g.n:
-        raise ValueError("dimension mismatch between graph and right-hand side")
+    _check_vector(g.n, d, "right-hand side")
     return _reduced_solution(g, scc_decompose(g), d)
 
 
@@ -260,10 +262,12 @@ def _reduced_solution(
 ) -> IntVector | None:
     """``nonneg_reduced_solution`` on a decomposition the caller already has."""
     n = g.n
-    sinks = [scc.components[i] for i in scc.sink_component_ids()]
-    roots = [comp[0] for comp in sinks]
+    sink_ids = scc.sink_component_ids()
+    roots = [scc.components[i][0] for i in sink_ids]
+    # a trivial sink s has period e_s and reduced entry 0: no kernel column
+    kernel_sinks = [scc.components[i] for i in sink_ids if not scc.is_trivial[i]]
     adj = g.adjacency()
-    columns = [[-x for x in d]] + [dense_row(n, adj[s]) for s in roots]
+    columns = [[-x for x in d]] + [dense_row(n, adj[comp[0]]) for comp in kernel_sinks]
     det, (num, *kers) = _solve_reduced(g, range(n), g.out_degrees(), roots, columns)
     # the deleted root rows: the edges into each root s carry det * d[s]
     inflow = dict.fromkeys(roots, 0)
@@ -280,7 +284,7 @@ def _reduced_solution(
             if r or q < 0:
                 return None
             out[v] = q
-    for comp, ker in zip(sinks, kers):
+    for comp, ker in zip(kernel_sinks, kers):
         p = _primitive(det, ker, comp)
         y = _shift_congruence(num, ker, comp, det)
         if y is None:
@@ -331,7 +335,7 @@ def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
 
 def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:
     """The reduced representative of f >= 0 modulo the period lattice."""
-    _check_nonneg(g, f)
+    _check_vector(g.n, f, "vector", nonneg=True)
     out = list(f)
     for comp, p in _sink_steps(g, (1,) * g.n):
         _shift_down(out, comp, p)
@@ -340,15 +344,9 @@ def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:
 
 def reduce_routing_vector(g: DirectedMultigraph, r: IntVector) -> IntVector:
     """The routing-reduced representative of r >= 0 modulo routing periods."""
-    _check_nonneg(g, r)
+    _check_vector(g.n, r, "vector", nonneg=True)
     out = list(r)
     for comp, p in _sink_steps(g, g.out_degrees()):
         _shift_down(out, comp, p)
     return tuple(out)
 
-
-def _check_nonneg(g: DirectedMultigraph, vec: IntVector) -> None:
-    if len(vec) != g.n:
-        raise ValueError("vector length must match the vertex count")
-    if any(x < 0 for x in vec):
-        raise ValueError("vector must be nonnegative")

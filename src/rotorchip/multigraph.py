@@ -11,6 +11,15 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 Run = tuple[int, int]
 
+
+def _check_vector(n: int, vec, what: str, nonneg: bool = False) -> None:
+    """Raise ValueError unless vec has n entries, and with ``nonneg`` none below 0."""
+    if len(vec) != n:
+        raise ValueError(f"{what} length must match the vertex count")
+    if nonneg and any(x < 0 for x in vec):
+        raise ValueError(f"{what} must be nonnegative")
+
+
 # Graphs built from rows and ribbons on at most this many vertices share
 # equal rows' adjacency entries, vertex orders and view rows with others
 # through bounded caches.  The oracle sweeps and the case streams hold

@@ -8,9 +8,10 @@ O(number of runs) arbitrary-precision operations, never O(degree), so
 multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``_route_vertex``, routes a single vertex k times in O(runs(v));
 ``pi_r`` loops over it, ``route_many`` (and ``route`` through it) calls
-it once, and the bounded game and trace replay call it on their own
-lists.  The bounded game keeps its eligible vertices in a min-heap
-(smallest routed first), so a batch costs O(runs(v) + log n).
+it once, and the bounded game and the batch replay behind traces and
+the sequence validator call it on their own lists.  The bounded game
+keeps its eligible vertices in a min-heap (smallest routed first), so a
+batch costs O(runs(v) + log n).
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -29,7 +30,9 @@ from typing import Iterable, NamedTuple
 
 from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
-from .multigraph import DirectedMultigraph, IntVector, OutEdges, Run, head_totals, share_small
+from .multigraph import (
+    DirectedMultigraph, IntVector, OutEdges, Run, _check_vector, head_totals, share_small,
+)
 
 CountVector = IntVector
 
@@ -139,9 +142,8 @@ class ChipRotorConfig(NamedTuple):
 
 
 def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
-    n = ribbon.n
-    if len(config.chips) != n or len(config.rotors) != n:
-        raise ValueError("configuration length must match the vertex count")
+    _check_vector(ribbon.n, config.chips, "configuration")
+    _check_vector(ribbon.n, config.rotors, "configuration")
     for v, (out, pos) in enumerate(zip(ribbon.adjacency(), config.rotors)):
         if out.degree == 0:
             if pos is not None:
@@ -212,12 +214,14 @@ def pi_r(
     Unconstrained routings commute, so the result is order-independent.
     Cost is O(total runs) big-integer operations.
     """
-    _check_routing_vector(ribbon, r)
+    _check_vector(ribbon.n, r, "routing vector", nonneg=True)
     adj = ribbon.adjacency()
     chips = list(config.chips)
     rotors = list(config.rotors)
     for v, rv in enumerate(r):
         if rv:
+            if adj[v].degree == 0:
+                raise ValueError(f"routing vector positive at sink vertex {v}")
             _route_vertex(adj[v], chips, rotors, v, rv)
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
@@ -256,23 +260,29 @@ class RotorGameTrace:
     routing_vector: CountVector
 
     def replay(self, ribbon: RibbonStructure) -> bool:
-        """Re-run the batches, checking legality of every single routing.
+        """Re-run the batches, checking legality of every single routing."""
+        played = _play_batches(ribbon, self.initial, self.batches)
+        return played == (self.final, self.routing_vector)
 
-        Within a batch only v loses chips and loses exactly one per
-        routing, so chips(v) >= k certifies all k leg checks.  Each
-        batch costs O(runs(v)).
-        """
-        adj = ribbon.adjacency()
-        chips = list(self.initial.chips)
-        rotors = list(self.initial.rotors)
-        routed = [0] * len(adj)
-        for v, k in self.batches:
-            if not 0 <= v < len(adj) or k < 1 or adj[v].degree == 0 or chips[v] < k:
-                return False
-            _route_vertex(adj[v], chips, rotors, v, k)
-            routed[v] += k
-        final = ChipRotorConfig(tuple(chips), tuple(rotors))
-        return final == self.final and tuple(routed) == self.routing_vector
+
+def _play_batches(
+    ribbon: RibbonStructure, config: ChipRotorConfig, batches
+) -> tuple[ChipRotorConfig, CountVector] | None:
+    """(final, routing vector) after the (v, k) batches from config; None at an illegal one.
+
+    Within a batch only v loses chips and loses exactly one per routing,
+    so chips(v) >= k certifies all k legality checks: O(runs(v)) per batch.
+    """
+    adj = ribbon.adjacency()
+    chips = list(config.chips)
+    rotors = list(config.rotors)
+    routed = [0] * len(adj)
+    for v, k in batches:
+        if not 0 <= v < len(adj) or k < 1 or adj[v].degree == 0 or chips[v] < k:
+            return None
+        _route_vertex(adj[v], chips, rotors, v, k)
+        routed[v] += k
+    return ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(routed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,10 +307,7 @@ def bounded_rotor_game(
     join: O(runs(v) + log n) per batch.
     """
     validate_config(ribbon, config)
-    if len(bound) != ribbon.n:
-        raise ValueError("bound length must match the vertex count")
-    if any(b < 0 for b in bound):
-        raise ValueError("bound must be nonnegative")
+    _check_vector(ribbon.n, bound, "bound", nonneg=True)
     adj, degs = ribbon.adjacency(), ribbon.degrees
     chips = list(config.chips)
     rotors = list(config.rotors)
@@ -489,20 +496,5 @@ def validate_legal_routing_sequence(
     config: ChipRotorConfig,
     seq: Iterable[int],
 ) -> bool:
-    """True when each routing in seq is legal at its moment."""
-    cur = config
-    for v in seq:
-        if not is_legal_route(ribbon, cur, v):
-            return False
-        cur = route(ribbon, cur, v)
-    return True
-
-
-def _check_routing_vector(ribbon: RibbonStructure, r: CountVector) -> None:
-    if len(r) != ribbon.n:
-        raise ValueError("routing vector length must match the vertex count")
-    for v, rv in enumerate(r):
-        if rv < 0:
-            raise ValueError("routing vector must be nonnegative")
-        if rv > 0 and ribbon.is_sink(v):
-            raise ValueError(f"routing vector positive at sink vertex {v}")
+    """True when each routing in seq is legal at its moment: O(runs(v)) per routing."""
+    return _play_batches(ribbon, config, ((v, 1) for v in seq)) is not None

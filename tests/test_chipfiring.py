@@ -279,6 +279,18 @@ class TestHalting:
         assert v.kind == "budget-exceeded"
         assert v.reason == "max-steps"
 
+    def test_budget_allows_exactly_max_steps_firings(self) -> None:
+        # (1, 0) fires vertex 0 once and is then stable at (0, 1)
+        g = DirectedMultigraph.from_edges(2, [(0, 1, 1), (1, 0, 2)])
+        assert halts(g, (1, 0), max_steps=0).kind == "budget-exceeded"
+        for max_steps in (1, 2):
+            v = halts(g, (1, 0), max_steps=max_steps)
+            assert v == HaltingVerdict("halts", final=(0, 1), firing_vector=(1, 0))
+
+    def test_stable_start_halts_under_budget_0(self, c2: DirectedMultigraph) -> None:
+        v = halts(c2, (0, 0), max_steps=0)
+        assert v == HaltingVerdict("halts", final=(0, 0), firing_vector=(0, 0))
+
     def test_verdicts_with_a_result_carry_no_reason(self, c2: DirectedMultigraph) -> None:
         assert halts(c2, (0, 0)).reason is None
         assert halts(c2, (1, 1)).reason is None
@@ -374,10 +386,12 @@ def _dense_halts(g: DirectedMultigraph, x, max_steps: int) -> HaltingVerdict:
     cur = tuple(x)
     fired = [0] * g.n
     seen = {cur: tuple(fired)}
-    for _ in range(max_steps):
+    for step in range(max_steps + 1):
         v = next((u for u in range(g.n) if cur[u] >= sum(mult[u])), None)
         if v is None:
             return HaltingVerdict("halts", final=cur, firing_vector=tuple(fired))
+        if step == max_steps:
+            break
         cur = tuple(_dense_fire(mult, cur, v, 1))
         fired[v] += 1
         if cur in seen:

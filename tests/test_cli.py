@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from parser_reference import with_edge_lines
 
-from rotorchip import cli
+from rotorchip import chipfiring, cli, intlinalg, multigraph
 from rotorchip.cli import build_parser, run_command
 from rotorchip.generators import DENSE_FAMILIES
 from rotorchip.instancefile import MAX_VERTICES, parse_instance
@@ -352,6 +352,56 @@ class TestOneSubparserPerCall:
         capsys.readouterr()
         # one top-level parser and one subparser per subcommand, once
         assert built == ["rotorchip"] + [f"rotorchip {name}" for name in OPTIONS]
+
+
+TRIANGLE_TEXT = """\
+graph 3
+ribbon 0 : 1:1 2:1
+ribbon 1 : 2:1
+ribbon 2 : 0:2
+chips src : 2 0 0
+chips dst : 0 1 1
+"""
+
+# every subcommand that gives a verdict on an instance, with the options
+# it needs on TRIANGLE_TEXT
+VERDICT_COMMANDS = {
+    "period": [],
+    "scc": [],
+    "chip-reach": ["--trace"],
+    "chip-recurrent": ["--config", "src"],
+    "chip-halting": ["--config", "src"],
+    "lin-equiv": [],
+    "rotor-route": ["--config", "src", "--r", "1,1,1"],
+    "rotor-odom": ["--config", "src", "--r", "1,1,1", "--trace"],
+    "rotor-unconstrained": [],
+    "rotor-reach": ["--trace"],
+    "bfs-reach": [],
+}
+
+
+def test_each_verdict_command_makes_at_most_one_scc_pass(tmp_path, capsys, monkeypatch) -> None:
+    assert set(VERDICT_COMMANDS) == set(OPTIONS) - {"gen", "oracle-check"}
+    path = tmp_path / "triangle.rcg"
+    path.write_text(TRIANGLE_TEXT, encoding="utf-8")
+    decompose = multigraph.scc_decompose
+    passes = []
+
+    def counted(g):
+        passes.append(g.n)
+        return decompose(g)
+
+    # every module that binds the name
+    for module in (multigraph, intlinalg, chipfiring, cli):
+        monkeypatch.setattr(module, "scc_decompose", counted)
+    counts = {}
+    for name, options in VERDICT_COMMANDS.items():
+        passes.clear()
+        code, _, err = _outcome(capsys, [name, str(path), *options])
+        assert (code, err) == (0, "")
+        counts[name] = len(passes)
+    assert counts["scc"] == 1
+    assert max(counts.values()) <= 1, counts
 
 
 class TestPeriod:
@@ -754,6 +804,10 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 3
         assert out == "status=budget-exceeded reason=max-steps\n"
+
+    def test_stable_start_halts_under_budget_0(self, capsys, d21_path: str) -> None:
+        argv = ["chip-halting", d21_path, "--config", "src", "--budget-steps", "0"]
+        assert _outcome(capsys, argv) == (0, "status=halts final=0,0 f=0,0\n", "")
 
     def test_recurrent_budget_exit(self, capsys, c2_path: str) -> None:
         code = run_command(["chip-recurrent", c2_path, "--budget-steps", "0"])

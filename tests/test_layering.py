@@ -29,3 +29,36 @@ def test_the_guard_sees_a_read(tmp_path) -> None:
     (tmp_path / "engine.py").write_text("def f(g):\n    return g.mult[0]\n")
     (tmp_path / "bruteforce.py").write_text("def f(g):\n    return g.mult\n")
     assert _mult_readers(tmp_path) == ["engine.py:2"]
+
+
+# the harness modules, which run the oracle against the engine
+ORACLE_USERS = {"bruteforce.py", "cli.py", "sweeps.py"}
+
+
+def _oracle_importers(src: Path = SRC) -> list[str]:
+    """Each import of ``bruteforce`` outside the oracle and the harness, as ``file:line``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ORACLE_USERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "bruteforce" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_engine_module_imports_the_oracle() -> None:
+    assert _oracle_importers() == []
+
+
+def test_the_guard_sees_an_import(tmp_path) -> None:
+    (tmp_path / "engine.py").write_text("from .bruteforce import laplacian\n")
+    (tmp_path / "streams.py").write_text("import os\nfrom . import bruteforce\n")
+    (tmp_path / "sweeps.py").write_text("from . import bruteforce\n")
+    assert _oracle_importers(tmp_path) == ["engine.py:1", "streams.py:2"]

@@ -7,13 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorchip.bruteforce import enumerate_digraphs, laplacian, reachability_matrix
+from rotorchip.chipfiring import bounded_chip_game, halts, lin_equiv, reach_chip
 from rotorchip.generators import FAMILIES, gen_graph
+from rotorchip.intlinalg import nonneg_reduced_solution, reduce_routing_vector, reduce_vector
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
     is_eulerian,
     is_strongly_connected,
     scc_decompose,
+)
+from rotorchip.rotorrouting import (
+    ChipRotorConfig,
+    RibbonStructure,
+    bounded_rotor_game,
+    pi_r,
+    validate_config,
 )
 
 
@@ -199,3 +208,47 @@ class TestGenGraph:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_size_is_the_vertex_count(self, family: str) -> None:
         assert [gen_graph(family, n, Random(n)).n for n in (2, 3, 7)] == [2, 3, 7]
+
+
+_C2 = DirectedMultigraph.from_edges(2, [(0, 1, 1), (1, 0, 1)])
+_C2_RIBBON = RibbonStructure.of(_C2)
+_C2_CONFIG = ChipRotorConfig((1, 0), (0, 0))
+
+# every engine entry point's vector argument: the name its messages give,
+# whether it must be nonnegative, and a call that passes it
+VECTOR_SITES = {
+    "bounded_chip_game bound": ("count vector", True, lambda v: bounded_chip_game(_C2, (0, 0), v)),
+    "bounded_chip_game x": ("chip configuration", False, lambda v: bounded_chip_game(_C2, v, (0, 0))),
+    "reach_chip x": ("configuration", False, lambda v: reach_chip(_C2, v, (0, 0))),
+    "reach_chip y": ("configuration", False, lambda v: reach_chip(_C2, (0, 0), v)),
+    "lin_equiv x": ("configuration", False, lambda v: lin_equiv(_C2, v, (0, 0))),
+    "lin_equiv y": ("configuration", False, lambda v: lin_equiv(_C2, (0, 0), v)),
+    "halts": ("configuration", False, lambda v: halts(_C2, v)),
+    "nonneg_reduced_solution": ("right-hand side", False, lambda v: nonneg_reduced_solution(_C2, v)),
+    "reduce_vector": ("vector", True, lambda v: reduce_vector(_C2, v)),
+    "reduce_routing_vector": ("vector", True, lambda v: reduce_routing_vector(_C2, v)),
+    "validate_config chips": (
+        "configuration", False, lambda v: validate_config(_C2_RIBBON, ChipRotorConfig(v, (0, 0)))
+    ),
+    "validate_config rotors": (
+        "configuration", False, lambda v: validate_config(_C2_RIBBON, ChipRotorConfig((0, 0), v))
+    ),
+    "bounded_rotor_game": ("bound", True, lambda v: bounded_rotor_game(_C2_RIBBON, _C2_CONFIG, v)),
+    "pi_r": ("routing vector", True, lambda v: pi_r(_C2_RIBBON, _C2_CONFIG, v)),
+}
+
+
+class TestVectorChecks:
+    @pytest.mark.parametrize("site", VECTOR_SITES)
+    def test_length_and_sign_messages(self, site: str) -> None:
+        what, nonneg, call = VECTOR_SITES[site]
+        with pytest.raises(ValueError, match=f"^{what} length must match the vertex count$"):
+            call((0, 0, 0))
+        if nonneg:
+            with pytest.raises(ValueError, match=f"^{what} must be nonnegative$"):
+                call((1, -1))
+
+    def test_pi_r_refuses_routing_a_sink(self, fig1_ribbon: RibbonStructure) -> None:
+        config = ChipRotorConfig((0, 0, 0, 0), (0, 0, 0, None))
+        with pytest.raises(ValueError, match="^routing vector positive at sink vertex 3$"):
+            pi_r(fig1_ribbon, config, (1, 0, 0, 1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 import tracemalloc
+from itertools import islice
 from math import gcd, isqrt
 from random import Random
 
@@ -19,7 +20,7 @@ import pytest
 from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
 from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
 from rotorchip.cli import run_command
-from rotorchip.generators import FAMILIES, gen_graph, gen_instance, random_ribbon
+from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
 from rotorchip.instancefile import MAX_VERTICES, serialize_instance
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
 from rotorchip.multigraph import DirectedMultigraph, scc_decompose
@@ -58,6 +59,28 @@ def test_reach_chip_yes_within_wall_bound(family: str, n: int, wall_s: float) ->
     assert verdict.decision == "YES"
     assert verdict.trace is not None and verdict.trace.final == y
     assert elapsed < wall_s, f"{family} n={n}: {elapsed:.1f}s >= {wall_s}s"
+
+
+def test_reach_chip_out_star_n4096_within_wall_and_memory_bounds() -> None:
+    # 4095 single-vertex sinks: measured 0.01 s and a 1.0 MB peak; an
+    # n-long kernel column and solution per sink took 2.0 s here, and
+    # 0.42 s with a 67.7 MB peak at n=2048
+    n = 4096
+    g = DirectedMultigraph.from_edges(n, [(0, i, 1) for i in range(1, n)])
+    x, y = (n - 1,) + (0,) * (n - 1), (0,) + (1,) * (n - 1)
+    start = time.perf_counter()
+    verdict = reach_chip(g, x, y)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        reach_chip(g, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.decision == "YES"
+    assert verdict.firing_vector == (1,) + (0,) * (n - 1)
+    assert elapsed < 0.5, f"out-star n={n}: {elapsed:.2f}s >= 0.5s"
+    assert peak < 5e6, f"out-star n={n}: peak {peak / 1e6:.1f} MB"
 
 
 def _hadamard_bound(g: DirectedMultigraph, d: tuple[int, ...]) -> int:
@@ -308,3 +331,12 @@ def test_gen_bytes_are_pinned() -> None:
             for size in (2, 4, 24, 140, 500):
                 digest.update(serialize_instance(gen_instance(family, size, seed)).encode())
     assert digest.hexdigest() == "675bf79f41a409f25344ea7fc6a3a93526fcf933d7f612e195b016ca5642091e"
+
+
+def test_chip_case_stream_is_pinned() -> None:
+    # the first 2,000 cases at seed 0, as the stream drew them when it took
+    # its laplacian-image targets from the oracle's dense Laplacian
+    digest = hashlib.sha256()
+    for case in islice(chip_case_stream(0), 2000):
+        digest.update(repr((case.graph, case.source, case.target, case.mode)).encode())
+    assert digest.hexdigest() == "26215852daa4adcd1ef523df68a0b1b50ebf69a5c382fb01f838d7a76234b8af"
