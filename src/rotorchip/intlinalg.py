@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
@@ -138,7 +138,9 @@ def _shift_congruence(
     return y
 
 
-def _shift_down(out: list[int], comp: Sequence[int], step: Sequence[int]) -> None:
+def _shift_down(
+    out: list[int], comp: Sequence[int], step: Mapping[int, int] | Sequence[int]
+) -> None:
     """Subtract the multiple of ``step`` on ``comp`` that makes out reduced there."""
     shift = min(out[v] // step[v] for v in comp)
     if shift:
@@ -297,19 +299,22 @@ def _reduced_solution(
 
 def _sink_steps(
     g: DirectedMultigraph, scale: Sequence[int]
-) -> Iterator[tuple[IntVector, list[int]]]:
+) -> Iterator[tuple[IntVector, dict[int, int]]]:
     """Each sink component with its period vector times ``scale`` per vertex.
 
-    A sink component has no leaving edges, so its out-degrees are its
-    own.  Zero steps, the trivial sinks under the routing scale (the
-    out-degree), constrain nothing and are skipped.
+    A step maps each vertex of its component to its entry.  A sink
+    component has no leaving edges, so its out-degrees are its own.  A
+    trivial sink {s} has period e_s, so its step is {s: scale[s]}, with
+    no n-long vector built.  Zero steps, the trivial sinks under the
+    routing scale (the out-degree), constrain nothing and are skipped.
     """
     scc = scc_decompose(g)
     degs = g.out_degrees()
     for i in scc.sink_component_ids():
         comp = scc.components[i]
-        step = [x * k for x, k in zip(_component_period(g, comp, degs), scale)]
-        if any(step):
+        p = {comp[0]: 1} if scc.is_trivial[i] else _component_period(g, comp, degs)
+        step = {v: p[v] * scale[v] for v in comp}
+        if any(step.values()):
             yield comp, step
 
 

@@ -277,7 +277,35 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
 
 
 def is_strongly_connected(g: DirectedMultigraph) -> bool:
-    return len(scc_decompose(g).components) == 1
+    """Whether every vertex reaches vertex 0 and back: O(n + runs), no sort.
+
+    One forward walk from 0 collects each vertex's predecessors as it
+    goes; when it reaches every vertex it has walked every run, so one
+    backward walk over those lists decides the rest.
+    """
+    adj = g.adjacency()
+    preds: list[list[int]] = [[] for _ in adj]
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, _ in adj[v].edges:
+            preds[w].append(v)
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        return False
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for u in preds[stack.pop()]:
+            if not seen[u]:
+                seen[u] = True
+                stack.append(u)
+    return all(seen)
 
 
 def is_eulerian(g: DirectedMultigraph) -> bool:

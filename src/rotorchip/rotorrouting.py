@@ -10,8 +10,9 @@ multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``pi_r`` loops over it, ``route_many`` (and ``route`` through it) calls
 it once, and the bounded game and the batch replay behind traces and
 the sequence validator call it on their own lists.  The bounded game
-keeps its eligible vertices in a min-heap (smallest routed first), so a
-batch costs O(runs(v) + log n).
+plays in sorted rounds, as the chip game does: each round routes every
+vertex eligible at its start, in ascending order, so a batch costs
+O(runs(v)) plus a share of one sort per round.
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -23,7 +24,6 @@ chip.  Sinks have no rotor and are never routed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -300,11 +300,17 @@ def bounded_rotor_game(
 ) -> BoundedRotorResult:
     """Play a maximal legal rotor game routing each v at most bound(v) times.
 
-    Bounded rotor games are abelian, so the deterministic greedy schedule
-    (smallest eligible vertex, largest safe batch) yields the canonical
-    routing vector, the game's odometer.  A batch spends v's remaining
-    bound or its pile, so v leaves the worklist and only its heads can
-    join: O(runs(v) + log n) per batch.
+    Bounded rotor games are abelian, so any maximal schedule yields the
+    canonical routing vector, the game's odometer, and the same final
+    configuration.  This one plays sorted rounds: round 0 is the eligible
+    vertices, ascending; each vertex in a round routes its largest safe
+    batch, computed at its turn.  A batch spends v's remaining bound or
+    its pile, so v leaves the worklist; a head that becomes eligible and
+    is not waiting later in the round joins the next one, which is
+    sorted.  Cost: O(runs(v)) per batch plus one sort per round.  As
+    measured on Eulerian graphs, the batch count grows about linearly in
+    the chips' bit length: about 182,000 batches for 128-bit chips at
+    n=60 (README).  No polynomial bound is claimed.
     """
     validate_config(ribbon, config)
     _check_vector(ribbon.n, bound, "bound", nonneg=True)
@@ -313,23 +319,25 @@ def bounded_rotor_game(
     rotors = list(config.rotors)
     routed = [0] * ribbon.n
     queued = [d > 0 and b > 0 and c > 0 for d, b, c in zip(degs, bound, chips)]
-    heap = [v for v in range(ribbon.n) if queued[v]]  # ascending, so a heap
     batches: list[tuple[int, int]] = []
-    while heap:
-        v = heappop(heap)
-        queued[v] = False
-        k = min(bound[v] - routed[v], chips[v])
-        if len(batches) >= max_batches:
-            raise BudgetExceededError(
-                f"bounded rotor game exceeded {max_batches} batches"
-            )
-        _route_vertex(adj[v], chips, rotors, v, k)
-        routed[v] += k
-        batches.append((v, k))
-        for u, _ in adj[v].edges:
-            if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
-                queued[u] = True
-                heappush(heap, u)
+    current = [v for v in range(ribbon.n) if queued[v]]
+    while current:
+        joined = []
+        for v in current:
+            queued[v] = False
+            k = min(bound[v] - routed[v], chips[v])
+            if len(batches) >= max_batches:
+                raise BudgetExceededError(
+                    f"bounded rotor game exceeded {max_batches} batches"
+                )
+            _route_vertex(adj[v], chips, rotors, v, k)
+            routed[v] += k
+            batches.append((v, k))
+            for u, _ in adj[v].edges:
+                if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
+                    queued[u] = True
+                    joined.append(u)
+        current = sorted(joined)
     final = ChipRotorConfig(tuple(chips), tuple(rotors))
     return BoundedRotorResult(
         routing_vector=tuple(routed),

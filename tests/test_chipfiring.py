@@ -32,7 +32,6 @@ from rotorchip.generators import gen_graph
 from rotorchip.intlinalg import nonneg_reduced_solution, primitive_period_vector
 from rotorchip.multigraph import (
     DirectedMultigraph,
-    SccDecomposition,
     is_strongly_connected,
     scc_decompose,
 )
@@ -77,6 +76,16 @@ class TestFire:
         assert sum(fire(c2, x, 0)) == sum(x)
 
 
+# Two 2-cycles with one chip on 1 and on 2, so round 0 is [1, 2].  In the
+# first, 1 makes 0 eligible while 2 still waits in the round; in the
+# second, 1 makes 3 eligible before 2 makes 0 eligible.  Either way the
+# next round is [0, 3].
+_ROUND_ORDER_GRAPHS = [
+    [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)],
+    [(0, 2, 1), (2, 0, 1), (1, 3, 1), (3, 1, 1)],
+]
+
+
 class TestBoundedGame:
     def test_two_cycle(self, c2: DirectedMultigraph) -> None:
         res = bounded_chip_game(c2, (1, 0), (1, 1))
@@ -102,6 +111,12 @@ class TestBoundedGame:
     def test_budget_raises(self, c2: DirectedMultigraph) -> None:
         with pytest.raises(BudgetExceededError):
             bounded_chip_game(c2, (1, 0), (10, 10), max_batches=3)
+
+    @pytest.mark.parametrize("edges", _ROUND_ORDER_GRAPHS, ids=["joiner-waits", "next-round-sorted"])
+    def test_plays_sorted_rounds(self, edges) -> None:
+        g = DirectedMultigraph.from_edges(4, edges)
+        res = bounded_chip_game(g, (0, 1, 1, 0), (1, 1, 1, 1))
+        assert res.trace.batches == ((1, 1), (2, 1), (0, 1), (3, 1))
 
     def test_large_pile_batches(self) -> None:
         # One batch per vertex drains an astronomically large pile.
@@ -163,6 +178,23 @@ class TestReach:
             assert (reach_chip(c2, x, y).decision == "YES") == bfs_reach_chip(c2, x, y)
 
 
+def _connectivity_passes(monkeypatch) -> list[DirectedMultigraph]:
+    """The graphs of every scc_decompose and is_strongly_connected call, as they happen.
+
+    Both are wrapped in every module that binds them, so a pass through
+    either name counts once.
+    """
+    calls = []
+    for original in (scc_decompose, is_strongly_connected):
+        def counting(g: DirectedMultigraph, original=original):
+            calls.append(g)
+            return original(g)
+
+        for module in (multigraph, intlinalg, chipfiring):
+            monkeypatch.setattr(module, original.__name__, counting)
+    return calls
+
+
 class TestRecurrence:
     def test_frozen_examples(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
         assert is_recurrent(c2, (1, 0))
@@ -191,14 +223,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])
     def test_one_decomposition_per_call(self, monkeypatch, c2, d21, query) -> None:
         cases = [(c2, (1, 0), True), (c2, (0, 0), False), (d21, (2, 0), True), (d21, (1, 0), False)]
-        calls = []
-
-        def counting(g: DirectedMultigraph) -> SccDecomposition:
-            calls.append(g)
-            return scc_decompose(g)
-
-        for module in (multigraph, intlinalg, chipfiring):
-            monkeypatch.setattr(module, "scc_decompose", counting)
+        calls = _connectivity_passes(monkeypatch)
         for g, x, want in cases:
             calls.clear()
             assert query(g, x) == want
@@ -224,14 +249,7 @@ class TestLinEquiv:
     def test_one_decomposition_per_call(self, monkeypatch, c2, d21) -> None:
         cases = [(c2, (1, 0), (0, 1)), (c2, (1, 0), (0, 0)), (d21, (3, 0), (0, 3))]
         wants = [nonneg_reduced_solution(g, (y[0] - x[0], y[1] - x[1])) for g, x, y in cases]
-        calls = []
-
-        def counting(g: DirectedMultigraph) -> SccDecomposition:
-            calls.append(g)
-            return scc_decompose(g)
-
-        for module in (multigraph, intlinalg, chipfiring):
-            monkeypatch.setattr(module, "scc_decompose", counting)
+        calls = _connectivity_passes(monkeypatch)
         for (g, x, y), want in zip(cases, wants):
             calls.clear()
             assert lin_equiv(g, x, y) == want
@@ -421,11 +439,36 @@ def _check_period_certificate(g: DirectedMultigraph, x, verdict: HaltingVerdict,
 
 
 def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
-    """(firing vector, final, batches); raises BudgetExceededError like the engine."""
+    """(firing vector, final, batches) of the round schedule, by dense scans.
+
+    Each round scans all n vertices for the eligible ones, then fires
+    each of them in ascending order with its largest safe batch at its
+    turn.  Raises BudgetExceededError like the engine.
+    """
     mult = g.mult
+    degs = [sum(row) for row in mult]
     cur = list(x)
     fired = [0] * g.n
     batches = []
+    while True:
+        current = [v for v in range(g.n) if fired[v] < bound[v] and cur[v] >= degs[v]]
+        if not current:
+            return tuple(fired), tuple(cur), tuple(batches)
+        for v in current:
+            remaining = bound[v] - fired[v]
+            k = min(remaining, cur[v] // degs[v]) if degs[v] else remaining
+            if len(batches) >= max_batches:
+                raise BudgetExceededError("dense reference")
+            cur = _dense_fire(mult, cur, v, k)
+            fired[v] += k
+            batches.append((v, k))
+
+
+def _dense_smallest_first_chip_game(g: DirectedMultigraph, x, bound):
+    """(firing vector, final) of the smallest-eligible-first schedule, by dense scans."""
+    mult = g.mult
+    cur = list(x)
+    fired = [0] * g.n
     while True:
         for v in range(g.n):
             deg = sum(mult[v])
@@ -433,13 +476,10 @@ def _dense_bounded_chip_game(g: DirectedMultigraph, x, bound, max_batches: int):
             if remaining > 0 and cur[v] >= deg:
                 break
         else:
-            return tuple(fired), tuple(cur), tuple(batches)
+            return tuple(fired), tuple(cur)
         k = min(remaining, cur[v] // deg) if deg else remaining
-        if len(batches) >= max_batches:
-            raise BudgetExceededError("dense reference")
         cur = _dense_fire(mult, cur, v, k)
         fired[v] += k
-        batches.append((v, k))
 
 
 class TestScheduleMatchesDenseScan:
@@ -481,6 +521,8 @@ class TestScheduleMatchesDenseScan:
         res = bounded_chip_game(g, x, bound, max_batches=max_batches)
         assert (res.firing_vector, res.final, res.trace.batches) == expected
         assert res.trace.replay(g)
+        # bounded games are abelian: another schedule fires the same vector
+        assert (res.firing_vector, res.final) == _dense_smallest_first_chip_game(g, x, bound)
 
 
 def _chain(n: int) -> DirectedMultigraph:
@@ -580,13 +622,6 @@ class TestPeriodDomination:
     )
     def test_one_decomposition_per_call(self, monkeypatch, edges, x, kind: str) -> None:
         g = DirectedMultigraph.from_edges(2, edges)
-        calls = []
-
-        def counting(g: DirectedMultigraph) -> SccDecomposition:
-            calls.append(g)
-            return scc_decompose(g)
-
-        for module in (multigraph, intlinalg, chipfiring):
-            monkeypatch.setattr(module, "scc_decompose", counting)
+        calls = _connectivity_passes(monkeypatch)
         assert halts(g, x).kind == kind
         assert len(calls) == 1

@@ -384,23 +384,26 @@ def test_each_verdict_command_makes_at_most_one_scc_pass(tmp_path, capsys, monke
     assert set(VERDICT_COMMANDS) == set(OPTIONS) - {"gen", "oracle-check"}
     path = tmp_path / "triangle.rcg"
     path.write_text(TRIANGLE_TEXT, encoding="utf-8")
-    decompose = multigraph.scc_decompose
     passes = []
+    # a pass is one scc_decompose or one is_strongly_connected call
+    for name in ("scc_decompose", "is_strongly_connected"):
+        original = getattr(multigraph, name)
 
-    def counted(g):
-        passes.append(g.n)
-        return decompose(g)
+        def counted(g, original=original):
+            passes.append(g.n)
+            return original(g)
 
-    # every module that binds the name
-    for module in (multigraph, intlinalg, chipfiring, cli):
-        monkeypatch.setattr(module, "scc_decompose", counted)
+        # every module that binds the name
+        for module in (multigraph, intlinalg, chipfiring, cli):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counted)
     counts = {}
     for name, options in VERDICT_COMMANDS.items():
         passes.clear()
         code, _, err = _outcome(capsys, [name, str(path), *options])
         assert (code, err) == (0, "")
         counts[name] = len(passes)
-    assert counts["scc"] == 1
+    assert counts["scc"] == counts["chip-halting"] == 1
     assert max(counts.values()) <= 1, counts
 
 

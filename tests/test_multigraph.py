@@ -171,6 +171,11 @@ class TestPredicates:
         assert is_strongly_connected(c2)
         assert not is_strongly_connected(fig1)
 
+    @given(small_graphs(max_n=6, max_mult=1))
+    @settings(max_examples=200, deadline=None)
+    def test_strongly_connected_matches_the_decomposition(self, g: DirectedMultigraph) -> None:
+        assert is_strongly_connected(g) == (len(scc_decompose(g).components) == 1)
+
     def test_eulerian_balance(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
         assert is_eulerian(c2)
         assert not is_eulerian(d21)

@@ -232,6 +232,18 @@ class TestBoundedGame:
                 d21_ribbon, ChipRotorConfig((3, 3), (0, 0)), (50, 50), max_batches=2
             )
 
+    @pytest.mark.parametrize(
+        "heads", [(1, 0, 3, 2), (2, 3, 0, 1)], ids=["joiner-waits", "next-round-sorted"]
+    )
+    def test_plays_sorted_rounds(self, heads) -> None:
+        # round 0 is [1, 2]; routing 1 makes 0 eligible while 2 still
+        # waits, or makes 3 eligible before 2 makes 0 eligible, and either
+        # way the next round is [0, 3]
+        ribbon = RibbonStructure(tuple([((h, 1),) for h in heads]))
+        config = ChipRotorConfig((0, 1, 1, 0), (0, 0, 0, 0))
+        res = bounded_rotor_game(ribbon, config, (1, 1, 1, 1))
+        assert res.trace.batches == ((1, 1), (2, 1), (0, 1), (3, 1))
+
     def test_batches_drain_whole_pile(self, d21_ribbon: RibbonStructure) -> None:
         big = 10 ** 15
         res = bounded_rotor_game(
@@ -509,24 +521,48 @@ class TestAlignmentTurnsRotors:
 
 
 def _dense_bounded_rotor_game(ribbon: RibbonStructure, config, bound, max_batches: int):
-    """(routing vector, final, batches); raises BudgetExceededError like the engine."""
+    """(routing vector, final, batches) of the round schedule, by dense scans.
+
+    Each round scans all n vertices for the eligible ones, then routes
+    each of them in ascending order, one routing at a time, as often as
+    its bound and pile allow at its turn.  Raises BudgetExceededError
+    like the engine.
+    """
     cur = config
     routed = [0] * ribbon.n
     batches = []
+    while True:
+        current = [
+            v for v in range(ribbon.n)
+            if not ribbon.is_sink(v) and routed[v] < bound[v] and cur.chips[v] > 0
+        ]
+        if not current:
+            return tuple(routed), cur, tuple(batches)
+        for v in current:
+            k = min(bound[v] - routed[v], cur.chips[v])
+            if len(batches) >= max_batches:
+                raise BudgetExceededError("dense reference")
+            for _ in range(k):
+                cur = route(ribbon, cur, v)
+            routed[v] += k
+            batches.append((v, k))
+
+
+def _dense_smallest_first_rotor_game(ribbon: RibbonStructure, config, bound):
+    """(routing vector, final) of the smallest-eligible-first schedule, by dense scans."""
+    cur = config
+    routed = [0] * ribbon.n
     while True:
         for v in range(ribbon.n):
             remaining = bound[v] - routed[v]
             if not ribbon.is_sink(v) and remaining > 0 and cur.chips[v] > 0:
                 break
         else:
-            return tuple(routed), cur, tuple(batches)
+            return tuple(routed), cur
         k = min(remaining, cur.chips[v])
-        if len(batches) >= max_batches:
-            raise BudgetExceededError("dense reference")
         for _ in range(k):
             cur = route(ribbon, cur, v)
         routed[v] += k
-        batches.append((v, k))
 
 
 class TestScheduleMatchesDenseScan:
@@ -548,6 +584,9 @@ class TestScheduleMatchesDenseScan:
         assert isinstance(res, BoundedRotorResult)
         assert (res.routing_vector, res.final, res.trace.batches) == expected
         assert res.trace.replay(ribbon)
+        # bounded games are abelian: another schedule routes the same vector
+        expected_abelian = _dense_smallest_first_rotor_game(ribbon, config, bound)
+        assert (res.routing_vector, res.final) == expected_abelian
 
     @given(small_ribbons(), st.data())
     @settings(max_examples=100, deadline=None)

@@ -18,17 +18,26 @@ from random import Random
 import pytest
 
 from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
-from rotorchip.chipfiring import HaltingVerdict, fire, halts, reach_chip
+from rotorchip.chipfiring import HaltingVerdict, bounded_chip_game, fire, halts, reach_chip
 from rotorchip.cli import run_command
 from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
 from rotorchip.instancefile import MAX_VERTICES, serialize_instance
-from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
-from rotorchip.multigraph import DirectedMultigraph, scc_decompose
+from rotorchip.intlinalg import (
+    is_reduced,
+    nonneg_reduced_solution,
+    period_basis,
+    primitive_period_vector,
+    reduce_routing_vector,
+    reduce_vector,
+)
+from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected, scc_decompose
 from rotorchip.rotorrouting import (
     ChipRotorConfig,
+    RibbonStructure,
     bounded_rotor_game,
     odometer_equals_bound,
     pi_r,
+    reach_rotor,
 )
 
 
@@ -81,6 +90,38 @@ def test_reach_chip_out_star_n4096_within_wall_and_memory_bounds() -> None:
     assert verdict.firing_vector == (1,) + (0,) * (n - 1)
     assert elapsed < 0.5, f"out-star n={n}: {elapsed:.2f}s >= 0.5s"
     assert peak < 5e6, f"out-star n={n}: peak {peak / 1e6:.1f} MB"
+
+
+def test_sink_reduction_out_star_n4096_within_wall_bound() -> None:
+    # 4095 trivial sinks, each with period e_s read off directly: measured
+    # 0.03 s per call; building two n-long lists per sink took 1.28 s per
+    # call here, 0.52 s at n=2048 and 0.16 s at n=1024
+    n = 4096
+    g = DirectedMultigraph.from_edges(n, [(0, i, 1) for i in range(1, n)])
+    f = (3,) + (2,) * (n - 1)
+    start = time.perf_counter()
+    assert reduce_vector(g, f) == (3,) + (0,) * (n - 1)
+    # a trivial sink has out-degree 0, so its routing period is zero
+    assert reduce_routing_vector(g, f) == f
+    assert not is_reduced(g, f)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"out-star n={n}: {elapsed:.2f}s >= 0.5s"
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_is_strongly_connected_n4096_within_wall_bound(closed: bool) -> None:
+    # two walks over the runs, no sort: measured 0.8-1.3 ms; the path
+    # fails only on the backward walk.  Best of three calls, so one
+    # scheduling pause does not decide a bound this short.
+    n = 4096
+    edges = [(v, v + 1, 1) for v in range(n - 1)] + ([(n - 1, 0, 1)] if closed else [])
+    g = DirectedMultigraph.from_edges(n, edges)
+    elapsed = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert is_strongly_connected(g) == closed
+        elapsed = min(elapsed, time.perf_counter() - start)
+    assert elapsed < 0.05, f"n={n}: {elapsed * 1e3:.1f} ms >= 50 ms"
 
 
 def _hadamard_bound(g: DirectedMultigraph, d: tuple[int, ...]) -> int:
@@ -261,6 +302,52 @@ def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
         assert all(o == b or c <= 0 for o, b, c in zip(odometer, bound, res.final.chips))
         assert odometer_equals_bound(ribbon, config, bound) == (odometer == bound)
     assert elapsed < 1.0, f"bounded_rotor_game n=300: {elapsed:.2f}s >= 1.0s"
+
+
+def _eulerian_pile(n: int, b: int):
+    """The eulerian n-vertex graph with 2^b * deg(0) chips on vertex 0, and a bound.
+
+    The bound keeps vertex n-1 from playing, so it acts as a sink, and
+    is far above any other vertex's share of the chips.
+    """
+    g = gen_graph("eulerian", n, Random(n))
+    total = 2 ** b * g.out_degree(0)
+    return g, (total,) + (0,) * (n - 1), (total << 64,) * (n - 1) + (0,)
+
+
+def test_reach_chip_eulerian_n60_256_bit_chips_within_wall_bound() -> None:
+    # sorted rounds: 358,077 batches, measured 1.3-1.4 s; smallest
+    # eligible first needed more than 3M batches from 32-bit chips on, so
+    # the default budget turned this verdict into UNKNOWN
+    g, x, bound = _eulerian_pile(60, 256)
+    game = bounded_chip_game(g, x, bound)
+    # every other pile ran down, so the bound held back only vertex 59
+    assert all(c < d for c, d in zip(game.final[:-1], g.out_degrees()))
+    start = time.perf_counter()
+    verdict = reach_chip(g, x, game.final)
+    elapsed = time.perf_counter() - start
+    assert verdict.decision == "YES"
+    assert verdict.firing_vector == game.firing_vector
+    assert verdict.trace is not None and verdict.trace.replay(g)
+    assert elapsed < 10.0, f"reach_chip eulerian n=60, b=256: {elapsed:.1f}s >= 10s"
+
+
+def test_reach_rotor_trace_eulerian_n60_128_bit_chips_within_wall_bound() -> None:
+    # sorted rounds: 181,894 batches, measured 1.0-1.1 s; smallest
+    # eligible first needed more than 3M batches from 32-bit chips on, so
+    # the trace ran out of its default budget
+    g, x, bound = _eulerian_pile(60, 128)
+    ribbon = RibbonStructure.of(g)
+    c1 = ChipRotorConfig(x, (0,) * g.n)
+    game = bounded_rotor_game(ribbon, c1, bound)
+    assert not any(game.final.chips[:-1])
+    start = time.perf_counter()
+    verdict = reach_rotor(g, ribbon, c1, game.final, trace=True)
+    elapsed = time.perf_counter() - start
+    assert (verdict.decision, verdict.reason) == ("YES", None)
+    assert verdict.routing_vector == game.routing_vector
+    assert verdict.trace is not None and verdict.trace.replay(ribbon)
+    assert elapsed < 10.0, f"reach_rotor eulerian n=60, b=128: {elapsed:.1f}s >= 10s"
 
 
 @pytest.mark.parametrize(
