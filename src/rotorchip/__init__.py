@@ -2,14 +2,14 @@
 
 Decides reachability, recurrence, linear equivalence and halting,
 with exact arbitrary-precision integer linear algebra over the
-graph Laplacian (one fraction-free Bareiss elimination of the reduced
-Laplacian per solve, updating only the rows each pivot reaches:
-sum_k r_k * (m - k) integer operations for r_k such rows at step k of m,
-O(n^2) on a cycle and O(n^3) under dense fill, on numbers of at most twice
-the bit length of its Hadamard bound) and run-length-encoded ribbon
-structures whose routing arithmetic is polynomial in bit length.  Every
-decision procedure has an independent brute-force oracle; the sweeps
-compare them wholesale.
+graph Laplacian (one walk over the strongly connected components,
+sources first: O(n + runs) on single vertices, and one fraction-free
+Bareiss elimination per other component, updating only the rows each
+pivot reaches, O(|C|^2) on a cycle and O(|C|^3) under dense fill, on
+numbers of at most twice the bit length of its Hadamard bound) and
+run-length-encoded ribbon structures whose routing arithmetic is
+polynomial in bit length.  Every decision procedure has an independent
+brute-force oracle; the sweeps compare them wholesale.
 """
 
 from .errors import BudgetExceededError, InstanceFormatError

@@ -80,13 +80,11 @@ def _cmd_period(args) -> int:
     basis = period_basis(_load(args.instance).graph)
     per = _fmt_vec([basis.per])
     if len(basis.scc.components) == 1:
-        print(f"p={_fmt_vec(basis.component_vectors[0])} per={per}")
+        print(f"p={_fmt_vec(basis.component_periods[0])} per={per}")
     else:
         print(f"per={per}")
-    for comp_id in basis.sink_indices:
-        vertices = basis.scc.components[comp_id]
-        vec = basis.component_vectors[comp_id]
-        print(f"sink_component={_fmt_vec(vertices)} p_i={_fmt_vec(vec)}")
+    for comp_id, vec in zip(basis.sink_indices, basis.kernel_vectors()):
+        print(f"sink_component={_fmt_vec(basis.scc.components[comp_id])} p_i={_fmt_vec(vec)}")
     return EXIT_OK
 
 

@@ -4,41 +4,34 @@ Everything here works with arbitrary-precision ints, never floats or
 rationals: the answers are lattice memberships and primitive kernel
 vectors, where rounding would be wrong and multiplicities may be huge.
 
-The one solver is fraction-free Bareiss elimination (Bareiss 1968) of the
-reduced Laplacian: the Laplacian with the row and column of one root per
-sink component deleted, m rows in all.  A pivot step updates only the
-rows it reaches, those with a nonzero entry in its column, and defers
-the rescaling dense Bareiss applies to the others.  With r_k such rows
-at step k the elimination costs sum_k r_k * (m - k) integer operations,
-plus O(m^2) per right-hand side to build the rows and substitute back:
-O(n^2) on a cycle, O(n^3) under dense fill.  Every entry the elimination
-produces, and every returned value, is a minor of the reduced Laplacian
-with its right-hand sides appended, so it stays within that matrix's
-Hadamard bound; back substitution multiplies two such minors, which at
-most doubles the bit length.
-
-Every period vector comes from ``_component_period``: that one
-elimination, run on a strongly connected component C in place, at most
-O(|C|^3), unless C is balanced (in-degree equals out-degree inside it, as
-on an Eulerian graph), where one pass over its adjacency returns the ones
-vector.  Each entry point decomposes the graph once: ``period_basis``
-eliminates once per component, and the reductions once per sink
-component.  ``nonneg_reduced_solution`` takes its sink kernel columns
-from its own joint elimination, balanced or not.
+Firing moves chips only along out-edges, so the Laplacian is block
+triangular over the strongly connected components: ``L f = d`` is solved
+one component at a time, sources first.  A single vertex costs O(runs);
+any other component C costs one fraction-free Bareiss elimination
+(Bareiss 1968) of its m <= |C| rows.  A pivot step updates only the rows
+it reaches and defers the rescaling dense Bareiss applies to the others:
+sum_k r_k * (m - k) integer operations for r_k such rows at step k, plus
+O(m^2) per right-hand side; O(m^2) on a cycle, O(m^3) under dense fill.
+Every entry it produces is a minor of C's matrix with its right-hand
+sides appended, within that matrix's Hadamard bound; back substitution
+at most doubles the bit length.  Every period vector comes from that
+elimination on one component, unless it is balanced (in-degree equals
+out-degree inside it): then one pass over its runs gives the ones vector.
+Vectors local to a component are aligned with its vertex tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
     SccDecomposition,
     _check_vector,
-    dense_row,
+    head_totals,
     is_strongly_connected,
     scc_decompose,
 )
@@ -46,28 +39,29 @@ from .multigraph import (
 
 def _solve_reduced(
     g: DirectedMultigraph,
-    verts: Sequence[int],
+    comp: Sequence[int],
     degs: Sequence[int],
     roots: Sequence[int],
     columns: Sequence[Sequence[int]],
 ) -> tuple[int, list[list[int]]]:
-    """Solve the reduced system on ``verts`` for several right-hand sides.
+    """Solve the reduced system on ``comp`` for several right-hand sides.
 
-    The matrix is minus the Laplacian on ``verts``, with out-degrees
+    The matrix is minus the Laplacian on ``comp``, with out-degrees
     ``degs[v]``, with the rows and columns of ``roots`` deleted; every
-    vertex must reach a root, so it is nonsingular and all its leading
-    principal minors are positive (matrix-tree theorem).  Returns
-    ``(det, sols)``: ``det`` is its determinant and ``sols[c]`` is the
-    full-length integer vector ``det * x`` with x solving the system for
-    ``columns[c]`` on the non-roots, zero elsewhere.
+    vertex must reach a root or an edge leaving comp that ``degs``
+    counts, so all its leading principal minors are positive
+    (matrix-tree theorem).  Entry i of each column and solution belongs
+    to comp[i].  Returns ``(det, sols)``: the determinant, and per column
+    ``det * x`` with x solving the system on the non-roots, 0 at roots.
     """
     root_set = set(roots)
-    rest = [v for v in verts if v not in root_set]
-    m = len(rest)
-    # column j: degs on the diagonal, minus the runs rest[j] -> rest[i] in row i
-    index = dict(zip(rest, range(m)))
-    rows = [[0] * m + [col[u] for col in columns] for u in rest]
-    for j, v in enumerate(rest):
+    keep = [i for i, v in enumerate(comp) if v not in root_set]
+    m = len(keep)
+    # column j: degs on the diagonal, minus the runs to the other kept vertices
+    index = {comp[i]: j for j, i in enumerate(keep)}
+    rows = [[0] * m + [col[i] for col in columns] for i in keep]
+    for j, i in enumerate(keep):
+        v = comp[i]
         rows[j][j] = degs[v]
         for u, count in g.adjacency()[v].edges:
             if u in index:
@@ -109,26 +103,47 @@ def _solve_reduced(
             for j in range(i + 1, m):
                 acc -= row[j] * scaled[j]
             scaled[i] = acc // row[i]
-        full = [0] * g.n
-        for i, v in enumerate(rest):
-            full[v] = scaled[i]
-        sols.append(full)
+        sol = [0] * len(comp)
+        for i, x in zip(keep, scaled):
+            sol[i] = x
+        sols.append(sol)
     return det, sols
 
 
-def _shift_congruence(
-    num: list[int], ker: list[int], comp: Sequence[int], det: int
-) -> int | None:
-    """Some integer y with det dividing num[v] + y * ker[v] for all v in comp.
+def _root_column(
+    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]
+) -> list[int] | None:
+    """The edge counts from comp[0] into comp, or None when comp is balanced.
+
+    Balanced means each vertex's in-degree from comp equals ``degs``; its
+    period is then the ones vector.  One pass over comp's runs.
+    """
+    adj = g.adjacency()
+    pos = dict(zip(comp, range(len(comp))))
+    excess = [degs[v] for v in comp]
+    for u in comp:
+        for w, m in adj[u].edges:
+            try:
+                excess[pos[w]] -= m
+            except KeyError:  # an edge that leaves comp
+                pass
+    if not any(excess):
+        return None
+    totals = head_totals(adj[comp[0]].edges)
+    return [totals.get(v, 0) for v in comp]
+
+
+def _shift_congruence(num: list[int], ker: list[int], det: int) -> int | None:
+    """Some integer y with det dividing every entry of num + y * ker.
 
     The solutions y form one residue class modulo ``step``, a divisor of
-    det; each vertex adds a linear congruence that refines it.  None when
+    det; each entry adds a linear congruence that refines it.  None when
     the congruences are inconsistent.
     """
     y, step = 0, 1
-    for v in comp:
-        a = step * ker[v] % det
-        b = -(num[v] + y * ker[v]) % det
+    for x, k in zip(num, ker):
+        a = step * k % det
+        b = -(x + y * k) % det
         common = gcd(a, det)
         if b % common:
             return None
@@ -138,55 +153,36 @@ def _shift_congruence(
     return y
 
 
-def _shift_down(
-    out: list[int], comp: Sequence[int], step: Mapping[int, int] | Sequence[int]
-) -> None:
-    """Subtract the multiple of ``step`` on ``comp`` that makes out reduced there."""
-    shift = min(out[v] // step[v] for v in comp)
+def _shift_down(out: list[int], comp: Sequence[int], step: Sequence[int]) -> None:
+    """Subtract the multiple of ``step``, aligned with comp, that makes out reduced there."""
+    shift = min([out[v] // s for v, s in zip(comp, step)])
     if shift:
-        for v in comp:
-            out[v] -= shift * step[v]
+        for v, s in zip(comp, step):
+            out[v] -= shift * s
 
 
-def _primitive(det: int, ker: list[int], comp: Sequence[int]) -> IntVector:
-    """The primitive period vector of comp, zero elsewhere, from its kernel column.
+def _primitive(det: int, ker: list[int]) -> IntVector:
+    """The primitive period vector of a component from its kernel column.
 
     ``ker`` is det times the reduced solution for the Laplacian column of
-    the root comp[0], zero outside comp; with ker[root] = det it is a kernel
-    vector (matrix-tree theorem), and dividing by its gcd makes it primitive.
+    the root, entry 0; with ker[0] = det it is a kernel vector (matrix-tree
+    theorem), and dividing by its gcd makes it primitive.
     """
-    ker[comp[0]] = det
+    ker[0] = det
     common = gcd(*ker)
     p = tuple([x // common for x in ker])
-    if any(p[v] <= 0 for v in comp):
+    if any(x <= 0 for x in p):
         raise ArithmeticError("primitive period vector must be positive on a strongly connected graph")
     return p
 
 
-def _component_period(
-    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]
-) -> IntVector:
-    """The period vector of the strongly connected comp; degs counts edges inside it.
-
-    A balanced comp, in-degree equal to out-degree inside it at every
-    vertex (an Eulerian component), has the ones vector in its kernel, so
-    one pass over its adjacency returns ones on it.  Any other comp costs
-    one elimination.
-    """
-    adj = g.adjacency()
-    excess = [0] * g.n
-    for u in comp:
-        excess[u] += degs[u]
-        for w, m in adj[u].edges:
-            excess[w] -= m
-    # edges leaving comp only touch excess outside it
-    if not any([excess[v] for v in comp]):
-        ones = [0] * g.n
-        for v in comp:
-            ones[v] = 1
-        return tuple(ones)
-    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (dense_row(g.n, adj[comp[0]]),))
-    return _primitive(det, ker, comp)
+def _component_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
+    """The period vector of the strongly connected comp; degs counts edges inside it."""
+    column = _root_column(g, comp, degs)
+    if column is None:
+        return (1,) * len(comp)
+    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (column,))
+    return _primitive(det, ker)
 
 
 def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
@@ -205,55 +201,54 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
 class PeriodBasis:
     """Per-component primitive period vectors and the total period length.
 
-    ``component_vectors[i]`` is the primitive period vector of component i
-    taken as a standalone graph, embedded as a full-length vector (zero
-    outside the component).  Only the sink components' vectors lie in the
-    kernel of the whole graph's Laplacian; they have pairwise disjoint
-    supports and generate it.  ``per`` sums the coordinates of every
-    component's vector, sinks or not.
+    ``component_periods[i]`` is the period vector of component i taken
+    as a standalone graph, aligned with ``scc.components[i]``.  Only the
+    sink components' vectors, embedded by ``kernel_vectors``, lie in the
+    kernel of the whole graph's Laplacian; they generate it.  ``per``
+    sums the coordinates of every component's vector.
     """
 
     scc: SccDecomposition
-    component_vectors: tuple[IntVector, ...]
+    component_periods: tuple[IntVector, ...]
     sink_indices: tuple[int, ...]
     per: int
 
     def kernel_vectors(self) -> tuple[IntVector, ...]:
-        return tuple([self.component_vectors[i] for i in self.sink_indices])
+        """Each sink component's period as a full-length vector, zero outside it."""
+        vectors = []
+        for i in self.sink_indices:
+            entries = dict(zip(self.scc.components[i], self.component_periods[i]))
+            vectors.append(tuple([entries.get(v, 0) for v in range(len(self.scc.component_of))]))
+        return tuple(vectors)
 
 
 def period_basis(g: DirectedMultigraph) -> PeriodBasis:
     scc = scc_decompose(g)
     comp_of = scc.component_of
-    adj = g.adjacency()
     # a component taken alone ignores the edges that leave it
     degs = [
         sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
-        for u, out in enumerate(adj)
+        for u, out in enumerate(g.adjacency())
     ]
-    vectors = tuple([_component_period(g, comp, degs) for comp in scc.components])
-    return PeriodBasis(
-        scc=scc,
-        component_vectors=vectors,
-        sink_indices=scc.sink_component_ids(),
-        per=sum(map(sum, vectors)),
-    )
+    periods = tuple([_component_period(g, comp, degs) for comp in scc.components])
+    return PeriodBasis(scc, periods, scc.sink_component_ids(), sum(map(sum, periods)))
 
 
 def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | None:
     """The unique reduced f >= 0 with laplacian(g) @ f == d, or None.
 
-    One elimination of the reduced Laplacian (one root per sink
-    component) yields det times a rational solution f0 that is zero at
-    the roots, and det times each nontrivial sink component's kernel
-    vector.  The deleted root rows decide rational solvability.  Entries
-    outside sink components are forced and must be integral and
-    nonnegative; a trivial sink s has period e_s, so its entry is 0;
-    inside any other sink component i every solution is f0 + t * p_i,
-    and integrality is a set of linear congruences in the one unknown
-    shift, solved with gcd and modular inverses.  Finally each such
-    component is shifted by its period vector until it is nonnegative
-    and does not dominate it.
+    One walk over the strongly connected components, sources first,
+    carries the inflow from the components already solved.  A non-sink
+    component C has f_C forced by its own block with full out-degrees:
+    one division on a single vertex, else one elimination; each entry
+    must be integral and nonnegative.  On a sink, d and the inflow must
+    have equal sums; a trivial sink s has period e_s and entry 0.  Any
+    other sink C takes one elimination with root C[0]: det times a
+    solution f0 and, unless C is balanced, det times its kernel vector.
+    Integrality of f0 + t * p_C is linear congruences in t, solved with
+    gcd and modular inverses, then C is shifted by p_C until it is
+    nonnegative and does not dominate it.  Cost: O(n + runs), plus one
+    elimination per nontrivial component.
     """
     _check_vector(g.n, d, "right-hand side")
     return _reduced_solution(g, scc_decompose(g), d)
@@ -263,58 +258,64 @@ def _reduced_solution(
     g: DirectedMultigraph, scc: SccDecomposition, d: IntVector
 ) -> IntVector | None:
     """``nonneg_reduced_solution`` on a decomposition the caller already has."""
-    n = g.n
-    sink_ids = scc.sink_component_ids()
-    roots = [scc.components[i][0] for i in sink_ids]
-    # a trivial sink s has period e_s and reduced entry 0: no kernel column
-    kernel_sinks = [scc.components[i] for i in sink_ids if not scc.is_trivial[i]]
     adj = g.adjacency()
-    columns = [[-x for x in d]] + [dense_row(n, adj[comp[0]]) for comp in kernel_sinks]
-    det, (num, *kers) = _solve_reduced(g, range(n), g.out_degrees(), roots, columns)
-    # the deleted root rows: the edges into each root s carry det * d[s]
-    inflow = dict.fromkeys(roots, 0)
-    for v, out in enumerate(adj):
-        for w, count in out.edges:
-            if w in inflow:
-                inflow[w] += count * num[v]
-    if any([inflow[s] != det * d[s] for s in roots]):
-        return None
-    out = [0] * n
-    for v in range(n):
-        if not scc.is_sink[scc.component_of[v]]:
-            q, r = divmod(num[v], det)
-            if r or q < 0:
+    degs = g.out_degrees()
+    inflow = [0] * g.n
+    out = [0] * g.n
+    # Tarjan emits every component after the ones it reaches: reversed, sources first
+    for i in range(len(scc.components) - 1, -1, -1):
+        comp = scc.components[i]
+        rhs = [inflow[v] - d[v] for v in comp]
+        if scc.is_sink[i]:
+            if sum(rhs):
                 return None
-            out[v] = q
-    for comp, ker in zip(kernel_sinks, kers):
-        p = _primitive(det, ker, comp)
-        y = _shift_congruence(num, ker, comp, det)
-        if y is None:
-            return None
-        for v in comp:
-            out[v] = (num[v] + y * ker[v]) // det
-        _shift_down(out, comp, p)
+            if scc.is_trivial[i]:
+                continue
+            column = _root_column(g, comp, degs)
+            columns = [rhs] if column is None else [rhs, column]
+            det, (num, *kers) = _solve_reduced(g, comp, degs, comp[:1], columns)
+            # a balanced component has period ones and kernel column det * ones
+            ker = kers[0] if kers else [det] * len(comp)
+            p = _primitive(det, ker)
+            y = _shift_congruence(num, ker, det)
+            if y is None:
+                return None
+            for v, x, k in zip(comp, num, ker):
+                out[v] = (x + y * k) // det
+            _shift_down(out, comp, p)
+            continue
+        if scc.is_trivial[i]:
+            det, num = degs[comp[0]], rhs
+        else:
+            det, (num,) = _solve_reduced(g, comp, degs, (), (rhs,))
+        for v, x in zip(comp, num):
+            f, r = divmod(x, det)
+            if r or f < 0:
+                return None
+            out[v] = f
+            if f:
+                for w, m in adj[v].edges:
+                    inflow[w] += m * f
     return tuple(out)
 
 
 def _sink_steps(
     g: DirectedMultigraph, scale: Sequence[int]
-) -> Iterator[tuple[IntVector, dict[int, int]]]:
-    """Each sink component with its period vector times ``scale`` per vertex.
+) -> Iterator[tuple[IntVector, list[int]]]:
+    """Each sink component with its period vector times ``scale``, aligned with it.
 
-    A step maps each vertex of its component to its entry.  A sink
-    component has no leaving edges, so its out-degrees are its own.  A
-    trivial sink {s} has period e_s, so its step is {s: scale[s]}, with
-    no n-long vector built.  Zero steps, the trivial sinks under the
-    routing scale (the out-degree), constrain nothing and are skipped.
+    A sink has no leaving edges, so its out-degrees are its own.  A
+    trivial sink {s} has period e_s, so its step is [scale[s]], found
+    without a pass over its runs.  Zero steps (trivial sinks under the
+    routing scale, the out-degree) constrain nothing and are skipped.
     """
     scc = scc_decompose(g)
     degs = g.out_degrees()
     for i in scc.sink_component_ids():
         comp = scc.components[i]
-        p = {comp[0]: 1} if scc.is_trivial[i] else _component_period(g, comp, degs)
-        step = {v: p[v] * scale[v] for v in comp}
-        if any(step.values()):
+        p = (1,) if scc.is_trivial[i] else _component_period(g, comp, degs)
+        step = [x * scale[v] for v, x in zip(comp, p)]
+        if any(step):
             yield comp, step
 
 

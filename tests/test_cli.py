@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 from parser_reference import with_edge_lines
+from test_intlinalg import _FOUR_COMPONENTS
 
 from rotorchip import chipfiring, cli, intlinalg, multigraph
 from rotorchip.cli import build_parser, run_command
 from rotorchip.generators import DENSE_FAMILIES
-from rotorchip.instancefile import MAX_VERTICES, parse_instance
+from rotorchip.instancefile import MAX_VERTICES, Instance, parse_instance, serialize_instance
+from rotorchip.rotorrouting import default_ribbon
 from rotorchip.sweeps import SWEEPS, SweepReport
 
 C2_TEXT = """\
@@ -418,6 +420,26 @@ class TestPeriod:
         assert code == 0
         assert lines[0] == "per=4"
         assert not any(line.startswith("p=") for line in lines)
+
+    def test_demo_graph_prints_every_sink_line(self, capsys, fig1_path: str) -> None:
+        code, lines = run(capsys, "period", fig1_path)
+        assert code == 0
+        assert lines == ["per=4", "sink_component=3 p_i=0,0,0,1"]
+
+    def test_four_components_print_every_sink_line(self, capsys, tmp_path: Path) -> None:
+        # periods (2, 1), (1), (3, 1) and (1); the sinks are {3, 4} and {5}
+        path = tmp_path / "four.rcg"
+        path.write_text(
+            serialize_instance(Instance(_FOUR_COMPONENTS, default_ribbon(_FOUR_COMPONENTS))),
+            encoding="utf-8",
+        )
+        code, lines = run(capsys, "period", str(path))
+        assert code == 0
+        assert lines == [
+            "per=9",
+            "sink_component=3,4 p_i=0,0,0,3,1,0",
+            "sink_component=5 p_i=0,0,0,0,0,1",
+        ]
 
 
 class TestScc:

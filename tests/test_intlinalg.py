@@ -171,10 +171,13 @@ _DESK_GRAPHS = tuple(enumerate_digraphs(3, 2))
 
 @st.composite
 def _graphs(draw) -> DirectedMultigraph:
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(("desk", "random", "chain")))
+    if source == "desk":
         return draw(st.sampled_from(_DESK_GRAPHS))
-    size = draw(st.integers(min_value=2, max_value=6))
-    return gen_graph("random", size, Random(draw(st.integers(min_value=0, max_value=2**32))))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if source == "chain":
+        return _chain_graph(rng, draw(st.sampled_from((1, 18))))
+    return gen_graph("random", draw(st.integers(min_value=2, max_value=6)), rng)
 
 
 def _component_laplacian(
@@ -200,14 +203,20 @@ def _checked_period_basis(g: DirectedMultigraph) -> PeriodBasis:
     scc = scc_decompose(g)
     assert basis.scc == scc
     assert basis.sink_indices == scc.sink_component_ids()
-    assert len(basis.component_vectors) == len(scc.components)
-    for comp, vec in zip(scc.components, basis.component_vectors):
-        assert all(vec[v] > 0 for v in comp), (g.mult, comp, vec)
-        assert all(vec[v] == 0 for v in range(g.n) if v not in comp), (g.mult, comp, vec)
+    assert len(basis.component_periods) == len(scc.components)
+    for comp, vec in zip(scc.components, basis.component_periods):
+        assert len(vec) == len(comp), (g.mult, comp, vec)
+        assert all(x > 0 for x in vec), (g.mult, comp, vec)
         assert gcd(*vec) == 1, (g.mult, comp, vec)
         lap = _component_laplacian(g, comp)
-        assert mat_vec(lap, tuple(vec[v] for v in comp)) == (0,) * len(comp), (g.mult, comp, vec)
-    assert basis.per == sum(sum(vec) for vec in basis.component_vectors)
+        assert mat_vec(lap, vec) == (0,) * len(comp), (g.mult, comp, vec)
+    kernel = basis.kernel_vectors()
+    assert len(kernel) == len(basis.sink_indices)
+    for i, vec in zip(basis.sink_indices, kernel):
+        comp = scc.components[i]
+        assert tuple(vec[v] for v in comp) == basis.component_periods[i], (g.mult, comp, vec)
+        assert all(vec[v] == 0 for v in range(g.n) if v not in comp), (g.mult, comp, vec)
+    assert basis.per == sum(sum(vec) for vec in basis.component_periods)
     return basis
 
 
@@ -225,7 +234,8 @@ def _reference_reduce(
         if routing and basis.scc.is_trivial[i]:
             continue
         comp = basis.scc.components[i]
-        step = {v: basis.component_vectors[i][v] * (degs[v] if routing else 1) for v in comp}
+        p = basis.component_periods[i]
+        step = {v: x * (degs[v] if routing else 1) for v, x in zip(comp, p)}
         while all(out[v] >= step[v] for v in comp):
             for v in comp:
                 out[v] -= step[v]
@@ -246,10 +256,10 @@ def _oracle_reduced_solution(g: DirectedMultigraph, d: tuple[int, ...]) -> tuple
     basis = _checked_period_basis(g)
     out = list(f)
     for i in basis.sink_indices:
-        comp, p = basis.scc.components[i], basis.component_vectors[i]
-        t = max(-(f[v] // p[v]) for v in comp)
-        for v in comp:
-            out[v] += t * p[v]
+        comp, p = basis.scc.components[i], basis.component_periods[i]
+        t = max(-(f[v] // x) for v, x in zip(comp, p))
+        for v, x in zip(comp, p):
+            out[v] += t * x
     if any(x < 0 for x in out):
         return None
     return tuple(out)
@@ -259,7 +269,10 @@ class TestSolverMatchesHnfOracle:
     @given(_graphs(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_lattice_and_perturbed_right_hand_sides(self, g: DirectedMultigraph, data) -> None:
-        vec = st.lists(st.integers(min_value=-4, max_value=4), min_size=g.n, max_size=g.n)
+        # a nonnegative f solves its own right-hand side, so the walk gets
+        # past every non-sink component to the sinks
+        low = data.draw(st.sampled_from((-4, 0)))
+        vec = st.lists(st.integers(min_value=low, max_value=4), min_size=g.n, max_size=g.n)
         d = mat_vec(laplacian(g), tuple(data.draw(vec)))
         perturbed = tuple(a + b for a, b in zip(d, data.draw(vec)))
         for rhs in (d, perturbed):
@@ -285,6 +298,26 @@ class TestReductionsMatchReference:
             assert reduced(g, f) == (want == f), (g.mult, f, routing)
 
 
+def _glued(rng: Random, blocks: list[DirectedMultigraph], links) -> DirectedMultigraph:
+    """The blocks side by side, plus one edge per link (i, j, m).
+
+    Each link runs from a random vertex of block i to a random vertex of
+    block j, with multiplicity m.
+    """
+    starts = [0]
+    for block in blocks:
+        starts.append(starts[-1] + block.n)
+    edges = [
+        (start + u, start + v, m)
+        for start, block in zip(starts, blocks)
+        for u, out in enumerate(block.adjacency())
+        for v, m in out.edges
+    ]
+    for i, j, m in links:
+        edges.append((starts[i] + rng.randrange(blocks[i].n), starts[j] + rng.randrange(blocks[j].n), m))
+    return DirectedMultigraph.from_edges(starts[-1], edges)
+
+
 def _two_sink_graph(rng: Random, digits: int) -> DirectedMultigraph:
     """A strongly connected block with edges into two disjoint random blocks.
 
@@ -295,34 +328,63 @@ def _two_sink_graph(rng: Random, digits: int) -> DirectedMultigraph:
         gen_graph("random", rng.randint(2, 5), rng),
         gen_graph("random", rng.randint(2, 5), rng),
     ]
-    starts = [0, blocks[0].n, blocks[0].n + blocks[1].n]
-    edges = [
-        (start + u, start + v, m)
-        for start, block in zip(starts, blocks)
-        for u, row in enumerate(block.mult)
-        for v, m in enumerate(row)
-        if m
+    return _glued(rng, blocks, [(0, j, rng.randint(1, 10**digits)) for j in (1, 2)])
+
+
+_SINGLE_VERTEX = DirectedMultigraph(1, ((0,),))
+
+
+def _chain_graph(rng: Random, digits: int) -> DirectedMultigraph:
+    """A condensation chain on at most 14 vertices, multiplicities up to 10^digits.
+
+    A strongly connected block, then a single vertex, then another
+    strongly connected block, which feeds three sinks: a balanced
+    (Eulerian) one, an unbalanced two-cycle and a single vertex.  A few
+    more edges skip ahead along the chain.
+    """
+    big = 10**digits
+    low = rng.randint(1, big)
+    blocks = [
+        gen_graph("heavy-multiplicity", rng.randint(2, 3), rng, digits=digits),
+        _SINGLE_VERTEX,
+        gen_graph("heavy-multiplicity", rng.randint(2, 3), rng, digits=digits),
+        gen_graph("eulerian", rng.randint(2, 3), rng),
+        DirectedMultigraph.from_edges(2, [(0, 1, low), (1, 0, low + rng.randint(1, big))]),
+        _SINGLE_VERTEX,
     ]
-    for target in starts[1:]:
-        edges.append((rng.randrange(blocks[0].n), target, rng.randint(1, 10**digits)))
-    return DirectedMultigraph.from_edges(starts[2] + blocks[2].n, edges)
+    links = [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)]
+    links += [(i, rng.randrange(i + 1, 6)) for i in rng.sample(range(3), rng.randint(0, 3))]
+    return _glued(rng, blocks, [(i, j, rng.randint(1, big)) for i, j in links])
 
 
 @st.composite
 def _solve_cases(draw) -> DirectedMultigraph:
-    source = draw(st.sampled_from(("desk", "two-sinks", *FAMILIES)))
+    source = draw(st.sampled_from(("desk", "two-sinks", "chain", *FAMILIES)))
     rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
     if source == "desk":
         return draw(st.sampled_from(_DESK_GRAPHS))
-    if source == "two-sinks":
-        return _two_sink_graph(rng, draw(st.sampled_from((1, 18))))
+    if source in ("two-sinks", "chain"):
+        make = _two_sink_graph if source == "two-sinks" else _chain_graph
+        return make(rng, draw(st.sampled_from((1, 18))))
     size = draw(st.integers(min_value=2, max_value=14))
     return gen_graph(source, size, rng)
 
 
 def _reference_period(g: DirectedMultigraph, comp: tuple[int, ...], degs) -> tuple[int, ...]:
     det, (ker,) = reference_solve(g, comp, degs, comp[:1], (g.mult[comp[0]],))
-    return intlinalg._primitive(det, ker, comp)
+    return intlinalg._primitive(det, [ker[v] for v in comp])
+
+
+def _embedded_solve(g: DirectedMultigraph, comp, degs, roots, columns):
+    """``intlinalg._solve_reduced`` on columns sliced to comp, solutions embedded back."""
+    det, sols = intlinalg._solve_reduced(g, comp, degs, roots, [[col[v] for v in comp] for col in columns])
+    full = []
+    for sol in sols:
+        vec = [0] * g.n
+        for v, x in zip(comp, sol):
+            vec[v] = x
+        full.append(vec)
+    return det, full
 
 
 def _inner_degrees(g: DirectedMultigraph, scc: SccDecomposition) -> list[int]:
@@ -347,7 +409,7 @@ class TestSolveMatchesDenseBareiss:
         columns = [data.draw(st.lists(entries, min_size=g.n, max_size=g.n)) for _ in range(k)]
         columns += [g.mult[r] for r in roots]
         args = (g, range(g.n), g.out_degrees(), roots, columns)
-        assert intlinalg._solve_reduced(*args) == reference_solve(*args), g.mult
+        assert _embedded_solve(*args) == reference_solve(*args), g.mult
 
     @given(_solve_cases(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -358,7 +420,7 @@ class TestSolveMatchesDenseBareiss:
         for comp in scc.components:
             columns = [g.mult[comp[0]], data.draw(st.lists(entries, min_size=g.n, max_size=g.n))]
             args = (g, comp, degs, comp[:1], columns)
-            assert intlinalg._solve_reduced(*args) == reference_solve(*args), (g.mult, comp)
+            assert _embedded_solve(*args) == reference_solve(*args), (g.mult, comp)
 
 
 class TestEulerianShortcut:
@@ -374,7 +436,7 @@ class TestEulerianShortcut:
             assert p == _reference_period(g, comp, degs), (g.mult, comp)
             lap = _component_laplacian(g, comp)
             if mat_vec(lap, (1,) * len(comp)) == (0,) * len(comp):
-                assert p == tuple(1 if v in comp else 0 for v in range(g.n))
+                assert p == (1,) * len(comp)
 
     @pytest.mark.parametrize("n", [2, 5, 14, 40])
     def test_eulerian_family_gives_ones(self, n: int) -> None:
@@ -393,20 +455,17 @@ class TestEulerianShortcut:
             (3, 4, 2), (4, 3, 1), (5, 6, 2), (6, 5, 2),
         ])
         eliminated = []
+        solve = intlinalg._solve_reduced
 
         def counting(g, verts, *args):
             eliminated.append(tuple(verts))
-            return reference_solve(g, verts, *args)
+            return solve(g, verts, *args)
 
         monkeypatch.setattr(intlinalg, "_solve_reduced", counting)
         basis = _checked_period_basis(g)
         assert eliminated == [(3, 4)]
-        vectors = dict(zip(basis.scc.components, basis.component_vectors))
-        assert vectors == {
-            (0, 1, 2): (1, 1, 1, 0, 0, 0, 0),
-            (3, 4): (0, 0, 0, 1, 2, 0, 0),
-            (5, 6): (0, 0, 0, 0, 0, 1, 1),
-        }
+        vectors = dict(zip(basis.scc.components, basis.component_periods))
+        assert vectors == {(0, 1, 2): (1, 1, 1), (3, 4): (1, 2), (5, 6): (1, 1)}
         assert sorted(basis.kernel_vectors()) == [(0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 2, 0, 0)]
         assert basis.per == 8
 

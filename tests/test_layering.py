@@ -62,3 +62,36 @@ def test_the_guard_sees_an_import(tmp_path) -> None:
     (tmp_path / "streams.py").write_text("import os\nfrom . import bruteforce\n")
     (tmp_path / "sweeps.py").write_text("from . import bruteforce\n")
     assert _oracle_importers(tmp_path) == ["engine.py:1", "streams.py:2"]
+
+
+# the dense view builds its rows with it
+DENSE_ROW_USERS = {"multigraph.py"}
+
+
+def _dense_row_callers(src: Path = SRC) -> list[str]:
+    """Each ``dense_row`` call or import outside ``multigraph.py``, as ``file:line``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in DENSE_ROW_USERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if "dense_row" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_dense_view_builds_dense_rows() -> None:
+    assert _dense_row_callers() == []
+
+
+def test_the_guard_sees_a_dense_row_call(tmp_path) -> None:
+    (tmp_path / "engine.py").write_text(
+        "from .multigraph import dense_row\n\ndef f(g, out):\n    return dense_row(g.n, out)\n"
+    )
+    (tmp_path / "sweeps.py").write_text("from . import multigraph\nrow = multigraph.dense_row(3, out)\n")
+    (tmp_path / "multigraph.py").write_text("def dense_row(n, out):\n    return (0,) * n\nrow = dense_row(1, ())\n")
+    assert _dense_row_callers(tmp_path) == ["engine.py:1", "engine.py:4", "sweeps.py:2"]

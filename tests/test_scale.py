@@ -21,7 +21,7 @@ from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
 from rotorchip.chipfiring import HaltingVerdict, bounded_chip_game, fire, halts, reach_chip
 from rotorchip.cli import run_command
 from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
-from rotorchip.instancefile import MAX_VERTICES, serialize_instance
+from rotorchip.instancefile import MAX_VERTICES, Instance, serialize_instance
 from rotorchip.intlinalg import (
     is_reduced,
     nonneg_reduced_solution,
@@ -106,6 +106,121 @@ def test_sink_reduction_out_star_n4096_within_wall_bound() -> None:
     assert not is_reduced(g, f)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.5, f"out-star n={n}: {elapsed:.2f}s >= 0.5s"
+
+
+def _unit(n: int, v: int) -> tuple[int, ...]:
+    return (0,) * v + (1,) + (0,) * (n - v - 1)
+
+
+def _path(n: int) -> DirectedMultigraph:
+    return DirectedMultigraph.from_edges(n, [(v, v + 1, 1) for v in range(n - 1)])
+
+
+def _small_component_case(shape: str, n: int):
+    """A graph whose components have one or two vertices, and one legal firing on it.
+
+    Returns the graph, a start x, the configuration after one firing of
+    the vertex ``fired``, and the reduced representative of ``(2,) * n``.
+    """
+    if shape == "path":
+        g, fired, x = _path(n), 0, _unit(n, 0)
+        reduced = (2,) * (n - 1) + (0,)
+    elif shape == "out-star":
+        g = DirectedMultigraph.from_edges(n, [(0, i, 1) for i in range(1, n)])
+        fired, x = 0, (n - 1,) + (0,) * (n - 1)
+        reduced = (2,) + (0,) * (n - 1)
+    elif shape == "in-star":
+        g = DirectedMultigraph.from_edges(n, [(i, 0, 1) for i in range(1, n)])
+        fired, x = 1, _unit(n, 1)
+        reduced = (0,) + (2,) * (n - 1)
+    else:
+        pairs = [(v, v ^ 1, 1) for v in range(n)]
+        g, fired, x = DirectedMultigraph.from_edges(n, pairs), 0, _unit(n, 0)
+        reduced = (0,) * n
+    return g, x, fire(g, x, fired), fired, reduced
+
+
+@pytest.mark.parametrize("call", ["reach_chip", "period_basis", "reduce_vector"])
+@pytest.mark.parametrize("shape", ["path", "out-star", "in-star", "2-cycles"])
+def test_small_components_n4096_within_wall_and_memory_bounds(shape: str, call: str) -> None:
+    # one walk over the components, sources first, with no n-long vector
+    # per component: measured 0.01-0.05 s and peaks of 0.9-1.3 MB a call.
+    # One joint elimination, with n-long period and kernel vectors, took
+    # 3.1 s for reach_chip on the path and 1.6 s on the in-star (136 MB
+    # peaks); on disjoint 2-cycles it took 0.46 s at n=512 and 4.1 s at
+    # n=1024, growing as n^3.  period_basis peaked at 135 MB on the path
+    # and the stars and at 68 MB on the 2-cycles.
+    n = 4096
+    g, x, y, fired, reduced = _small_component_case(shape, n)
+    run = {
+        "reach_chip": lambda: reach_chip(g, x, y),
+        "period_basis": lambda: period_basis(g),
+        "reduce_vector": lambda: reduce_vector(g, (2,) * n),
+    }[call]
+    start = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if call == "reach_chip":
+        assert result.decision == "YES"
+        assert result.firing_vector == _unit(n, fired)
+    elif call == "period_basis":
+        # every component's period is ones on its one or two vertices
+        assert result.per == n
+        assert sum(map(sum, result.kernel_vectors())) == sum(
+            len(result.scc.components[i]) for i in result.sink_indices
+        )
+    else:
+        assert result == reduced
+    assert elapsed < 1.0, f"{call} on {shape} n={n}: {elapsed:.2f}s >= 1.0s"
+    assert peak < 1_000 * n, f"{call} on {shape} n={n}: peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["chip-reach"], "decision=YES f=1" + ",0" * (MAX_VERTICES - 1) + "\n"),
+        (
+            ["period"],
+            f"per={MAX_VERTICES}\nsink_component={MAX_VERTICES - 1} p_i=" + "0," * (MAX_VERTICES - 1) + "1\n",
+        ),
+    ],
+    ids=["chip-reach", "period"],
+)
+def test_solve_commands_on_a_path_at_the_vertex_cap_within_wall_and_memory_bounds(
+    tmp_path, capsys, argv: list[str], want: str
+) -> None:
+    # a path on MAX_VERTICES vertices, one chip fired from vertex 0 to 1:
+    # measured 0.06 s and a 3.1 MB peak a call; the joint elimination took
+    # 2.3 s for chip-reach and 0.5 s for period, with peaks above 130 MB
+    n = MAX_VERTICES
+    g = _path(n)
+    rotors = (0,) * (n - 1) + (None,)
+    instance = Instance(g, RibbonStructure.of(g), {
+        "src": ChipRotorConfig(_unit(n, 0), rotors),
+        "dst": ChipRotorConfig(_unit(n, 1), rotors),
+    })
+    path = tmp_path / "path.rcg"
+    path.write_text(serialize_instance(instance), encoding="utf-8")
+    start = time.perf_counter()
+    code = run_command([*argv, str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == want
+    tracemalloc.start()
+    try:
+        run_command([*argv, str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == want
+    assert elapsed < 1.0, f"{argv[0]} n={n}: {elapsed:.2f}s >= 1.0s"
+    assert peak < 2_000 * n, f"{argv[0]} n={n}: peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
