@@ -14,9 +14,12 @@ cli       The median ``run_command`` time of each subcommand that reads an
           only); a free list keeps up to 2,000 tuples of its size until a
           full collection empties it.
 parse     Per spelling, as ``serialize_instance`` writes it (ribbon lines
-          only) and with the ``edge`` lines older files carry: line count,
-          file size, the share of ribbon run tokens that repeat an earlier
-          one (the parser converts and checks each distinct one once), the
+          only), with the ``edge`` lines older files carry, and, as
+          ``configs``, serialized with four more named configurations,
+          each with a rotor line per non-sink vertex (the shape of a file
+          that ``chip-reach`` and ``rotor-reach`` read): line count, file
+          size, the share of ribbon run tokens that repeat an earlier one
+          (the parser converts and checks each distinct one once), the
           median time per ``parse_instance`` call and the ``tracemalloc``
           peak of one parse.  Both should be linear in the file: the parsed
           graph keeps the ribbon's runs, and no n x n matrix.
@@ -228,6 +231,19 @@ def with_edge_lines(text: str, graph) -> str:
     return f"{first}\n{edges}{rest}"
 
 
+def with_configs(instance: Instance, seed: int) -> Instance:
+    """The instance with four more named configurations, drawn from ``seed``."""
+    rng = Random(seed)
+    degs = instance.ribbon.degrees
+    configs = dict(instance.configs)
+    for name in ("csrc", "cdst", "rsrc", "rdst"):
+        configs[name] = ChipRotorConfig(
+            tuple([rng.randint(0, 2 * d) for d in degs]),
+            tuple([rng.randrange(d) if d else None for d in degs]),
+        )
+    return Instance(instance.graph, instance.ribbon, configs)
+
+
 def repeated_run_share(text: str) -> float:
     """The share of ribbon run tokens that repeat an earlier one."""
     runs = [
@@ -247,14 +263,16 @@ def parse_section(args):
     )
     for family, n, instance in instances(args.parse_sizes, args.seed):
         ribbon_only = serialize_instance(instance)
+        configured = with_configs(instance, args.seed)
         spellings = {
-            "ribbon-only": ribbon_only,
-            "with-edges": with_edge_lines(ribbon_only, instance.graph),
+            "ribbon-only": (instance, ribbon_only),
+            "with-edges": (instance, with_edge_lines(ribbon_only, instance.graph)),
+            "configs": (configured, serialize_instance(configured)),
         }
-        for spelling, text in spellings.items():
+        for spelling, (expected, text) in spellings.items():
             parsed = parse_instance(text)
             if (parsed.graph, parsed.ribbon, parsed.configs) != (
-                instance.graph, instance.ribbon, instance.configs
+                expected.graph, expected.ribbon, expected.configs
             ):
                 yield f"round trip mismatch: {family} n={n} {spelling}"
             parse_s = median_seconds(lambda: parse_instance(text), args.repeats)

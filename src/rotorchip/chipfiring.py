@@ -111,7 +111,7 @@ def _play_batches(
 class BoundedChipResult:
     firing_vector: CountVector
     final: ChipConfig
-    trace: ChipGameTrace
+    trace: ChipGameTrace | None
 
 
 def bounded_chip_game(
@@ -119,6 +119,7 @@ def bounded_chip_game(
     x: ChipConfig,
     bound: CountVector,
     max_batches: int = DEFAULT_GAME_BUDGET,
+    trace: bool = True,
 ) -> BoundedChipResult:
     """Play a maximal legal game firing each v at most bound(v) times.
 
@@ -138,7 +139,9 @@ def bounded_chip_game(
     chips at n=60 (README).  No polynomial bound is claimed; on the chain
     with two edges forward and one back it grows about 2^(0.9 n).  Raises
     BudgetExceededError when more than ``max_batches`` batches are
-    needed.
+    needed.  Without ``trace`` the batches are counted, not kept, and the
+    result's trace is None, so the game holds O(n) memory however long it
+    runs.
     """
     _check_vector(g.n, bound, "count vector", nonneg=True)
     _check_vector(g.n, x, "chip configuration")
@@ -148,6 +151,7 @@ def bounded_chip_game(
     fired = [0] * g.n
     queued = [b > 0 and c >= d for b, c, d in zip(bound, cur, degs)]
     batches: list[tuple[int, int]] = []
+    played = 0
     current = [v for v in range(g.n) if queued[v]]
     while current:
         joined = []
@@ -156,13 +160,15 @@ def bounded_chip_game(
             remaining = bound[v] - fired[v]
             # firing a sink moves nothing; burn the whole bound at once
             k = min(remaining, cur[v] // degs[v]) if degs[v] else remaining
-            if len(batches) >= max_batches:
+            if played >= max_batches:
                 raise BudgetExceededError(
                     f"bounded chip game exceeded {max_batches} batches"
                 )
             _fire_in_place(cur, adj[v], v, k)
             fired[v] += k
-            batches.append((v, k))
+            played += 1
+            if trace:
+                batches.append((v, k))
             for u, _ in adj[v].edges:
                 if not queued[u] and cur[u] >= degs[u] and fired[u] < bound[u]:
                     queued[u] = True
@@ -172,7 +178,7 @@ def bounded_chip_game(
     return BoundedChipResult(
         firing_vector=tuple(fired),
         final=final,
-        trace=ChipGameTrace(tuple(x), tuple(batches), final, tuple(fired)),
+        trace=ChipGameTrace(tuple(x), tuple(batches), final, tuple(fired)) if trace else None,
     )
 
 
@@ -235,13 +241,13 @@ def is_recurrent(
 
     Equivalent to the maximal p-bounded game from x firing the whole
     primitive period vector p.  That game takes at most per(G) = sum(p)
-    batches, so its cost grows with per(G), not with n and the bit length
-    alone.  Past ``max_batches`` it raises BudgetExceededError
-    (``chip-recurrent`` exits 3), the designed outcome where per(G) is
-    large.
+    batches, so its time grows with per(G), not with n and the bit length
+    alone; it keeps no trace, so its memory is O(n).  Past
+    ``max_batches`` it raises BudgetExceededError (``chip-recurrent``
+    exits 3), the designed outcome where per(G) is large.
     """
     p = primitive_period_vector(g)
-    return bounded_chip_game(g, x, p, max_batches=max_batches).firing_vector == p
+    return bounded_chip_game(g, x, p, max_batches=max_batches, trace=False).firing_vector == p
 
 
 def is_recurrent_via_reach(
@@ -262,7 +268,7 @@ def is_recurrent_via_reach(
     if v is None:
         return False
     bound = tuple([p[u] - (1 if u == v else 0) for u in range(g.n)])
-    result = bounded_chip_game(g, fire(g, x, v), bound, max_batches=max_batches)
+    result = bounded_chip_game(g, fire(g, x, v), bound, max_batches=max_batches, trace=False)
     return result.firing_vector == bound
 
 

@@ -26,8 +26,13 @@ vertex's multiplicity towards h is the total of its runs to h, and a
 vertex without a ribbon line is a sink.  The same run token comes back
 on line after line (in canonical spelling a file has at most n heads
 times its distinct counts of them), so the parser converts and checks
-each distinct token once per file.  ``serialize_instance`` writes this
-spelling:
+each distinct token once per file.  The spellings ``serialize_instance``
+writes cost one table lookup per token: vertices, rotor positions and
+run counts below n are looked up among the decimals ``0`` to ``n-1``,
+and a rotor line without a name, or with one an earlier rotor line
+gave, is split without the name check.  Any other spelling takes the
+general path with its checks and messages.  ``serialize_instance``
+writes this spelling:
 
     graph 3
     ribbon 0 : 1:2 2:1 1:1
@@ -49,6 +54,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InstanceFormatError
 from .multigraph import DirectedMultigraph, OutEdges, head_totals
@@ -141,10 +147,18 @@ def _config_name(rest: list[str], usage: str, lineno: int) -> tuple[str, list[st
 def parse_instance(text: str) -> Instance:
     """Parse and check an instance file in one pass over its lines.
 
-    Each token is converted once.  ``_int`` looks vertex tokens,
-    multiplicities and run counts up in a table of the canonical spellings
-    ``str(i)``, ``0 <= i < n``, before it calls ``int``: a hit is always in
-    range, and any other spelling (``+3``, ``007``, a count of n or more)
+    Each token is converted once.  Vertex tokens, rotor positions,
+    multiplicities and run counts are first looked up in ``ids``, the
+    canonical spellings ``str(i)``, ``0 <= i < n``; a hit is always in
+    range.  A run token first seen in the file whose head and count are
+    both hits, with a count of at least 1 and a head other than its
+    line's vertex, becomes its ``(head, count)`` tuple with no further
+    check.  A rotor line of three tokens, neither of them ``:`` past the
+    directive, or of five with ``:`` third and a name that an earlier
+    rotor line passed, is split without ``_config_name``.  A chips line
+    is converted by ``int`` alone.  Every other spelling (``+3``,
+    ``007``, a count of n or more, a new name) takes ``_config_name`` and
+    ``_int``, which are also the only source of error messages, so it
     gets the same checks and messages.
     Each distinct run token is converted and checked once: a token that
     passed every check is kept, for this call only, as its ``(head,
@@ -219,19 +233,25 @@ def parse_instance(text: str) -> Instance:
                 run = checked_runs.get(tok)
                 if run is None:
                     head_s, sep, count_s = tok.partition(":")
-                    if not sep:
-                        raise InstanceFormatError(
-                            f"ribbon run {tok!r} must look like <head>:<count>",
-                            lineno,
-                        )
-                    head = _int(head_s, "run head", lineno, ids)
-                    count = _int(count_s, "run count", lineno, ids)
-                    if not 0 <= head < n:
-                        raise InstanceFormatError("run head out of range", lineno)
-                    if head == v:
-                        raise InstanceFormatError("loops are not allowed", lineno)
-                    if count < 1:
-                        raise InstanceFormatError("run count must be >= 1", lineno)
+                    head = ids.get(head_s)
+                    count = ids.get(count_s)
+                    # a canonical head and count >= 1, not a loop: every check passes
+                    if head is None or not count or head == v:
+                        if not sep:
+                            raise InstanceFormatError(
+                                f"ribbon run {tok!r} must look like <head>:<count>",
+                                lineno,
+                            )
+                        if head is None:
+                            head = _int(head_s, "run head", lineno)
+                        if count is None:
+                            count = _int(count_s, "run count", lineno)
+                        if not 0 <= head < n:
+                            raise InstanceFormatError("run head out of range", lineno)
+                        if head == v:
+                            raise InstanceFormatError("loops are not allowed", lineno)
+                        if count < 1:
+                            raise InstanceFormatError("run count must be >= 1", lineno)
                     run = checked_runs[tok] = (head, count)
                 elif run[0] == v:
                     # a checked token can fail only as a loop on another line
@@ -250,14 +270,31 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(
                     f"chips line needs {n} values, got {len(rest)}", lineno
                 )
-            chip_lines[name] = tuple([_int(t, "chip count", lineno) for t in rest])
+            try:
+                chips = [int(t) for t in rest]
+            except ValueError:
+                # converting again, _int names the first faulty token
+                chips = [_int(t, "chip count", lineno) for t in rest]
+            chip_lines[name] = tuple(chips)
         elif directive == "rotor":
-            usage = "rotor [<name> :] <v> <position>"
-            name, rest = _config_name(tokens[1:], usage, lineno)
-            if len(rest) != 2:
-                raise InstanceFormatError(f"expected: {usage}", lineno)
-            v = _int(rest[0], "rotor vertex", lineno, ids)
-            pos = _int(rest[1], "rotor position", lineno)
+            # the serializer's two shapes: no name, or a name that an
+            # earlier rotor line has already passed through _config_name
+            if len(tokens) == 3 and tokens[1] != ":" and tokens[2] != ":":
+                name, v_s, pos_s = DEFAULT_CONFIG_NAME, tokens[1], tokens[2]
+            elif len(tokens) == 5 and tokens[2] == ":" and tokens[1] in rotor_lines:
+                name, v_s, pos_s = tokens[1], tokens[3], tokens[4]
+            else:
+                usage = "rotor [<name> :] <v> <position>"
+                name, rest = _config_name(tokens[1:], usage, lineno)
+                if len(rest) != 2:
+                    raise InstanceFormatError(f"expected: {usage}", lineno)
+                v_s, pos_s = rest
+            v = ids.get(v_s)
+            if v is None:
+                v = _int(v_s, "rotor vertex", lineno)
+            pos = ids.get(pos_s)
+            if pos is None:
+                pos = _int(pos_s, "rotor position", lineno)
             if not 0 <= v < n:
                 raise InstanceFormatError("rotor vertex out of range", lineno)
             positions = rotor_lines.setdefault(name, {})
@@ -287,7 +324,7 @@ def parse_instance(text: str) -> Instance:
         ribbon_lines[v][0] if v in ribbon_lines else tuple(sorted(edge_lines.get(v, {}).items()))
         for v in range(n)
     ]
-    adj = tuple([OutEdges(sum([count for _, count in runs_v]), runs_v) for runs_v in runs])
+    adj = tuple([OutEdges(sum(map(itemgetter(1), runs_v)), runs_v) for runs_v in runs])
     ribbon = RibbonStructure.of(DirectedMultigraph.from_checked_adjacency(adj))
 
     for name, positions in rotor_lines.items():

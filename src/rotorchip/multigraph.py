@@ -58,7 +58,8 @@ def out_edges(row: IntVector) -> OutEdges:
     # those at 10 slots, resizes them, and frees them onto the free list
     # of their final size, which keeps up to 2,000 of each size 1-19 until
     # a full collection; with few collections those lists fill to about
-    # 3 MB.  A tuple built from a list takes and returns one of its size.
+    # 3 MB.  A tuple built from a list takes and returns one of its size
+    # (tests/test_layering.py holds the query path's modules to this).
     heads = list(compress(range(len(row)), row))
     return OutEdges(sum(row), tuple([(v, row[v]) for v in heads]))
 

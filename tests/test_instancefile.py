@@ -454,9 +454,14 @@ def _mutated_files(draw, edge_lines: bool):
     if edge_lines:
         text = with_edge_lines(text, inst.graph)
     if draw(st.booleans()):
-        # a named configuration too, so the name paths are exercised
+        # a named configuration too, with a rotor line for every non-sink
+        # vertex as the serializer writes it, so the name paths are
+        # exercised, a name seen on an earlier rotor line among them
         chips = " ".join(str(draw(st.integers(-2, 3))) for _ in range(inst.graph.n))
-        text += f"chips src : {chips}\nrotor src : 0 0\n"
+        text += f"chips src : {chips}\n" + "".join(
+            f"rotor src : {v} {draw(st.integers(0, degree - 1))}\n"
+            for v, degree in enumerate(inst.ribbon.degrees) if degree
+        )
     lines = [line.split() for line in text.splitlines()]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         if lines:
@@ -477,6 +482,12 @@ class TestAgainstReferenceParser:
         (2, "edge {} 1 2"), (2, "edge 0 {} 2"), (2, "edge 0 1 {}"),
         (4, "ribbon {} : 1:2"), (4, "ribbon 0 : {}:2"), (4, "ribbon 0 : 1:{}"),
         (6, "chips {} 0"), (7, "rotor {} 1"), (7, "rotor 0 {}"),
+        # a named rotor line after another one, and before its chips line
+        (7, "rotor 0 1\nchips src : 0 1\nrotor src : 1 0\nrotor src : {} 1"),
+        (7, "rotor 0 1\nchips src : 0 1\nrotor src : 1 0\nrotor src : 0 {}"),
+        (6, "rotor src : 1 0\nrotor src : {} 1\nchips src : 0 1\nchips 1 0"),
+        # a run first seen after a checked one, its count n or more for most tokens
+        (4, "ribbon 0 : 1:1 1:{}"), (5, "ribbon 1 : {}:1"),
     ))
     def test_token_in_every_integer_slot(self, token: str, index: int, template: str) -> None:
         lines = BASIC.splitlines()
@@ -488,6 +499,9 @@ class TestAgainstReferenceParser:
         "edge 9 1 x", "edge 0 9 x", "edge 1 1 x", "edge 1 1 -1", "edge 9 9 -1",
         "ribbon 9 : 1:x", "ribbon 0 : 9:x", "ribbon 0 : 0:x", "ribbon 0 : 0:0",
         "ribbon 0 : 9:0 x", "rotor 9 x", "rotor src : 9 x", "chips alt : 1 x",
+        # after BASIC's rotor line: a bad name, and a name seen but misplaced
+        "rotor 9 : 0 x", "rotor default 0 : 1", "rotor default : 9 x",
+        "rotor default : 0 1 x",
     ))
     def test_two_faults_in_one_line(self, line: str) -> None:
         # the reference decides which of the two faults is reported
@@ -501,6 +515,8 @@ class TestAgainstReferenceParser:
         # a loop that repeats a checked token, before a malformed token
         ("ribbon 1 : 0:1\nribbon 0 : 1:1 0:1 x", 3),
         ("ribbon 1 : 0:1\nribbon 0 : 0:1 9:1", 3),
+        # a first-seen loop, before an out-of-range head
+        ("ribbon 0 : 0:1 9:1", 2),
         # an invalid token on two lines: the first is named
         ("ribbon 0 : 1:x\nribbon 2 : 1:x", 2),
         ("ribbon 0 : 1:1 9:1\nribbon 2 : 9:1", 2),

@@ -95,3 +95,54 @@ def test_the_guard_sees_a_dense_row_call(tmp_path) -> None:
     (tmp_path / "sweeps.py").write_text("from . import multigraph\nrow = multigraph.dense_row(3, out)\n")
     (tmp_path / "multigraph.py").write_text("def dense_row(n, out):\n    return (0,) * n\nrow = dense_row(1, ())\n")
     assert _dense_row_callers(tmp_path) == ["engine.py:1", "engine.py:4", "sweeps.py:2"]
+
+
+# the modules on a query's path, where tuples are built from lists (see
+# multigraph.out_edges): a tuple built from an iterator of unknown length
+# starts small, is resized, and leaves a tuple of another size on a free list
+QUERY_PATH = {"instancefile.py", "multigraph.py", "intlinalg.py", "chipfiring.py",
+              "rotorrouting.py", "cli.py"}
+_ITERATORS = {"map", "zip", "filter", "compress"}
+
+
+def _iterator_tuples(src: Path = SRC) -> list[str]:
+    """Each ``tuple(...)`` of a generator, map, zip, filter or compress, as ``file:line``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name not in QUERY_PATH:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.GeneratorExp) or (
+                isinstance(arg, ast.Call)
+                and (getattr(arg.func, "id", None) or getattr(arg.func, "attr", None)) in _ITERATORS
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_query_path_tuples_are_built_from_lists() -> None:
+    assert _iterator_tuples() == []
+
+
+def test_the_guard_sees_a_tuple_from_an_iterator(tmp_path) -> None:
+    (tmp_path / "intlinalg.py").write_text(
+        "import itertools\n"
+        "a = tuple(x for x in y)\n"
+        "b = tuple(map(int, y))\n"
+        "c = tuple(itertools.compress(y, s))\n"
+        "d = tuple([x for x in y]) + tuple(sorted(y)) + tuple(y)\n"
+        "e = tuple(\n    zip(y, y)\n)\n"
+    )
+    (tmp_path / "cli.py").write_text("f = tuple(filter(None, y))\n")
+    (tmp_path / "sweeps.py").write_text("g = tuple(x for x in y)\n")
+    assert _iterator_tuples(tmp_path) == [
+        "cli.py:1", "intlinalg.py:2", "intlinalg.py:3", "intlinalg.py:4", "intlinalg.py:6",
+    ]

@@ -18,7 +18,15 @@ from random import Random
 import pytest
 
 from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
-from rotorchip.chipfiring import HaltingVerdict, bounded_chip_game, fire, halts, reach_chip
+from rotorchip.chipfiring import (
+    HaltingVerdict,
+    bounded_chip_game,
+    fire,
+    halts,
+    is_recurrent,
+    is_recurrent_via_reach,
+    reach_chip,
+)
 from rotorchip.cli import run_command
 from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
 from rotorchip.instancefile import MAX_VERTICES, Instance, serialize_instance
@@ -463,6 +471,25 @@ def test_reach_rotor_trace_eulerian_n60_128_bit_chips_within_wall_bound() -> Non
     assert verdict.routing_vector == game.routing_vector
     assert verdict.trace is not None and verdict.trace.replay(ribbon)
     assert elapsed < 10.0, f"reach_rotor eulerian n=60, b=128: {elapsed:.1f}s >= 10s"
+
+
+@pytest.mark.parametrize("recurrent", [is_recurrent, is_recurrent_via_reach])
+def test_recurrence_on_the_chain_n16_within_memory_bound(recurrent) -> None:
+    # two edges from i to i+1, one back: p(i) = 2^i and the game plays
+    # about 16,000 batches; counted, not kept, they peak at about 5 KB,
+    # where one (v, k) tuple per batch peaked at 0.6-0.7 MB (8.9 MB at n=20)
+    n = 16
+    g = DirectedMultigraph.from_edges(
+        n, [(i, i + 1, 2) for i in range(n - 1)] + [(i + 1, i, 1) for i in range(n - 1)]
+    )
+    x = tuple([2 * d - 1 for d in g.out_degrees()])
+    tracemalloc.start()
+    try:
+        assert recurrent(g, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e3, f"{recurrent.__name__} chain n=16: peak {peak / 1e3:.0f} KB"
 
 
 @pytest.mark.parametrize(
