@@ -69,8 +69,14 @@ _FREE_TUPLES = re.compile(
 
 
 def median_seconds(call, repeats: int) -> float:
+    """The median time of ``repeats`` calls, each after a full collection.
+
+    Collecting outside the timed region keeps the garbage of earlier calls
+    from triggering a collection inside a later one.
+    """
     times = []
     for _ in range(repeats):
+        gc.collect()
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)

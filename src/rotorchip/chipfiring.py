@@ -19,6 +19,10 @@ no visited configurations: it decides non-halting by period domination,
 once the game has fired the primitive period vector p, so it keeps O(n)
 memory; p costs one elimination, or one pass over the adjacency on an
 Eulerian graph.
+
+Firing keeps the chip total, so ``reach_chip`` answers an equal pair or
+unequal totals in O(n), and the recurrence tests answer a stable start
+after their connectivity check, with no elimination.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
-from .intlinalg import (
-    _component_period,
-    _reduced_solution,
-    nonneg_reduced_solution,
-    primitive_period_vector,
-)
+from .intlinalg import _component_period, _reduced_solution, nonneg_reduced_solution
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
@@ -215,7 +214,9 @@ def reach_chip(
     with two edges forward and one back, per(G) = 2^n - 1 while every
     multiplicity is at most 2.  Past ``max_batches`` the verdict is
     UNKNOWN (``chip-reach`` exits 3); that is the designed outcome, since
-    chip reachability is hard in general.
+    chip reachability is hard in general.  When x and y differ in total,
+    or are equal, the whole query is O(n): the solve makes no
+    connectivity pass or elimination, and the game fires nothing.
     """
     _check_vector(g.n, x, "configuration")
     _check_vector(g.n, y, "configuration")
@@ -232,6 +233,17 @@ def reach_chip(
     return ChipReachVerdict("NO", firing_vector=f, reason="bounded-game-stuck")
 
 
+def _recurrence_period(g: DirectedMultigraph, x: ChipConfig) -> CountVector | None:
+    """p after the connectivity and then the length check; None when x is stable."""
+    if not is_strongly_connected(g):
+        raise ValueError("period vector requires a strongly connected graph")
+    _check_vector(g.n, x, "chip configuration")
+    degs = g.out_degrees()
+    if not any([c >= d for c, d in zip(x, degs)]):
+        return None
+    return _component_period(g, range(g.n), degs)
+
+
 def is_recurrent(
     g: DirectedMultigraph,
     x: ChipConfig,
@@ -244,9 +256,12 @@ def is_recurrent(
     batches, so its time grows with per(G), not with n and the bit length
     alone; it keeps no trace, so its memory is O(n).  Past
     ``max_batches`` it raises BudgetExceededError (``chip-recurrent``
-    exits 3), the designed outcome where per(G) is large.
+    exits 3), the designed outcome where per(G) is large.  A stable x
+    fires nothing: False after the connectivity check, with no p.
     """
-    p = primitive_period_vector(g)
+    p = _recurrence_period(g, x)
+    if p is None:
+        return False
     return bounded_chip_game(g, x, p, max_batches=max_batches, trace=False).firing_vector == p
 
 
@@ -259,14 +274,15 @@ def is_recurrent_via_reach(
 
     Fire the smallest legally fireable vertex v, then test whether the
     result reaches x back, as the (p - 1_v)-bounded game achieving its
-    full bound.  Stable configurations are never recurrent.  The game
-    takes at most per(G) - 1 batches, with the same cost and the same
-    BudgetExceededError past ``max_batches`` as ``is_recurrent``.
+    full bound.  Stable configurations are never recurrent, and as in
+    ``is_recurrent`` need no p.  The game takes at most per(G) - 1
+    batches, with the same cost and the same BudgetExceededError past
+    ``max_batches`` as ``is_recurrent``.
     """
-    p = primitive_period_vector(g)
-    v = next((u for u in range(g.n) if is_legal_fire(g, x, u)), None)
-    if v is None:
+    p = _recurrence_period(g, x)
+    if p is None:
         return False
+    v = next(u for u in range(g.n) if is_legal_fire(g, x, u))
     bound = tuple([p[u] - (1 if u == v else 0) for u in range(g.n)])
     result = bounded_chip_game(g, fire(g, x, v), bound, max_batches=max_batches, trace=False)
     return result.firing_vector == bound
@@ -283,7 +299,7 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
         raise ValueError("linear equivalence requires a strongly connected graph")
     _check_vector(g.n, x, "configuration")
     _check_vector(g.n, y, "configuration")
-    return _reduced_solution(g, scc, tuple([b - a for a, b in zip(x, y)]))
+    return _reduced_solution(g, tuple([b - a for a, b in zip(x, y)]), scc)
 
 
 @dataclass(frozen=True, slots=True)

@@ -248,16 +248,24 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
     Integrality of f0 + t * p_C is linear congruences in t, solved with
     gcd and modular inverses, then C is shifted by p_C until it is
     nonnegative and does not dominate it.  Cost: O(n + runs), plus one
-    elimination per nontrivial component.
+    elimination per nontrivial component.  Firing keeps the chip total:
+    a nonzero sum(d) gets None and d = 0 gets 0 in O(n), with no
+    connectivity pass or elimination.
     """
     _check_vector(g.n, d, "right-hand side")
-    return _reduced_solution(g, scc_decompose(g), d)
+    return _reduced_solution(g, d)
 
 
 def _reduced_solution(
-    g: DirectedMultigraph, scc: SccDecomposition, d: IntVector
+    g: DirectedMultigraph, d: IntVector, scc: SccDecomposition | None = None
 ) -> IntVector | None:
-    """``nonneg_reduced_solution`` on a decomposition the caller already has."""
+    """``nonneg_reduced_solution``, on g's decomposition ``scc`` if the caller has it."""
+    if sum(d):
+        return None
+    if not any(d):
+        return (0,) * g.n
+    if scc is None:
+        scc = scc_decompose(g)
     adj = g.adjacency()
     degs = g.out_degrees()
     inflow = [0] * g.n

@@ -358,7 +358,9 @@ def unconstrained_reach(
     beyond that only whole turns remain, and a whole turn at v moves
     chips exactly like firing v.  So r = r1 + z * deg with z the reduced
     nonnegative solution of L z = chips2 - pi_r1(c1).chips, solved on
-    ``g``, which must equal ``ribbon.graph``.
+    ``g``, which must equal ``ribbon.graph``.  Cost: ``pi_r``, then the
+    solve, which is O(n) with no connectivity pass or elimination when
+    the chip totals differ or the alignment lands on chips2.
     """
     validate_config(ribbon, c1)
     validate_config(ribbon, c2)

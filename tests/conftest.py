@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rotorchip import chipfiring, cli, intlinalg, multigraph, rotorrouting
 from rotorchip.multigraph import DirectedMultigraph
 from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure
 
@@ -15,6 +16,24 @@ def digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(saved)
+
+
+@pytest.fixture
+def forbid_connectivity_passes(monkeypatch):
+    """A call after which every scc_decompose or is_strongly_connected call raises.
+
+    Both names are replaced in every module that binds them.
+    """
+    def refuse(g: DirectedMultigraph):
+        raise AssertionError("connectivity pass")
+
+    def forbid() -> None:
+        for module in (multigraph, intlinalg, chipfiring, rotorrouting, cli):
+            for name in ("scc_decompose", "is_strongly_connected"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+
+    return forbid
 
 
 @pytest.fixture

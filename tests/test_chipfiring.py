@@ -177,6 +177,21 @@ class TestReach:
         for x, y in cases:
             assert (reach_chip(c2, x, y).decision == "YES") == bfs_reach_chip(c2, x, y)
 
+    def test_equal_and_unbalanced_pairs_make_no_connectivity_pass(
+        self, forbid_connectivity_passes, c2, d21, fig1
+    ) -> None:
+        # x reaches itself by the empty game, and no game changes the chip total
+        cases = []
+        for g in (c2, d21, fig1):
+            for x in ((0,) * g.n, tuple(range(-1, g.n - 1)), g.out_degrees()):
+                more = (x[0] + 1,) + x[1:]
+                cases += [(g, x, x), (g, x, more), (g, more, x)]
+        wants = [reach_chip(g, x, y) for g, x, y in cases]
+        for (g, x, y), want in zip(cases, wants):
+            assert (want.decision == "YES") == bfs_reach_chip(g, x, y) == (x == y)
+        forbid_connectivity_passes()
+        assert [reach_chip(g, x, y) for g, x, y in cases] == wants
+
 
 def _connectivity_passes(monkeypatch) -> list[DirectedMultigraph]:
     """The graphs of every scc_decompose and is_strongly_connected call, as they happen.
@@ -216,9 +231,30 @@ class TestRecurrence:
                 assert is_recurrent_via_reach(d21, x) == expected
 
     def test_requires_strongly_connected(self, fig1: DirectedMultigraph) -> None:
+        # checked first: before the configuration's length and its stability
         for query in (is_recurrent, is_recurrent_via_reach):
-            with pytest.raises(ValueError, match="strongly connected"):
-                query(fig1, (0, 0, 0, 0))
+            for x in ((0, 0, 0, 0), (-1, -1, -1, -1), (0,), (-1,) * 5):
+                with pytest.raises(ValueError, match="^period vector requires a strongly connected graph$"):
+                    query(fig1, x)
+
+    @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])
+    def test_stable_start_computes_no_period(self, monkeypatch, c2, d21, query) -> None:
+        single = DirectedMultigraph.from_edges(1, [])
+        graphs = (c2, d21, single, gen_graph("strongly-connected", 6, random.Random(6)))
+        cases = [(g, tuple([d - 1 for d in g.out_degrees()])) for g in graphs]
+        cases += [(g, tuple([-5] * g.n)) for g in graphs]
+        assert not any(oracle_is_recurrent(g, x) for g, x in cases)
+        # the engine lets a sink fire with no chips, so the one-vertex (0,) is not stable
+        assert query(single, (0,))
+
+        def refuse(*args):
+            raise AssertionError("period computed")
+
+        for module in (intlinalg, chipfiring):
+            for name in ("_component_period", "primitive_period_vector"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+        assert not any(query(g, x) for g, x in cases)
 
     @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])
     def test_one_decomposition_per_call(self, monkeypatch, c2, d21, query) -> None:

@@ -275,7 +275,7 @@ class TestSolverMatchesHnfOracle:
         vec = st.lists(st.integers(min_value=low, max_value=4), min_size=g.n, max_size=g.n)
         d = mat_vec(laplacian(g), tuple(data.draw(vec)))
         perturbed = tuple(a + b for a, b in zip(d, data.draw(vec)))
-        for rhs in (d, perturbed):
+        for rhs in (d, perturbed, (0,) * g.n):
             got = nonneg_reduced_solution(g, rhs)
             assert got == _oracle_reduced_solution(g, rhs), (g.mult, rhs)
             if got is not None:
@@ -508,6 +508,17 @@ class TestOneSccPass:
             calls.clear()
             call(g)
             assert len(calls) == 1
+
+    def test_trivial_right_hand_sides_make_no_pass(
+        self, forbid_connectivity_passes, c2: DirectedMultigraph, fig1: DirectedMultigraph
+    ) -> None:
+        # firing keeps the chip total: a nonzero sum has no solution, and 0 solves 0
+        graphs = (c2, fig1, _FOUR_COMPONENTS, gen_graph("strongly-connected", 9, Random(9)))
+        cases = [(g, d) for g in graphs for d in ((0,) * g.n, (1,) + (0,) * (g.n - 1), (-3,) * g.n)]
+        wants = [nonneg_reduced_solution(g, d) for g, d in cases]
+        assert [w if w is None else set(w) for w in wants] == [{0}, None, None] * len(graphs)
+        forbid_connectivity_passes()
+        assert [nonneg_reduced_solution(g, d) for g, d in cases] == wants
 
 
 class TestReduced:

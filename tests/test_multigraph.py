@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorchip.bruteforce import enumerate_digraphs, laplacian, reachability_matrix
-from rotorchip.chipfiring import bounded_chip_game, halts, lin_equiv, reach_chip
+from rotorchip.chipfiring import (
+    bounded_chip_game, halts, is_recurrent, is_recurrent_via_reach, lin_equiv, reach_chip,
+)
 from rotorchip.generators import FAMILIES, gen_graph
 from rotorchip.intlinalg import nonneg_reduced_solution, reduce_routing_vector, reduce_vector
 from rotorchip.multigraph import (
@@ -229,6 +231,8 @@ VECTOR_SITES = {
     "lin_equiv x": ("configuration", False, lambda v: lin_equiv(_C2, v, (0, 0))),
     "lin_equiv y": ("configuration", False, lambda v: lin_equiv(_C2, (0, 0), v)),
     "halts": ("configuration", False, lambda v: halts(_C2, v)),
+    "is_recurrent": ("chip configuration", False, lambda v: is_recurrent(_C2, v)),
+    "is_recurrent_via_reach": ("chip configuration", False, lambda v: is_recurrent_via_reach(_C2, v)),
     "nonneg_reduced_solution": ("right-hand side", False, lambda v: nonneg_reduced_solution(_C2, v)),
     "reduce_vector": ("vector", True, lambda v: reduce_vector(_C2, v)),
     "reduce_routing_vector": ("vector", True, lambda v: reduce_routing_vector(_C2, v)),

@@ -303,6 +303,37 @@ class TestReachabilitySets:
 
 
 class TestReachRotor:
+    def test_trivial_whole_turn_remainders_make_no_connectivity_pass(
+        self, forbid_connectivity_passes, d21, d21_ribbon, fig1, fig1_ribbon, fig1_left, fig1_middle
+    ) -> None:
+        # the solve for whole turns gets 0 when the alignment lands on the
+        # target chips, and nothing when the chip totals differ
+        cases = []
+        for g, ribbon, c1 in (
+            (d21, d21_ribbon, ChipRotorConfig((1, 0), (0, 0))),
+            (d21, d21_ribbon, ChipRotorConfig((2, 1), (1, 0))),
+            (fig1, fig1_ribbon, fig1_left),
+            (fig1, fig1_ribbon, fig1_middle),
+        ):
+            # r1 below the degrees, so it is the whole alignment
+            for r1 in ((0,) * g.n, tuple([1 if d > 1 else 0 for d in ribbon.degrees])):
+                aligned = pi_r(ribbon, c1, r1)
+                more = ChipRotorConfig((aligned.chips[0] + 1,) + aligned.chips[1:], aligned.rotors)
+                cases += [(g, ribbon, c1, aligned), (g, ribbon, c1, more)]
+        for g, ribbon, c1, c2 in cases:
+            assert (reach_rotor(g, ribbon, c1, c2).decision == "YES") == bfs_reach_rotor(ribbon, c1, c2)
+
+        def verdicts():
+            return [
+                (unconstrained_reach(*case), reach_rotor(*case), reach_rotor(*case, trace=False))
+                for case in cases
+            ]
+
+        wants = verdicts()
+        assert [want[0] is None for want in wants] == [False, True] * (len(cases) // 2)
+        forbid_connectivity_passes()
+        assert verdicts() == wants
+
     def test_no_by_s2(self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
         c1 = ChipRotorConfig((0, 0), (0, 0))
         c2 = ChipRotorConfig((0, 0), (1, 0))

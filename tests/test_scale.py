@@ -25,6 +25,7 @@ from rotorchip.chipfiring import (
     halts,
     is_recurrent,
     is_recurrent_via_reach,
+    lin_equiv,
     reach_chip,
 )
 from rotorchip.cli import run_command
@@ -245,6 +246,48 @@ def test_is_strongly_connected_n4096_within_wall_bound(closed: bool) -> None:
         assert is_strongly_connected(g) == closed
         elapsed = min(elapsed, time.perf_counter() - start)
     assert elapsed < 0.05, f"n={n}: {elapsed * 1e3:.1f} ms >= 50 ms"
+
+
+@pytest.fixture(scope="module")
+def strongly_connected_4096():
+    """The strongly connected graph on 4096 vertices, a start one chip above
+    each out-degree, and a stable start one chip below."""
+    g = gen_graph("strongly-connected", 4096, Random(4096))
+    degs = g.out_degrees()
+    return g, tuple([d + 1 for d in degs]), tuple([d - 1 for d in degs])
+
+
+def _rotor_self_reach(g: DirectedMultigraph, x: tuple[int, ...]) -> tuple[int, ...] | None:
+    c = ChipRotorConfig(x, tuple([0 if d else None for d in g.out_degrees()]))
+    return reach_rotor(g, RibbonStructure.of(g), c, c, trace=False).routing_vector
+
+
+# queries the chip total decides: each call, what it returns, and the answer
+TRIVIAL_QUERIES = {
+    "reach_chip equal": (lambda g, x, s: reach_chip(g, x, x).decision, "YES"),
+    "reach_chip unequal totals": (
+        lambda g, x, s: reach_chip(g, x, (x[0] + 1,) + x[1:]).reason, "no-nonneg-firing-vector"
+    ),
+    "lin_equiv equal": (lambda g, x, s: set(lin_equiv(g, x, x)), {0}),
+    "reach_rotor equal": (lambda g, x, s: set(_rotor_self_reach(g, x)), {0}),
+    "is_recurrent stable": (lambda g, x, s: is_recurrent(g, s), False),
+    "is_recurrent_via_reach stable": (lambda g, x, s: is_recurrent_via_reach(g, s), False),
+}
+
+
+@pytest.mark.parametrize("name", TRIVIAL_QUERIES)
+def test_trivial_queries_strongly_connected_n4096_within_wall_bound(
+    strongly_connected_4096, name: str
+) -> None:
+    # firing keeps the chip total, so an equal pair, unequal totals and a
+    # stable start need no elimination: measured 0.2-13 ms each, where
+    # eliminating took 8.7-11.3 s on this family at n=500 for all but
+    # unequal totals, which a strongly connected graph's one sink caught
+    call, want = TRIVIAL_QUERIES[name]
+    start = time.perf_counter()
+    assert call(*strongly_connected_4096) == want
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"{name} n=4096: {elapsed:.2f}s >= 0.5s"
 
 
 def _hadamard_bound(g: DirectedMultigraph, d: tuple[int, ...]) -> int:
