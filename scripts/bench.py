@@ -22,7 +22,9 @@ parse     Per spelling, as ``serialize_instance`` writes it (ribbon lines
           (the parser converts and checks each distinct one once), the
           median time per ``parse_instance`` call and the ``tracemalloc``
           peak of one parse.  Both should be linear in the file: the parsed
-          graph keeps the ribbon's runs, and no n x n matrix.
+          graph keeps the ribbon's runs, and no n x n matrix.  The repeats
+          run round robin over all rows, so a slow stretch of the machine
+          does not move one row alone.
 succinct  ``pi_r`` with a full-turn routing vector on two-run ribbons whose
           multiplicities grow geometrically.  The closed form touches each
           run once, so its time should track the multiplicity's bit length,
@@ -68,19 +70,29 @@ _FREE_TUPLES = re.compile(
 )
 
 
-def median_seconds(call, repeats: int) -> float:
-    """The median time of ``repeats`` calls, each after a full collection.
+def round_robin_medians(calls: list, repeats: int) -> list[float]:
+    """Each call's median time over ``repeats`` rounds, each call after a full collection.
 
-    Collecting outside the timed region keeps the garbage of earlier calls
-    from triggering a collection inside a later one.
+    Every round times each call once, starting one call later than the
+    round before, so a slow stretch of a shared machine spreads over all
+    calls instead of falling on one call's repeats.  Collecting outside
+    the timed region keeps the garbage of earlier calls from triggering a
+    collection inside a later one.
     """
-    times = []
-    for _ in range(repeats):
-        gc.collect()
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    times: list[list[float]] = [[] for _ in calls]
+    for start in range(repeats):
+        for i in range(start, start + len(calls)):
+            i %= len(calls)
+            gc.collect()
+            t0 = time.perf_counter()
+            calls[i]()
+            times[i].append(time.perf_counter() - t0)
+    return [statistics.median(t) for t in times]
+
+
+def median_seconds(call, repeats: int) -> float:
+    """The median time of ``repeats`` calls, each after a full collection."""
+    return round_robin_medians([call], repeats)[0]
 
 
 def instances(sizes: list[int], seed: int):
@@ -267,6 +279,7 @@ def parse_section(args):
         ("lines", 7, ""), ("KB", 7, ".0f"), ("rep %", 6, ".1f"),
         ("ms/parse", 9, ".2f"), ("peak MB", 8, ".2f"),
     )
+    rows = []
     for family, n, instance in instances(args.parse_sizes, args.seed):
         ribbon_only = serialize_instance(instance)
         configured = with_configs(instance, args.seed)
@@ -281,13 +294,17 @@ def parse_section(args):
                 expected.graph, expected.ribbon, expected.configs
             ):
                 yield f"round trip mismatch: {family} n={n} {spelling}"
-            parse_s = median_seconds(lambda: parse_instance(text), args.repeats)
-            tracemalloc.start()
-            parse_instance(text)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            row(family, n, spelling, text.count("\n"), len(text) / 1e3,
-                100 * repeated_run_share(text), parse_s * 1e3, peak / 1e6)
+            rows.append((family, n, spelling, text))
+    medians = round_robin_medians(
+        [lambda text=text: parse_instance(text) for *_, text in rows], args.repeats
+    )
+    for (family, n, spelling, text), parse_s in zip(rows, medians):
+        tracemalloc.start()
+        parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        row(family, n, spelling, text.count("\n"), len(text) / 1e3,
+            100 * repeated_run_share(text), parse_s * 1e3, peak / 1e6)
 
 
 def succinct_section(args):

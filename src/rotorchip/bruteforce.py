@@ -137,8 +137,16 @@ def oracle_is_recurrent(
     x: IntVector,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """Whether some nonempty legal game returns to x, by exhaustive search."""
+    """Whether some nonempty legal game returns to x, by exhaustive search.
+
+    Firing a vertex of out-degree 0 is legal when it holds x(v) >= 0
+    chips and changes nothing, so it alone is a nonempty game back to x,
+    as in the engine: on the one-vertex graph every x >= 0 is recurrent.
+    The search below skips such firings, so they are checked first.
+    """
     x = tuple(x)
+    if any(c >= 0 and not any(row) for c, row in zip(x, g.mult)):
+        return True
     seen = {x}
     queue = deque([x])
     while queue:

@@ -17,8 +17,9 @@ one sort per round.  ``halts`` fires one chip-firing at a time, smallest
 vertex first, from a min-heap: O(runs(v) + log n) per firing.  It stores
 no visited configurations: it decides non-halting by period domination,
 once the game has fired the primitive period vector p, so it keeps O(n)
-memory; p costs one elimination, or one pass over the adjacency on an
-Eulerian graph.
+memory; p costs one elimination, or nothing on an Eulerian graph, where
+the connectivity check already found every vertex balanced and p is the
+ones vector.
 
 Firing keeps the chip total, so ``reach_chip`` answers an equal pair or
 unequal totals in O(n), and the recurrence tests answer a stable start
@@ -31,14 +32,14 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
-from .intlinalg import _component_period, _reduced_solution, nonneg_reduced_solution
+from .intlinalg import _kernel_period, _reduced_solution, nonneg_reduced_solution
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
     OutEdges,
     _check_vector,
-    is_strongly_connected,
     scc_decompose,
+    strongly_connected_balance,
 )
 
 ChipConfig = IntVector
@@ -234,14 +235,19 @@ def reach_chip(
 
 
 def _recurrence_period(g: DirectedMultigraph, x: ChipConfig) -> CountVector | None:
-    """p after the connectivity and then the length check; None when x is stable."""
-    if not is_strongly_connected(g):
+    """p after the connectivity and then the length check; None when x is stable.
+
+    The connectivity check tells whether g is balanced, and then p is the
+    ones vector with no elimination.
+    """
+    balanced = strongly_connected_balance(g)
+    if balanced is None:
         raise ValueError("period vector requires a strongly connected graph")
     _check_vector(g.n, x, "chip configuration")
     degs = g.out_degrees()
     if not any([c >= d for c, d in zip(x, degs)]):
         return None
-    return _component_period(g, range(g.n), degs)
+    return (1,) * g.n if balanced else _kernel_period(g, range(g.n), degs)
 
 
 def is_recurrent(
@@ -257,7 +263,10 @@ def is_recurrent(
     alone; it keeps no trace, so its memory is O(n).  Past
     ``max_batches`` it raises BudgetExceededError (``chip-recurrent``
     exits 3), the designed outcome where per(G) is large.  A stable x
-    fires nothing: False after the connectivity check, with no p.
+    fires nothing: False after the connectivity check, with no p.  A
+    vertex of out-degree 0 fires legally with x(v) >= 0 chips and moves
+    none, so on the one-vertex graph every x >= 0 is recurrent, as in
+    ``bruteforce.oracle_is_recurrent``.
     """
     p = _recurrence_period(g, x)
     if p is None:
@@ -348,8 +357,9 @@ def halts(
     costs O(runs(v) + log n) and the game keeps O(n) memory
     whatever ``max_steps``, its one budget, allows: at most that many
     firings, so a game stable after exactly ``max_steps`` of them halts.
-    Strong connectivity costs two walks over the runs, and the one
-    component is all of g.
+    Strong connectivity costs one walk over the runs on a balanced graph,
+    which then has p = ones, and two walks otherwise; the one component
+    is all of g.
 
     Unlike the bounded games, ``halts`` stays smallest-first and fires
     one at a time.  Its certificate is a configuration on the game it
@@ -357,7 +367,8 @@ def halts(
     game; another schedule would reach another configuration on the
     cycle.  Its budget also counts single firings.
     """
-    if not is_strongly_connected(g):
+    balanced = strongly_connected_balance(g)
+    if balanced is None:
         raise ValueError("halting analysis requires a strongly connected graph")
     _check_vector(g.n, x, "configuration")
     adj = g.adjacency()
@@ -391,7 +402,7 @@ def halts(
         if k == target[v]:
             short -= 1
             if not short and period is None:
-                period = target = _component_period(g, range(g.n), degs)
+                period = target = (1,) * g.n if balanced else _kernel_period(g, range(g.n), degs)
                 short = sum([f < p for f, p in zip(fired, period)])
             if not short:
                 return HaltingVerdict(

@@ -16,7 +16,9 @@ Every entry it produces is a minor of C's matrix with its right-hand
 sides appended, within that matrix's Hadamard bound; back substitution
 at most doubles the bit length.  Every period vector comes from that
 elimination on one component, unless it is balanced (in-degree equals
-out-degree inside it): then one pass over its runs gives the ones vector.
+out-degree inside it): then one pass over its runs gives the ones vector,
+and on a whole strongly connected graph the connectivity walk has
+already found the balance.
 Vectors local to a component are aligned with its vertex tuple.
 """
 
@@ -32,8 +34,8 @@ from .multigraph import (
     SccDecomposition,
     _check_vector,
     head_totals,
-    is_strongly_connected,
     scc_decompose,
+    strongly_connected_balance,
 )
 
 
@@ -110,13 +112,10 @@ def _solve_reduced(
     return det, sols
 
 
-def _root_column(
-    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]
-) -> list[int] | None:
-    """The edge counts from comp[0] into comp, or None when comp is balanced.
+def _is_balanced(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> bool:
+    """Whether each vertex's in-degree from comp equals ``degs``: one pass over comp's runs.
 
-    Balanced means each vertex's in-degree from comp equals ``degs``; its
-    period is then the ones vector.  One pass over comp's runs.
+    A balanced strongly connected comp has the ones vector as its period.
     """
     adj = g.adjacency()
     pos = dict(zip(comp, range(len(comp))))
@@ -127,9 +126,12 @@ def _root_column(
                 excess[pos[w]] -= m
             except KeyError:  # an edge that leaves comp
                 pass
-    if not any(excess):
-        return None
-    totals = head_totals(adj[comp[0]].edges)
+    return not any(excess)
+
+
+def _root_column(g: DirectedMultigraph, comp: Sequence[int]) -> list[int]:
+    """The edge counts from comp[0] into comp, aligned with comp."""
+    totals = head_totals(g.adjacency()[comp[0]].edges)
     return [totals.get(v, 0) for v in comp]
 
 
@@ -178,10 +180,14 @@ def _primitive(det: int, ker: list[int]) -> IntVector:
 
 def _component_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
     """The period vector of the strongly connected comp; degs counts edges inside it."""
-    column = _root_column(g, comp, degs)
-    if column is None:
+    if _is_balanced(g, comp, degs):
         return (1,) * len(comp)
-    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (column,))
+    return _kernel_period(g, comp, degs)
+
+
+def _kernel_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
+    """``_component_period`` of a comp known to be unbalanced: one elimination, root comp[0]."""
+    det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (_root_column(g, comp),))
     return _primitive(det, ker)
 
 
@@ -189,12 +195,15 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """The unique positive coprime vector p with laplacian(g) @ p == 0.
 
     Only strongly connected graphs have one; a single isolated vertex
-    yields (1,).  One elimination with vertex 0 as root, or on an
-    Eulerian graph one pass over the adjacency.
+    yields (1,).  The connectivity check also tells whether g is
+    balanced (Eulerian): then p is the ones vector, after one walk over
+    the adjacency.  Otherwise it costs two walks and one elimination with
+    vertex 0 as root.
     """
-    if not is_strongly_connected(g):
+    balanced = strongly_connected_balance(g)
+    if balanced is None:
         raise ValueError("period vector requires a strongly connected graph")
-    return _component_period(g, range(g.n), g.out_degrees())
+    return (1,) * g.n if balanced else _kernel_period(g, range(g.n), g.out_degrees())
 
 
 @dataclass(frozen=True)
@@ -279,8 +288,7 @@ def _reduced_solution(
                 return None
             if scc.is_trivial[i]:
                 continue
-            column = _root_column(g, comp, degs)
-            columns = [rhs] if column is None else [rhs, column]
+            columns = [rhs] if _is_balanced(g, comp, degs) else [rhs, _root_column(g, comp)]
             det, (num, *kers) = _solve_reduced(g, comp, degs, comp[:1], columns)
             # a balanced component has period ones and kernel column det * ones
             ker = kers[0] if kers else [det] * len(comp)

@@ -277,27 +277,35 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     )
 
 
-def is_strongly_connected(g: DirectedMultigraph) -> bool:
-    """Whether every vertex reaches vertex 0 and back: O(n + runs), no sort.
+def strongly_connected_balance(g: DirectedMultigraph) -> bool | None:
+    """None when g is not strongly connected, else whether g is balanced.
 
-    One forward walk from 0 collects each vertex's predecessors as it
-    goes; when it reaches every vertex it has walked every run, so one
-    backward walk over those lists decides the rest.
+    Balanced (Eulerian) means every vertex's in-degree equals its
+    out-degree.  One forward walk from vertex 0 sums the in-degrees and
+    collects each vertex's predecessors as it goes.  When it reaches
+    every vertex it has walked every run, and on a balanced graph it
+    decides the rest: every edge of a balanced graph lies on a cycle, so
+    each vertex reaches 0 back.  Only an unbalanced graph takes a second
+    walk, backward over the predecessor lists.  O(n + runs), no sort.
     """
     adj = g.adjacency()
+    excess = [out.degree for out in adj]
     preds: list[list[int]] = [[] for _ in adj]
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, _ in adj[v].edges:
+        for w, m in adj[v].edges:
+            excess[w] -= m
             preds[w].append(v)
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
-    if not all(seen):
-        return False
+    if False in seen:
+        return None
+    if not any(excess):
+        return True
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
@@ -306,7 +314,15 @@ def is_strongly_connected(g: DirectedMultigraph) -> bool:
             if not seen[u]:
                 seen[u] = True
                 stack.append(u)
-    return all(seen)
+    return None if False in seen else False
+
+
+def is_strongly_connected(g: DirectedMultigraph) -> bool:
+    """Whether every vertex reaches vertex 0 and back: O(n + runs), no sort.
+
+    One walk on a balanced graph, two otherwise (``strongly_connected_balance``).
+    """
+    return strongly_connected_balance(g) is not None
 
 
 def is_eulerian(g: DirectedMultigraph) -> bool:

@@ -20,16 +20,17 @@ def digit_limit():
 
 @pytest.fixture
 def forbid_connectivity_passes(monkeypatch):
-    """A call after which every scc_decompose or is_strongly_connected call raises.
+    """A call after which every connectivity pass raises.
 
-    Both names are replaced in every module that binds them.
+    scc_decompose, is_strongly_connected and strongly_connected_balance
+    are replaced in every module that binds them.
     """
     def refuse(g: DirectedMultigraph):
         raise AssertionError("connectivity pass")
 
     def forbid() -> None:
         for module in (multigraph, intlinalg, chipfiring, rotorrouting, cli):
-            for name in ("scc_decompose", "is_strongly_connected"):
+            for name in ("scc_decompose", "is_strongly_connected", "strongly_connected_balance"):
                 if name in vars(module):
                     monkeypatch.setattr(module, name, refuse)
 

@@ -34,6 +34,7 @@ from rotorchip.multigraph import (
     DirectedMultigraph,
     is_strongly_connected,
     scc_decompose,
+    strongly_connected_balance,
 )
 
 
@@ -194,19 +195,23 @@ class TestReach:
 
 
 def _connectivity_passes(monkeypatch) -> list[DirectedMultigraph]:
-    """The graphs of every scc_decompose and is_strongly_connected call, as they happen.
+    """The graphs of every connectivity pass, as they happen.
 
-    Both are wrapped in every module that binds them, so a pass through
-    either name counts once.
+    A pass is one scc_decompose, is_strongly_connected or
+    strongly_connected_balance call.  Each is wrapped in every module
+    that binds it, so a pass through one name counts once; one through
+    is_strongly_connected counts twice, since it calls
+    strongly_connected_balance, which the engine calls directly.
     """
     calls = []
-    for original in (scc_decompose, is_strongly_connected):
+    for original in (scc_decompose, is_strongly_connected, strongly_connected_balance):
         def counting(g: DirectedMultigraph, original=original):
             calls.append(g)
             return original(g)
 
         for module in (multigraph, intlinalg, chipfiring):
-            monkeypatch.setattr(module, original.__name__, counting)
+            if original.__name__ in vars(module):
+                monkeypatch.setattr(module, original.__name__, counting)
     return calls
 
 
@@ -255,6 +260,48 @@ class TestRecurrence:
                 if name in vars(module):
                     monkeypatch.setattr(module, name, refuse)
         assert not any(query(g, x) for g, x in cases)
+
+    def test_one_vertex_graph_matches_the_oracle(self) -> None:
+        # a sink with x(v) >= 0 fires legally and moves nothing: a nonempty game back to x
+        single = DirectedMultigraph.from_edges(1, [])
+        for x, want in (((-1,), False), ((0,), True), ((2,), True)):
+            assert oracle_is_recurrent(single, x) == want
+            assert is_recurrent(single, x) == want
+            assert is_recurrent_via_reach(single, x) == want
+        assert halts(single, (-1,)) == HaltingVerdict("halts", final=(-1,), firing_vector=(0,))
+        for x in ((0,), (2,)):
+            assert halts(single, x) == HaltingVerdict(
+                "non-halting", certificate=x, witness_to_certificate=(1,), witness_cycle=(1,)
+            )
+
+    def test_balanced_graph_needs_no_elimination(self, monkeypatch, c2) -> None:
+        # the connectivity check finds the balance, and p is the ones vector
+        triangle = DirectedMultigraph.from_edges(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 0, 2)])
+        graphs = (c2, triangle, gen_graph("eulerian", 8, random.Random(8)))
+
+        def answers() -> list:
+            out = []
+            for g in graphs:
+                degs = g.out_degrees()
+                # degs is recurrent (firing every vertex once returns to it);
+                # the second start is one chip short everywhere but vertex 0
+                for x in (degs, degs[:1] + tuple([d - 1 for d in degs[1:]])):
+                    out.append((halts(g, x), is_recurrent(g, x), is_recurrent_via_reach(g, x)))
+                out.append(primitive_period_vector(g))
+            return out
+
+        want = answers()
+        assert all(h.kind == "non-halting" and r and v for h, r, v in want[0::3])
+        assert all(p == (1,) * g.n for p, g in zip(want[2::3], graphs))
+
+        def refuse(*args):
+            raise AssertionError("elimination")
+
+        for module in (intlinalg, chipfiring):
+            for name in ("_component_period", "_root_column", "_solve_reduced"):
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, refuse)
+        assert answers() == want
 
     @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])
     def test_one_decomposition_per_call(self, monkeypatch, c2, d21, query) -> None:

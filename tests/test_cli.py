@@ -365,8 +365,18 @@ chips src : 2 0 0
 chips dst : 0 1 1
 """
 
+# strongly connected but not balanced: vertex 1 has in-degree 1 and out-degree 2
+UNBALANCED_TEXT = """\
+graph 3
+ribbon 0 : 1:1 2:1
+ribbon 1 : 2:1 0:1
+ribbon 2 : 0:1
+chips src : 2 1 1
+chips dst : 0 2 2
+"""
+
 # every subcommand that gives a verdict on an instance, with the options
-# it needs on TRIANGLE_TEXT
+# it needs on TRIANGLE_TEXT and UNBALANCED_TEXT
 VERDICT_COMMANDS = {
     "period": [],
     "scc": [],
@@ -382,13 +392,14 @@ VERDICT_COMMANDS = {
 }
 
 
-def test_each_verdict_command_makes_at_most_one_scc_pass(tmp_path, capsys, monkeypatch) -> None:
+def _assert_one_scc_pass_per_verdict(tmp_path, capsys, monkeypatch, text: str) -> None:
+    """Exactly one connectivity pass for scc and chip-halting, at most one for every verdict."""
     assert set(VERDICT_COMMANDS) == set(OPTIONS) - {"gen", "oracle-check"}
-    path = tmp_path / "triangle.rcg"
-    path.write_text(TRIANGLE_TEXT, encoding="utf-8")
+    path = tmp_path / "instance.rcg"
+    path.write_text(text, encoding="utf-8")
     passes = []
-    # a pass is one scc_decompose or one is_strongly_connected call
-    for name in ("scc_decompose", "is_strongly_connected"):
+    # a pass is one scc_decompose, is_strongly_connected or strongly_connected_balance call
+    for name in ("scc_decompose", "is_strongly_connected", "strongly_connected_balance"):
         original = getattr(multigraph, name)
 
         def counted(g, original=original):
@@ -407,6 +418,16 @@ def test_each_verdict_command_makes_at_most_one_scc_pass(tmp_path, capsys, monke
         counts[name] = len(passes)
     assert counts["scc"] == counts["chip-halting"] == 1
     assert max(counts.values()) <= 1, counts
+
+
+def test_each_verdict_command_makes_at_most_one_scc_pass(tmp_path, capsys, monkeypatch) -> None:
+    _assert_one_scc_pass_per_verdict(tmp_path, capsys, monkeypatch, TRIANGLE_TEXT)
+
+
+def test_each_verdict_command_makes_at_most_one_scc_pass_unbalanced(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    _assert_one_scc_pass_per_verdict(tmp_path, capsys, monkeypatch, UNBALANCED_TEXT)
 
 
 class TestPeriod:

@@ -18,6 +18,7 @@ from rotorchip.multigraph import (
     is_eulerian,
     is_strongly_connected,
     scc_decompose,
+    strongly_connected_balance,
 )
 from rotorchip.rotorrouting import (
     ChipRotorConfig,
@@ -44,6 +45,38 @@ def small_graphs(max_n: int = 5, max_mult: int = 3) -> st.SearchStrategy[Directe
             ),
         )
     )
+
+
+def _cycle(vertices: list[int], mult: int = 1) -> list[tuple[int, int, int]]:
+    """The edges of the directed cycle through ``vertices`` in order; none for one vertex."""
+    if len(vertices) < 2:
+        return []
+    return [(u, v, mult) for u, v in zip(vertices, vertices[1:] + vertices[:1])]
+
+
+@st.composite
+def balanced_graphs(draw) -> DirectedMultigraph:
+    """Balanced graphs, strongly connected or not, on shuffled vertices.
+
+    A sum of random cycles, two disjoint cycles (one may be a single
+    vertex), or a cycle and an isolated vertex, which may be vertex 0.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(("cycle-sum", "two-cycles", "cycle-and-isolated")))
+    if kind == "cycle-sum":
+        cycles = draw(st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(order), min_size=2, max_size=n, unique=True),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=4,
+        ))
+        edges = [e for vertices, mult in cycles for e in _cycle(vertices, mult)]
+    else:
+        split = n - 1 if kind == "cycle-and-isolated" else draw(st.integers(1, n - 1))
+        edges = _cycle(order[:split]) + _cycle(order[split:])
+    return DirectedMultigraph.from_edges(n, edges)
 
 
 class TestConstruction:
@@ -173,10 +206,13 @@ class TestPredicates:
         assert is_strongly_connected(c2)
         assert not is_strongly_connected(fig1)
 
-    @given(small_graphs(max_n=6, max_mult=1))
-    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(balanced_graphs(), small_graphs(max_n=6, max_mult=1)))
+    @settings(max_examples=300, deadline=None)
     def test_strongly_connected_matches_the_decomposition(self, g: DirectedMultigraph) -> None:
-        assert is_strongly_connected(g) == (len(scc_decompose(g).components) == 1)
+        # a balanced graph is decided by the forward walk alone
+        connected = len(scc_decompose(g).components) == 1
+        assert is_strongly_connected(g) == connected
+        assert strongly_connected_balance(g) == (is_eulerian(g) if connected else None)
 
     def test_eulerian_balance(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
         assert is_eulerian(c2)
