@@ -16,7 +16,6 @@ from .errors import BudgetExceededError, InstanceFormatError
 from .multigraph import (
     DirectedMultigraph,
     SccDecomposition,
-    is_eulerian,
     is_strongly_connected,
     scc_decompose,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "InstanceFormatError",
     "DirectedMultigraph",
     "SccDecomposition",
-    "is_eulerian",
     "is_strongly_connected",
     "scc_decompose",
     "PeriodBasis",

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
-from .intlinalg import _kernel_period, _reduced_solution, nonneg_reduced_solution
+from .intlinalg import _component_period, _sink_solution, nonneg_reduced_solution
 from .multigraph import (
     DirectedMultigraph,
     IntVector,
     OutEdges,
     _check_vector,
-    scc_decompose,
     strongly_connected_balance,
 )
 
@@ -247,7 +246,7 @@ def _recurrence_period(g: DirectedMultigraph, x: ChipConfig) -> CountVector | No
     degs = g.out_degrees()
     if not any([c >= d for c, d in zip(x, degs)]):
         return None
-    return (1,) * g.n if balanced else _kernel_period(g, range(g.n), degs)
+    return _component_period(g, range(g.n), degs, balanced)
 
 
 def is_recurrent(
@@ -301,14 +300,21 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
     """The reduced f >= 0 with y = x + L f, or None when not equivalent.
 
     Requires strong connectivity (symmetry of the relation needs a
-    positive period vector).
+    positive period vector).  g is then its one sink component.  Cost:
+    the walk of ``strongly_connected_balance``, O(n + runs), which checks
+    the connectivity and finds the balance (two walks on an unbalanced
+    g); then O(n) when x == y or their totals differ, else one elimination.
     """
-    scc = scc_decompose(g)
-    if len(scc.components) != 1:
+    balanced = strongly_connected_balance(g)
+    if balanced is None:
         raise ValueError("linear equivalence requires a strongly connected graph")
     _check_vector(g.n, x, "configuration")
     _check_vector(g.n, y, "configuration")
-    return _reduced_solution(g, tuple([b - a for a, b in zip(x, y)]), scc)
+    out = [0] * g.n
+    rhs = [a - b for a, b in zip(x, y)]
+    if not _sink_solution(g, range(g.n), g.out_degrees(), rhs, balanced, out):
+        return None
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,7 +408,7 @@ def halts(
         if k == target[v]:
             short -= 1
             if not short and period is None:
-                period = target = (1,) * g.n if balanced else _kernel_period(g, range(g.n), degs)
+                period = target = _component_period(g, range(g.n), degs, balanced)
                 short = sum([f < p for f, p in zip(fired, period)])
             if not short:
                 return HaltingVerdict(

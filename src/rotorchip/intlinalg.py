@@ -15,10 +15,11 @@ O(m^2) per right-hand side; O(m^2) on a cycle, O(m^3) under dense fill.
 Every entry it produces is a minor of C's matrix with its right-hand
 sides appended, within that matrix's Hadamard bound; back substitution
 at most doubles the bit length.  Every period vector comes from that
-elimination on one component, unless it is balanced (in-degree equals
-out-degree inside it): then one pass over its runs gives the ones vector,
-and on a whole strongly connected graph the connectivity walk has
-already found the balance.
+elimination on one component, unless the component is balanced
+(in-degree equals out-degree over the edges inside it): then it is the
+ones vector.  The connectivity pass that found the component already
+found its balance, in ``scc_decompose`` or, on a whole strongly
+connected graph, in ``strongly_connected_balance``.
 Vectors local to a component are aligned with its vertex tuple.
 """
 
@@ -112,23 +113,6 @@ def _solve_reduced(
     return det, sols
 
 
-def _is_balanced(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> bool:
-    """Whether each vertex's in-degree from comp equals ``degs``: one pass over comp's runs.
-
-    A balanced strongly connected comp has the ones vector as its period.
-    """
-    adj = g.adjacency()
-    pos = dict(zip(comp, range(len(comp))))
-    excess = [degs[v] for v in comp]
-    for u in comp:
-        for w, m in adj[u].edges:
-            try:
-                excess[pos[w]] -= m
-            except KeyError:  # an edge that leaves comp
-                pass
-    return not any(excess)
-
-
 def _root_column(g: DirectedMultigraph, comp: Sequence[int]) -> list[int]:
     """The edge counts from comp[0] into comp, aligned with comp."""
     totals = head_totals(g.adjacency()[comp[0]].edges)
@@ -178,15 +162,15 @@ def _primitive(det: int, ker: list[int]) -> IntVector:
     return p
 
 
-def _component_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
-    """The period vector of the strongly connected comp; degs counts edges inside it."""
-    if _is_balanced(g, comp, degs):
+def _component_period(
+    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int], balanced: bool
+) -> IntVector:
+    """The period of the strongly connected comp, degs counting edges inside it.
+
+    Ones if comp is ``balanced``, else one elimination with root comp[0].
+    """
+    if balanced:
         return (1,) * len(comp)
-    return _kernel_period(g, comp, degs)
-
-
-def _kernel_period(g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int]) -> IntVector:
-    """``_component_period`` of a comp known to be unbalanced: one elimination, root comp[0]."""
     det, (ker,) = _solve_reduced(g, comp, degs, comp[:1], (_root_column(g, comp),))
     return _primitive(det, ker)
 
@@ -203,7 +187,7 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     balanced = strongly_connected_balance(g)
     if balanced is None:
         raise ValueError("period vector requires a strongly connected graph")
-    return (1,) * g.n if balanced else _kernel_period(g, range(g.n), g.out_degrees())
+    return _component_period(g, range(g.n), g.out_degrees(), balanced)
 
 
 @dataclass(frozen=True)
@@ -239,8 +223,42 @@ def period_basis(g: DirectedMultigraph) -> PeriodBasis:
         sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
         for u, out in enumerate(g.adjacency())
     ]
-    periods = tuple([_component_period(g, comp, degs) for comp in scc.components])
+    pairs = zip(scc.components, scc.is_balanced)
+    periods = tuple([_component_period(g, comp, degs, balanced) for comp, balanced in pairs])
     return PeriodBasis(scc, periods, scc.sink_component_ids(), sum(map(sum, periods)))
+
+
+def _sink_solution(
+    g: DirectedMultigraph, comp: Sequence[int], degs: Sequence[int],
+    rhs: list[int], balanced: bool, out: list[int],
+) -> bool:
+    """Write into ``out``, 0 on comp, the reduced f >= 0 on the sink comp; False if none.
+
+    f solves minus the Laplacian on comp against ``rhs``, aligned with
+    comp.  Firing keeps the chip total: a nonzero sum(rhs) gets False and
+    rhs = 0 keeps f = 0, in O(|comp|).  Else one elimination with root
+    comp[0] gives det times a solution f0 and, unless comp is
+    ``balanced``, det times its kernel vector.  Integrality of
+    f0 + t * p_C is linear congruences in t, solved with gcd and modular
+    inverses, then comp is shifted by p_C until it is nonnegative and
+    does not dominate it.
+    """
+    if sum(rhs):
+        return False
+    if not any(rhs):
+        return True
+    columns = [rhs] if balanced else [rhs, _root_column(g, comp)]
+    det, (num, *kers) = _solve_reduced(g, comp, degs, comp[:1], columns)
+    # a balanced component has period ones and kernel column det * ones
+    ker = kers[0] if kers else [det] * len(comp)
+    p = _primitive(det, ker)
+    y = _shift_congruence(num, ker, det)
+    if y is None:
+        return False
+    for v, x, k in zip(comp, num, ker):
+        out[v] = (x + y * k) // det
+    _shift_down(out, comp, p)
+    return True
 
 
 def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | None:
@@ -250,31 +268,19 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
     carries the inflow from the components already solved.  A non-sink
     component C has f_C forced by its own block with full out-degrees:
     one division on a single vertex, else one elimination; each entry
-    must be integral and nonnegative.  On a sink, d and the inflow must
-    have equal sums; a trivial sink s has period e_s and entry 0.  Any
-    other sink C takes one elimination with root C[0]: det times a
-    solution f0 and, unless C is balanced, det times its kernel vector.
-    Integrality of f0 + t * p_C is linear congruences in t, solved with
-    gcd and modular inverses, then C is shifted by p_C until it is
-    nonnegative and does not dominate it.  Cost: O(n + runs), plus one
-    elimination per nontrivial component.  Firing keeps the chip total:
-    a nonzero sum(d) gets None and d = 0 gets 0 in O(n), with no
-    connectivity pass or elimination.
+    must be integral and nonnegative.  A sink C is solved against d and
+    the inflow by ``_sink_solution``: O(|C|) when their difference sums
+    to nonzero or is 0 (so on every trivial sink), else one elimination.
+    Cost: O(n + runs), plus one elimination per nontrivial component.
+    Firing keeps the chip total: a nonzero sum(d) gets None and d = 0
+    gets 0 in O(n), with no connectivity pass or elimination.
     """
     _check_vector(g.n, d, "right-hand side")
-    return _reduced_solution(g, d)
-
-
-def _reduced_solution(
-    g: DirectedMultigraph, d: IntVector, scc: SccDecomposition | None = None
-) -> IntVector | None:
-    """``nonneg_reduced_solution``, on g's decomposition ``scc`` if the caller has it."""
     if sum(d):
         return None
     if not any(d):
         return (0,) * g.n
-    if scc is None:
-        scc = scc_decompose(g)
+    scc = scc_decompose(g)
     adj = g.adjacency()
     degs = g.out_degrees()
     inflow = [0] * g.n
@@ -284,21 +290,8 @@ def _reduced_solution(
         comp = scc.components[i]
         rhs = [inflow[v] - d[v] for v in comp]
         if scc.is_sink[i]:
-            if sum(rhs):
+            if not _sink_solution(g, comp, degs, rhs, scc.is_balanced[i], out):
                 return None
-            if scc.is_trivial[i]:
-                continue
-            columns = [rhs] if _is_balanced(g, comp, degs) else [rhs, _root_column(g, comp)]
-            det, (num, *kers) = _solve_reduced(g, comp, degs, comp[:1], columns)
-            # a balanced component has period ones and kernel column det * ones
-            ker = kers[0] if kers else [det] * len(comp)
-            p = _primitive(det, ker)
-            y = _shift_congruence(num, ker, det)
-            if y is None:
-                return None
-            for v, x, k in zip(comp, num, ker):
-                out[v] = (x + y * k) // det
-            _shift_down(out, comp, p)
             continue
         if scc.is_trivial[i]:
             det, num = degs[comp[0]], rhs
@@ -320,16 +313,15 @@ def _sink_steps(
 ) -> Iterator[tuple[IntVector, list[int]]]:
     """Each sink component with its period vector times ``scale``, aligned with it.
 
-    A sink has no leaving edges, so its out-degrees are its own.  A
-    trivial sink {s} has period e_s, so its step is [scale[s]], found
-    without a pass over its runs.  Zero steps (trivial sinks under the
-    routing scale, the out-degree) constrain nothing and are skipped.
+    A sink has no leaving edges, so its out-degrees are its own.  Zero
+    steps (trivial sinks under the routing scale, the out-degree)
+    constrain nothing and are skipped.
     """
     scc = scc_decompose(g)
     degs = g.out_degrees()
     for i in scc.sink_component_ids():
         comp = scc.components[i]
-        p = (1,) if scc.is_trivial[i] else _component_period(g, comp, degs)
+        p = _component_period(g, comp, degs, scc.is_balanced[i])
         step = [x * scale[v] for v, x in zip(comp, p)]
         if any(step):
             yield comp, step

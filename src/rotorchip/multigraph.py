@@ -190,13 +190,16 @@ class SccDecomposition:
 
     ``component_of[v]`` is the component id of vertex v; ``components``
     lists each component's vertices in ascending order.  A component is a
-    sink when no edge leaves it, and trivial when it is a single vertex.
+    sink when no edge leaves it, trivial when it is a single vertex, and
+    balanced when over the edges inside it each of its vertices has
+    in-degree equal to out-degree: taken alone, it has period ones.
     """
 
     component_of: IntVector
     components: tuple[tuple[int, ...], ...]
     is_sink: tuple[bool, ...]
     is_trivial: tuple[bool, ...]
+    is_balanced: tuple[bool, ...]
 
     def sink_component_ids(self) -> tuple[int, ...]:
         return tuple([i for i, s in enumerate(self.is_sink) if s])
@@ -208,7 +211,9 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     Iterative on purpose: path-like graphs would otherwise hit the
     recursion limit.  Each vertex's runs are walked sorted by head, so
     neither the components nor their numbering depend on the run order:
-    O(n + runs) plus the sorts, linear on runs already in order.
+    O(n + runs) plus the sorts, linear on runs already in order.  The
+    pass that finds the sinks also sums each vertex's excess over the
+    edges inside its component, which gives the balance.
     """
     n = g.n
     succ = [sorted(out.edges) for out in g.adjacency()]
@@ -262,18 +267,25 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
 
     k = len(components)
     is_sink = [True] * k
+    # out-degree minus in-degree per vertex, over the edges inside its component
+    excess = [0] * n
     for u in range(n):
         cu = component_of[u]
-        for w, _ in succ[u]:
+        for w, m in succ[u]:
             if component_of[w] != cu:
                 is_sink[cu] = False
+            else:
+                excess[u] += m
+                excess[w] -= m
     is_trivial = [len(c) == 1 for c in components]
+    is_balanced = [not any([excess[v] for v in c]) for c in components]
     assert any(is_sink), "a finite digraph always has a sink component"
     return SccDecomposition(
         component_of=tuple(component_of),
         components=tuple(components),
         is_sink=tuple(is_sink),
         is_trivial=tuple(is_trivial),
+        is_balanced=tuple(is_balanced),
     )
 
 
@@ -323,17 +335,4 @@ def is_strongly_connected(g: DirectedMultigraph) -> bool:
     One walk on a balanced graph, two otherwise (``strongly_connected_balance``).
     """
     return strongly_connected_balance(g) is not None
-
-
-def is_eulerian(g: DirectedMultigraph) -> bool:
-    """Degree balance at every vertex: in-degree equals out-degree.
-
-    One pass over the adjacency accumulates the in-degrees.
-    """
-    adj = g.adjacency()
-    indeg = [0] * g.n
-    for out in adj:
-        for w, m in out.edges:
-            indeg[w] += m
-    return all(d == out.degree for d, out in zip(indeg, adj))
 

@@ -25,7 +25,7 @@ from .generators import (
     rotor_case_stream,
     strongly_connected_stream,
 )
-from .multigraph import DirectedMultigraph, is_eulerian, is_strongly_connected
+from .multigraph import DirectedMultigraph, strongly_connected_balance
 from .rotorrouting import ChipRotorConfig
 
 ORACLE_MAX_STATES = 250_000
@@ -353,7 +353,7 @@ def run_eulerian_sweep(count: int, seed: int) -> SweepReport:
     for _ in range(count):
         g = gen_graph("eulerian", rng.randint(2, 7), rng)
         report.total += 1
-        if not (is_eulerian(g) and is_strongly_connected(g)):
+        if strongly_connected_balance(g) is not True:
             report.fail(f"generated graph not connected Eulerian: {g}")
             continue
         p = intlinalg.primitive_period_vector(g)

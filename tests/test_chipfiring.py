@@ -194,8 +194,8 @@ class TestReach:
         assert [reach_chip(g, x, y) for g, x, y in cases] == wants
 
 
-def _connectivity_passes(monkeypatch) -> list[DirectedMultigraph]:
-    """The graphs of every connectivity pass, as they happen.
+def _connectivity_passes(monkeypatch) -> list[str]:
+    """The name of every connectivity pass, as it happens.
 
     A pass is one scc_decompose, is_strongly_connected or
     strongly_connected_balance call.  Each is wrapped in every module
@@ -206,13 +206,36 @@ def _connectivity_passes(monkeypatch) -> list[DirectedMultigraph]:
     calls = []
     for original in (scc_decompose, is_strongly_connected, strongly_connected_balance):
         def counting(g: DirectedMultigraph, original=original):
-            calls.append(g)
+            calls.append(original.__name__)
             return original(g)
 
         for module in (multigraph, intlinalg, chipfiring):
             if original.__name__ in vars(module):
                 monkeypatch.setattr(module, original.__name__, counting)
     return calls
+
+
+class TestConnectivityPass:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: lin_equiv(g, (g.n,) + (0,) * (g.n - 1), (0,) * (g.n - 1) + (g.n,)),
+            lambda g: halts(g, g.out_degrees()),
+            lambda g: is_recurrent(g, g.out_degrees()),
+            lambda g: is_recurrent_via_reach(g, g.out_degrees()),
+            primitive_period_vector,
+        ],
+        ids=["lin_equiv", "halts", "is_recurrent", "is_recurrent_via_reach", "primitive_period_vector"],
+    )
+    def test_whole_graph_queries_walk_once_and_skip_the_decomposition(
+        self, monkeypatch, c2, d21, call
+    ) -> None:
+        graphs = (c2, d21, gen_graph("strongly-connected", 6, random.Random(6)))
+        calls = _connectivity_passes(monkeypatch)
+        for g in graphs:
+            calls.clear()
+            call(g)
+            assert calls == ["strongly_connected_balance"]
 
 
 class TestRecurrence:
@@ -255,10 +278,9 @@ class TestRecurrence:
         def refuse(*args):
             raise AssertionError("period computed")
 
+        # every period, p of the whole graph included, comes from this one function
         for module in (intlinalg, chipfiring):
-            for name in ("_component_period", "primitive_period_vector"):
-                if name in vars(module):
-                    monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(module, "_component_period", refuse)
         assert not any(query(g, x) for g, x in cases)
 
     def test_one_vertex_graph_matches_the_oracle(self) -> None:
@@ -297,10 +319,8 @@ class TestRecurrence:
         def refuse(*args):
             raise AssertionError("elimination")
 
-        for module in (intlinalg, chipfiring):
-            for name in ("_component_period", "_root_column", "_solve_reduced"):
-                if name in vars(module):
-                    monkeypatch.setattr(module, name, refuse)
+        for name in ("_root_column", "_solve_reduced"):
+            monkeypatch.setattr(intlinalg, name, refuse)
         assert answers() == want
 
     @pytest.mark.parametrize("query", [is_recurrent, is_recurrent_via_reach])

@@ -19,7 +19,7 @@ from rotorchip.instancefile import (
     serialize_instance,
 )
 from rotorchip.intlinalg import nonneg_reduced_solution, period_basis, primitive_period_vector
-from rotorchip.multigraph import DirectedMultigraph, is_eulerian, scc_decompose
+from rotorchip.multigraph import DirectedMultigraph, scc_decompose, strongly_connected_balance
 from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
 
 BASIC = """\
@@ -667,7 +667,7 @@ class TestRunOrder:
         seed = data.draw(st.integers(min_value=0, max_value=2**32))
         for query in (
             scc_decompose,
-            is_eulerian,
+            strongly_connected_balance,
             period_basis,
             primitive_period_vector,
             default_ribbon,

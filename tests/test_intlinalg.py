@@ -431,8 +431,8 @@ class TestEulerianShortcut:
     def test_component_period_matches_dense_bareiss(self, g: DirectedMultigraph) -> None:
         scc = scc_decompose(g)
         degs = _inner_degrees(g, scc)
-        for comp in scc.components:
-            p = intlinalg._component_period(g, comp, degs)
+        for comp, balanced in zip(scc.components, scc.is_balanced):
+            p = intlinalg._component_period(g, comp, degs, balanced)
             assert p == _reference_period(g, comp, degs), (g.mult, comp)
             lap = _component_laplacian(g, comp)
             if mat_vec(lap, (1,) * len(comp)) == (0,) * len(comp):
@@ -443,7 +443,9 @@ class TestEulerianShortcut:
         for seed in range(5):
             g = gen_graph("eulerian", n, Random(seed))
             comp = tuple(range(n))
-            p = intlinalg._component_period(g, comp, g.out_degrees())
+            scc = scc_decompose(g)
+            assert scc.components == (comp,)
+            p = intlinalg._component_period(g, comp, g.out_degrees(), scc.is_balanced[0])
             assert p == (1,) * n
             assert p == _reference_period(g, comp, g.out_degrees())
 

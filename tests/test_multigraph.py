@@ -15,7 +15,6 @@ from rotorchip.intlinalg import nonneg_reduced_solution, reduce_routing_vector, 
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
-    is_eulerian,
     is_strongly_connected,
     scc_decompose,
     strongly_connected_balance,
@@ -77,6 +76,24 @@ def balanced_graphs(draw) -> DirectedMultigraph:
         split = n - 1 if kind == "cycle-and-isolated" else draw(st.integers(1, n - 1))
         edges = _cycle(order[:split]) + _cycle(order[split:])
     return DirectedMultigraph.from_edges(n, edges)
+
+
+def _column_balanced(g: DirectedMultigraph) -> bool:
+    """In-degree equals out-degree at every vertex, from the dense view's column sums."""
+    rows = g.mult
+    return all(sum(row[v] for row in rows) == sum(rows[v]) for v in range(g.n))
+
+
+def _check_balance(g: DirectedMultigraph) -> None:
+    """``is_balanced`` against the degrees inside each component, and the whole-graph balance."""
+    scc = scc_decompose(g)
+    rows = g.mult
+    for i, comp in enumerate(scc.components):
+        inside = all(sum(rows[u][v] for u in comp) == sum(rows[v][w] for w in comp) for v in comp)
+        assert scc.is_balanced[i] == inside, (rows, comp)
+    connected = len(scc.components) == 1
+    assert strongly_connected_balance(g) == (scc.is_balanced[0] if connected else None)
+    assert _column_balanced(g) == (all(scc.is_sink) and all(scc.is_balanced)), rows
 
 
 class TestConstruction:
@@ -200,6 +217,16 @@ class TestScc:
             ]
             assert scc.is_sink[cid] == (not exits)
 
+    def test_balance_on_every_graph_up_to_three_vertices(self) -> None:
+        for n in (1, 2, 3):
+            for g in enumerate_digraphs(n, 2):
+                _check_balance(g)
+
+    @given(st.one_of(balanced_graphs(), small_graphs(max_n=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_balance_matches_the_degrees_inside_each_component(self, g: DirectedMultigraph) -> None:
+        _check_balance(g)
+
 
 class TestPredicates:
     def test_strongly_connected(self, c2: DirectedMultigraph, fig1: DirectedMultigraph) -> None:
@@ -212,11 +239,11 @@ class TestPredicates:
         # a balanced graph is decided by the forward walk alone
         connected = len(scc_decompose(g).components) == 1
         assert is_strongly_connected(g) == connected
-        assert strongly_connected_balance(g) == (is_eulerian(g) if connected else None)
+        assert strongly_connected_balance(g) == (_column_balanced(g) if connected else None)
 
     def test_eulerian_balance(self, c2: DirectedMultigraph, d21: DirectedMultigraph) -> None:
-        assert is_eulerian(c2)
-        assert not is_eulerian(d21)
+        assert strongly_connected_balance(c2) is True
+        assert strongly_connected_balance(d21) is False
 
     @given(
         st.sampled_from(FAMILIES),
@@ -234,10 +261,14 @@ class TestPredicates:
         for h in (g, both):
             rows = h.mult
             balanced = all(sum(row[v] for row in rows) == sum(rows[v]) for v in range(n))
-            assert is_eulerian(h) == balanced, (family, h.mult)
-        assert is_eulerian(both)
+            scc = scc_decompose(h)
+            assert (all(scc.is_sink) and all(scc.is_balanced)) == balanced, (family, h.mult)
+            connected = len(scc.components) == 1
+            assert strongly_connected_balance(h) == (balanced if connected else None)
+        scc = scc_decompose(both)
+        assert all(scc.is_sink) and all(scc.is_balanced)
         if family == "eulerian":
-            assert is_eulerian(g)
+            assert strongly_connected_balance(g) is True
 
 
 class TestGenGraph:
