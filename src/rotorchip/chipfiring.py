@@ -301,9 +301,9 @@ def lin_equiv(g: DirectedMultigraph, x: ChipConfig, y: ChipConfig) -> CountVecto
 
     Requires strong connectivity (symmetry of the relation needs a
     positive period vector).  g is then its one sink component.  Cost:
-    the walk of ``strongly_connected_balance``, O(n + runs), which checks
-    the connectivity and finds the balance (two walks on an unbalanced
-    g); then O(n) when x == y or their totals differ, else one elimination.
+    the one walk of ``strongly_connected_balance``, O(n + runs), which
+    checks the connectivity and finds the balance; then O(n) when x == y
+    or their totals differ, else one elimination.
     """
     balanced = strongly_connected_balance(g)
     if balanced is None:
@@ -363,9 +363,9 @@ def halts(
     costs O(runs(v) + log n) and the game keeps O(n) memory
     whatever ``max_steps``, its one budget, allows: at most that many
     firings, so a game stable after exactly ``max_steps`` of them halts.
-    Strong connectivity costs one walk over the runs on a balanced graph,
-    which then has p = ones, and two walks otherwise; the one component
-    is all of g.
+    Strong connectivity costs one walk over the runs, which also finds
+    whether g is balanced, and then p = ones; the one component is all
+    of g.
 
     Unlike the bounded games, ``halts`` stays smallest-first and fires
     one at a time.  Its certificate is a configuration on the game it

@@ -179,10 +179,9 @@ def primitive_period_vector(g: DirectedMultigraph) -> IntVector:
     """The unique positive coprime vector p with laplacian(g) @ p == 0.
 
     Only strongly connected graphs have one; a single isolated vertex
-    yields (1,).  The connectivity check also tells whether g is
-    balanced (Eulerian): then p is the ones vector, after one walk over
-    the adjacency.  Otherwise it costs two walks and one elimination with
-    vertex 0 as root.
+    yields (1,).  The connectivity check, one walk over the runs, also
+    tells whether g is balanced (Eulerian): then p is the ones vector.
+    Otherwise it costs one elimination with vertex 0 as root.
     """
     balanced = strongly_connected_balance(g)
     if balanced is None:
@@ -217,12 +216,7 @@ class PeriodBasis:
 
 def period_basis(g: DirectedMultigraph) -> PeriodBasis:
     scc = scc_decompose(g)
-    comp_of = scc.component_of
-    # a component taken alone ignores the edges that leave it
-    degs = [
-        sum(m for w, m in out.edges if comp_of[w] == comp_of[u])
-        for u, out in enumerate(g.adjacency())
-    ]
+    degs = scc.inside_degrees  # a component taken alone ignores the edges that leave it
     pairs = zip(scc.components, scc.is_balanced)
     periods = tuple([_component_period(g, comp, degs, balanced) for comp, balanced in pairs])
     return PeriodBasis(scc, periods, scc.sink_component_ids(), sum(map(sum, periods)))

@@ -193,6 +193,7 @@ class SccDecomposition:
     sink when no edge leaves it, trivial when it is a single vertex, and
     balanced when over the edges inside it each of its vertices has
     in-degree equal to out-degree: taken alone, it has period ones.
+    ``inside_degrees[v]`` counts v's out-edges inside its component.
     """
 
     component_of: IntVector
@@ -200,6 +201,7 @@ class SccDecomposition:
     is_sink: tuple[bool, ...]
     is_trivial: tuple[bool, ...]
     is_balanced: tuple[bool, ...]
+    inside_degrees: IntVector
 
     def sink_component_ids(self) -> tuple[int, ...]:
         return tuple([i for i, s in enumerate(self.is_sink) if s])
@@ -212,8 +214,8 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
     recursion limit.  Each vertex's runs are walked sorted by head, so
     neither the components nor their numbering depend on the run order:
     O(n + runs) plus the sorts, linear on runs already in order.  The
-    pass that finds the sinks also sums each vertex's excess over the
-    edges inside its component, which gives the balance.
+    pass that finds the sinks also sums each vertex's in- and out-degree
+    over the edges inside its component, which gives the balance.
     """
     n = g.n
     succ = [sorted(out.edges) for out in g.adjacency()]
@@ -267,18 +269,19 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
 
     k = len(components)
     is_sink = [True] * k
-    # out-degree minus in-degree per vertex, over the edges inside its component
-    excess = [0] * n
+    # per vertex, its out- and in-degree over the edges inside its component
+    inside = [0] * n
+    inside_in = [0] * n
     for u in range(n):
         cu = component_of[u]
         for w, m in succ[u]:
             if component_of[w] != cu:
                 is_sink[cu] = False
             else:
-                excess[u] += m
-                excess[w] -= m
+                inside[u] += m
+                inside_in[w] += m
     is_trivial = [len(c) == 1 for c in components]
-    is_balanced = [not any([excess[v] for v in c]) for c in components]
+    is_balanced = [all([inside[v] == inside_in[v] for v in c]) for c in components]
     assert any(is_sink), "a finite digraph always has a sink component"
     return SccDecomposition(
         component_of=tuple(component_of),
@@ -286,6 +289,7 @@ def scc_decompose(g: DirectedMultigraph) -> SccDecomposition:
         is_sink=tuple(is_sink),
         is_trivial=tuple(is_trivial),
         is_balanced=tuple(is_balanced),
+        inside_degrees=tuple(inside),
     )
 
 
@@ -293,46 +297,45 @@ def strongly_connected_balance(g: DirectedMultigraph) -> bool | None:
     """None when g is not strongly connected, else whether g is balanced.
 
     Balanced (Eulerian) means every vertex's in-degree equals its
-    out-degree.  One forward walk from vertex 0 sums the in-degrees and
-    collects each vertex's predecessors as it goes.  When it reaches
-    every vertex it has walked every run, and on a balanced graph it
-    decides the rest: every edge of a balanced graph lies on a cycle, so
-    each vertex reaches 0 back.  Only an unbalanced graph takes a second
-    walk, backward over the predecessor lists.  O(n + runs), no sort.
+    out-degree.  One iterative low-link walk from vertex 0 (Tarjan 1972)
+    walks each run once and subtracts its count from its head's excess.
+    g is strongly connected exactly when the walk reaches every vertex and
+    no vertex but 0 closes a component (finishes with low == index); the
+    first such vertex ends the walk.  So no vertex the walk has visited
+    has closed yet, and each is still on Tarjan's stack: the walk keeps
+    neither that stack nor an on-stack flag, and every visited head's
+    index counts toward the low link.  The path holds each ancestor with its
+    run iterator and low link.  O(n + runs), no sort.
     """
     adj = g.adjacency()
     excess = [out.degree for out in adj]
-    preds: list[list[int]] = [[] for _ in adj]
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, m in adj[v].edges:
+    index = [0] + [-1] * (g.n - 1)
+    counter = 1
+    v, runs, low = 0, iter(adj[0].edges), 0
+    path = []
+    while True:
+        for w, m in runs:
             excess[w] -= m
-            preds[w].append(v)
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if False in seen:
+            i = index[w]
+            if i < 0:
+                path.append((v, runs, low))
+                index[w] = low = counter
+                counter += 1
+                v, runs = w, iter(adj[w].edges)
+                break
+            if i < low:
+                low = i
+        else:
+            if low == index[v]:
+                break  # v closes its component: only 0 may
+            v, runs, parent_low = path.pop()
+            low = min(low, parent_low)
+    if v or counter < g.n:
         return None
-    if not any(excess):
-        return True
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for u in preds[stack.pop()]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return None if False in seen else False
+    return not any(excess)
 
 
 def is_strongly_connected(g: DirectedMultigraph) -> bool:
-    """Whether every vertex reaches vertex 0 and back: O(n + runs), no sort.
-
-    One walk on a balanced graph, two otherwise (``strongly_connected_balance``).
-    """
+    """Whether each vertex reaches 0 and back, in one ``strongly_connected_balance`` walk."""
     return strongly_connected_balance(g) is not None
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotorchip.bruteforce import enumerate_digraphs, laplacian, reachability_matrix
@@ -78,6 +78,25 @@ def balanced_graphs(draw) -> DirectedMultigraph:
     return DirectedMultigraph.from_edges(n, edges)
 
 
+@st.composite
+def unbalanced_cycle_graphs(draw) -> DirectedMultigraph:
+    """A Hamiltonian cycle plus chords on shuffled vertices, or that graph less one cycle edge.
+
+    The whole graph is strongly connected and unbalanced.  Less an edge,
+    the walk from vertex 0 may miss a vertex, or a component may close
+    without vertex 0.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    order = draw(st.permutations(range(n)))
+    chord = st.tuples(st.sampled_from(order), st.sampled_from(order), st.integers(1, 3))
+    chords = draw(st.lists(chord.filter(lambda e: e[0] != e[1]), min_size=1, max_size=n))
+    edges = _cycle(order) + chords
+    assume(not _column_balanced(DirectedMultigraph.from_edges(n, edges)))
+    if draw(st.booleans()):
+        del edges[draw(st.integers(min_value=0, max_value=n - 1))]
+    return DirectedMultigraph.from_edges(n, edges)
+
+
 def _column_balanced(g: DirectedMultigraph) -> bool:
     """In-degree equals out-degree at every vertex, from the dense view's column sums."""
     rows = g.mult
@@ -91,6 +110,10 @@ def _check_balance(g: DirectedMultigraph) -> None:
     for i, comp in enumerate(scc.components):
         inside = all(sum(rows[u][v] for u in comp) == sum(rows[v][w] for w in comp) for v in comp)
         assert scc.is_balanced[i] == inside, (rows, comp)
+    comp_of = scc.component_of
+    assert scc.inside_degrees == tuple(
+        sum([m for w, m in enumerate(row) if comp_of[w] == comp_of[v]]) for v, row in enumerate(rows)
+    ), rows
     connected = len(scc.components) == 1
     assert strongly_connected_balance(g) == (scc.is_balanced[0] if connected else None)
     assert _column_balanced(g) == (all(scc.is_sink) and all(scc.is_balanced)), rows
@@ -233,10 +256,10 @@ class TestPredicates:
         assert is_strongly_connected(c2)
         assert not is_strongly_connected(fig1)
 
-    @given(st.one_of(balanced_graphs(), small_graphs(max_n=6, max_mult=1)))
+    @given(st.one_of(balanced_graphs(), unbalanced_cycle_graphs(), small_graphs(max_n=6, max_mult=1)))
     @settings(max_examples=300, deadline=None)
     def test_strongly_connected_matches_the_decomposition(self, g: DirectedMultigraph) -> None:
-        # a balanced graph is decided by the forward walk alone
+        # either early exit, or a full walk whose excess gives the balance
         connected = len(scc_decompose(g).components) == 1
         assert is_strongly_connected(g) == connected
         assert strongly_connected_balance(g) == (_column_balanced(g) if connected else None)

@@ -39,7 +39,12 @@ from rotorchip.intlinalg import (
     reduce_routing_vector,
     reduce_vector,
 )
-from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected, scc_decompose
+from rotorchip.multigraph import (
+    DirectedMultigraph,
+    is_strongly_connected,
+    scc_decompose,
+    strongly_connected_balance,
+)
 from rotorchip.rotorrouting import (
     ChipRotorConfig,
     RibbonStructure,
@@ -232,20 +237,33 @@ def test_solve_commands_on_a_path_at_the_vertex_cap_within_wall_and_memory_bound
     assert peak < 2_000 * n, f"{argv[0]} n={n}: peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
-def test_is_strongly_connected_n4096_within_wall_bound(closed: bool) -> None:
-    # two walks over the runs, no sort: measured 0.8-1.3 ms; the path
-    # fails only on the backward walk.  Best of three calls, so one
-    # scheduling pause does not decide a bound this short.
+# per 4096-vertex graph: the edges besides the path 0 -> 1 -> ... -> 4095,
+# and its strongly_connected_balance answer
+CONNECTIVITY_4096 = {
+    "path": ([], None),
+    "cycle": ([(4095, 0, 1)], True),
+    "path-and-back": ([(v + 1, v, 2) for v in range(4095)], False),
+}
+
+
+@pytest.mark.parametrize("name", CONNECTIVITY_4096)
+def test_is_strongly_connected_n4096_within_wall_bound(name: str) -> None:
+    # one low-link walk over the runs, no sort, 4096 deep on each graph,
+    # so it must be iterative: measured 1.0-1.7 ms.  The path fails when
+    # its last vertex closes its own component; the path and back (each
+    # edge doubled backward, so unbalanced) walks every run.  Best of
+    # three calls, so one scheduling pause does not decide a bound this
+    # short.
     n = 4096
-    edges = [(v, v + 1, 1) for v in range(n - 1)] + ([(n - 1, 0, 1)] if closed else [])
-    g = DirectedMultigraph.from_edges(n, edges)
+    extra, want = CONNECTIVITY_4096[name]
+    g = DirectedMultigraph.from_edges(n, [(v, v + 1, 1) for v in range(n - 1)] + extra)
     elapsed = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        assert is_strongly_connected(g) == closed
+        assert is_strongly_connected(g) == (want is not None)
         elapsed = min(elapsed, time.perf_counter() - start)
     assert elapsed < 0.05, f"n={n}: {elapsed * 1e3:.1f} ms >= 50 ms"
+    assert strongly_connected_balance(g) is want
 
 
 @pytest.fixture(scope="module")
