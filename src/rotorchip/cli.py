@@ -173,7 +173,7 @@ def _cmd_rotor_odom(args) -> int:
     config = _config(instance, args.config)
     r = _parse_vec(args.r, instance.graph.n, "r")
     result = rotorrouting.bounded_rotor_game(
-        instance.ribbon, config, r, max_batches=args.budget_steps
+        instance.ribbon, config, r, max_batches=args.budget_steps, trace=args.trace
     )
     print(
         f"odometer={_fmt_vec(result.routing_vector)} "

@@ -213,7 +213,10 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("loops are not allowed", lineno)
             if m < 0:
                 raise InstanceFormatError("edge multiplicity must be >= 0", lineno)
-            heads = edge_lines.setdefault(u, {})
+            heads = edge_lines.get(u)
+            if heads is None:
+                # even a zero multiplicity makes the ribbons checked against the edges
+                heads = edge_lines[u] = {}
             if m:
                 heads[v] = heads.get(v, 0) + m
         elif directive == "ribbon":

@@ -289,7 +289,7 @@ def _play_batches(
 class BoundedRotorResult:
     routing_vector: CountVector
     final: ChipRotorConfig
-    trace: RotorGameTrace
+    trace: RotorGameTrace | None
 
 
 def bounded_rotor_game(
@@ -297,6 +297,7 @@ def bounded_rotor_game(
     config: ChipRotorConfig,
     bound: CountVector,
     max_batches: int = DEFAULT_GAME_BUDGET,
+    trace: bool = True,
 ) -> BoundedRotorResult:
     """Play a maximal legal rotor game routing each v at most bound(v) times.
 
@@ -310,7 +311,11 @@ def bounded_rotor_game(
     sorted.  Cost: O(runs(v)) per batch plus one sort per round.  As
     measured on Eulerian graphs, the batch count grows about linearly in
     the chips' bit length: about 182,000 batches for 128-bit chips at
-    n=60 (README).  No polynomial bound is claimed.
+    n=60 (README).  No polynomial bound is claimed.  Raises
+    BudgetExceededError when more than ``max_batches`` batches are
+    needed.  Without ``trace`` the batches are counted, not kept, and the
+    result's trace is None, so the game holds O(n) memory however long it
+    runs.
     """
     validate_config(ribbon, config)
     _check_vector(ribbon.n, bound, "bound", nonneg=True)
@@ -320,19 +325,22 @@ def bounded_rotor_game(
     routed = [0] * ribbon.n
     queued = [d > 0 and b > 0 and c > 0 for d, b, c in zip(degs, bound, chips)]
     batches: list[tuple[int, int]] = []
+    played = 0
     current = [v for v in range(ribbon.n) if queued[v]]
     while current:
         joined = []
         for v in current:
             queued[v] = False
             k = min(bound[v] - routed[v], chips[v])
-            if len(batches) >= max_batches:
+            if played >= max_batches:
                 raise BudgetExceededError(
                     f"bounded rotor game exceeded {max_batches} batches"
                 )
             _route_vertex(adj[v], chips, rotors, v, k)
             routed[v] += k
-            batches.append((v, k))
+            played += 1
+            if trace:
+                batches.append((v, k))
             for u, _ in adj[v].edges:
                 if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
                     queued[u] = True
@@ -342,7 +350,7 @@ def bounded_rotor_game(
     return BoundedRotorResult(
         routing_vector=tuple(routed),
         final=final,
-        trace=RotorGameTrace(config, tuple(batches), final, tuple(routed)),
+        trace=RotorGameTrace(config, tuple(batches), final, tuple(routed)) if trace else None,
     )
 
 

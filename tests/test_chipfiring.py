@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotorchip.bruteforce import (
@@ -416,6 +416,25 @@ class TestHalting:
         assert halts(c2, (0, 0)).reason is None
         assert halts(c2, (1, 1)).reason is None
 
+    def test_stable_start_plays_no_game(self, monkeypatch, c2, d21) -> None:
+        # answered after the connectivity and length checks, with no game state
+        dense = gen_graph("eulerian", 12, random.Random(12))
+        graphs = (c2, d21, dense, gen_graph("strongly-connected", 6, random.Random(6)))
+        cases = [(g, tuple([d - 1 for d in g.out_degrees()])) for g in graphs]
+        cases += [(g, tuple([-5] * g.n)) for g in graphs]
+
+        def refuse(*args):
+            raise AssertionError("game played")
+
+        for name in ("_heap_halts", "_packed_halts", "_component_period"):
+            monkeypatch.setattr(chipfiring, name, refuse)
+        for g, x in cases:
+            assert halts(g, x, max_steps=0) == HaltingVerdict(
+                "halts", final=x, firing_vector=(0,) * g.n
+            )
+        with pytest.raises(ValueError, match="length"):
+            halts(c2, (0, 0, 0))
+
 
 class TestSequences:
     def test_validator_accepts_legal(self, c2: DirectedMultigraph) -> None:
@@ -728,3 +747,77 @@ class TestPeriodDomination:
         calls = _connectivity_passes(monkeypatch)
         assert halts(g, x).kind == kind
         assert len(calls) == 1
+
+
+
+def _complete_graph(n: int, rng: random.Random) -> DirectedMultigraph:
+    """Every ordered pair joined by 1-3 edges: n - 1 runs per vertex."""
+    return DirectedMultigraph.from_edges(
+        n, [(u, v, rng.randint(1, 3)) for u in range(n) for v in range(n) if u != v]
+    )
+
+
+@st.composite
+def packed_rule_graphs(draw) -> DirectedMultigraph:
+    """Strongly connected graphs under 4 runs per vertex, and complete ones at 4 or more."""
+    if draw(st.booleans()):
+        return draw(strongly_connected_graphs())
+    size = draw(st.integers(min_value=5, max_value=9))
+    return _complete_graph(size, random.Random(draw(st.integers(min_value=0, max_value=2 ** 32))))
+
+
+@st.composite
+def field_edge_starts(draw, g: DirectedMultigraph):
+    """A start whose widest field sits at a packed width's edge, and that width.
+
+    One vertex gets the chips (or the debt) that make max(P, max deg -
+    min(x, 0)) equal 2^(w-1) - 1, the most a w-bit field holds, or one
+    more, which takes the next width.
+    """
+    degs = g.out_degrees()
+    x = [draw(st.integers(min_value=-2, max_value=d + 1)) for d in degs]
+    w = draw(st.sampled_from((8, 16, 32, 64)))
+    over = draw(st.integers(min_value=0, max_value=1))
+    need = (1 << (w - 1)) - 1 + over
+    v = draw(st.integers(min_value=0, max_value=g.n - 1))
+    x[v] = 0
+    if draw(st.booleans()):
+        x[v] = need - sum([c for c in x if c > 0])
+    else:
+        x[v] = max(degs) - need
+    assume(max(sum([c for c in x if c > 0]), max(degs) - min(min(x), 0)) == need)
+    return tuple(x), (w * 2 if w < 64 else None) if over else w
+
+
+class TestPackedMatchesHeap:
+    @given(packed_rule_graphs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_both_loops_give_equal_verdicts(self, g: DirectedMultigraph, data) -> None:
+        x, width = data.draw(field_edge_starts(g))
+        degs = list(g.out_degrees())
+        assert chipfiring._field_width(x, degs) == width
+        if width is None:
+            return
+        balanced = strongly_connected_balance(g)
+        played = chipfiring._heap_halts(g, x, degs, balanced, 2_000)
+        length = sum(played.firing_vector or played.witness_to_certificate or (2_000,))
+        for max_steps in (0, 1, length):
+            heap = chipfiring._heap_halts(g, x, degs, balanced, max_steps)
+            assert chipfiring._packed_halts(g, x, degs, balanced, max_steps, width) == heap
+            assert halts(g, x, max_steps=max_steps) == heap
+
+    def test_the_rule_picks_the_packed_loop_on_dense_graphs(self, monkeypatch) -> None:
+        dense = _complete_graph(6, random.Random(6))
+        sparse = gen_graph("strongly-connected", 6, random.Random(6))
+        loops = []
+        for name in ("_heap_halts", "_packed_halts"):
+            def record(*args, name=name, original=getattr(chipfiring, name)):
+                loops.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(chipfiring, name, record)
+        for g in (dense, sparse):
+            halts(g, g.out_degrees())
+        # past 64 bits a field cannot hold the pile
+        halts(dense, (1 << 63,) + (0,) * 5, max_steps=10)
+        assert loops == ["_packed_halts", "_heap_halts", "_heap_halts"]

@@ -8,7 +8,7 @@ import pytest
 from parser_reference import with_edge_lines
 from test_intlinalg import _FOUR_COMPONENTS
 
-from rotorchip import chipfiring, cli, intlinalg, multigraph
+from rotorchip import chipfiring, cli, intlinalg, multigraph, rotorrouting
 from rotorchip.cli import build_parser, run_command
 from rotorchip.generators import DENSE_FAMILIES
 from rotorchip.instancefile import MAX_VERTICES, Instance, parse_instance, serialize_instance
@@ -571,6 +571,23 @@ class TestRotorCommands:
         code, lines = run(capsys, "rotor-odom", d21_path, "--config", "go", "--r", "1,0")
         assert code == 0
         assert lines[0] == "odometer=1,0 chips=0,1 rotors=1,0"
+
+    def test_odometer_keeps_batches_only_for_trace(self, capsys, monkeypatch, d21_path: str) -> None:
+        kept = []
+        original = rotorrouting.bounded_rotor_game
+
+        def record(*args, **kwargs):
+            result = original(*args, **kwargs)
+            kept.append(result.trace is not None)
+            return result
+
+        monkeypatch.setattr(rotorrouting, "bounded_rotor_game", record)
+        argv = ["rotor-odom", d21_path, "--config", "go", "--r", "1,0"]
+        assert run(capsys, *argv) == (0, ["odometer=1,0 chips=0,1 rotors=1,0"])
+        assert run(capsys, *argv, "--trace") == (
+            0, ["odometer=1,0 chips=0,1 rotors=1,0", "trace=0:1"]
+        )
+        assert kept == [False, True]
 
 
 class TestOracleCheck:

@@ -17,6 +17,7 @@ from random import Random
 
 import pytest
 
+from rotorchip import chipfiring
 from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
 from rotorchip.chipfiring import (
     HaltingVerdict,
@@ -29,6 +30,7 @@ from rotorchip.chipfiring import (
     reach_chip,
 )
 from rotorchip.cli import run_command
+from rotorchip.errors import DEFAULT_GAME_BUDGET
 from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
 from rotorchip.instancefile import MAX_VERTICES, Instance, serialize_instance
 from rotorchip.intlinalg import (
@@ -458,6 +460,26 @@ def test_halts_cycling_start_eulerian_n300_default_budget_within_memory_bound() 
     assert peak < 1e6, f"halts n=300, default budget: peak {peak / 1e6:.1f} MB"
 
 
+def test_halts_packed_loop_eulerian_n200_within_memory_bound(monkeypatch) -> None:
+    # 52 runs per vertex and 16-bit fields, 3,200 bits in all, so the
+    # packed loop plays: 6,367 firings, measured 8 ms against 31 ms for
+    # the heap loop, with a 0.10 MB peak for the rows built on first firings
+    g = gen_graph("eulerian", 200, Random(207))
+    x = _cycling_start(g, 1)
+    degs = list(g.out_degrees())
+    heap = chipfiring._heap_halts(g, x, degs, True, DEFAULT_GAME_BUDGET)
+
+    def refuse(*args):
+        raise AssertionError("heap loop played")
+
+    monkeypatch.setattr(chipfiring, "_heap_halts", refuse)
+    verdict, peak = _traced_peak(g, x)
+    assert verdict == heap
+    assert verdict.kind == "non-halting"
+    assert sum(verdict.witness_to_certificate) == 6_367
+    assert peak < 1e6, f"halts packed n=200: peak {peak / 1e6:.2f} MB"
+
+
 def test_bounded_rotor_game_n300_heavy_multiplicity_within_wall_bound() -> None:
     # every edge carries about 10^18 parallel edges; about one turn of
     # chips against a bound of ten turns, so most vertices wait for inflow
@@ -551,6 +573,25 @@ def test_recurrence_on_the_chain_n16_within_memory_bound(recurrent) -> None:
     finally:
         tracemalloc.stop()
     assert peak < 50e3, f"{recurrent.__name__} chain n=16: peak {peak / 1e3:.0f} KB"
+
+
+def test_bounded_rotor_game_without_trace_eulerian_n60_within_memory_bound() -> None:
+    # 16-bit chips: 23,108 batches; counted, not kept, they peak at about
+    # 8 KB, where one (v, k) tuple per batch peaked at 2.0 MB
+    g, x, bound = _eulerian_pile(60, 16)
+    ribbon = RibbonStructure.of(g)
+    c1 = ChipRotorConfig(x, (0,) * g.n)
+    traced = bounded_rotor_game(ribbon, c1, bound)
+    assert len(traced.trace.batches) == 23_108
+    tracemalloc.start()
+    try:
+        game = bounded_rotor_game(ribbon, c1, bound, trace=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert game.trace is None
+    assert (game.routing_vector, game.final) == (traced.routing_vector, traced.final)
+    assert peak < 50e3, f"bounded_rotor_game n=60, b=16: peak {peak / 1e3:.0f} KB"
 
 
 @pytest.mark.parametrize(
