@@ -7,7 +7,9 @@ BudgetExceededError rather than run unbounded; the sweeps size their
 instances so the budgets are never the binding constraint.
 The Hermite-normal-form integer solver lives here too, as the oracle for
 the engine's exact linear algebra, and the dense ``laplacian``; no other
-module reads the graph's dense ``mult`` view.
+module reads the graph's dense ``mult`` view.  ``graph_from_rows`` builds
+a graph from an n x n multiplicity matrix, the paper's encoding, through
+the engine's checked ``from_edges``.
 """
 
 from __future__ import annotations
@@ -347,15 +349,27 @@ def solve_integer(a: IntMatrix, d: IntVector) -> IntVector | None:
     return tuple(sum(coeff[i] * u[i][j] for i in range(ncols)) for j in range(ncols))
 
 
+def graph_from_rows(rows) -> DirectedMultigraph:
+    """The graph of an n x n multiplicity matrix, ``rows[u][v]`` edges u -> v.
+
+    Every off-diagonal entry and any nonzero diagonal entry goes to
+    ``DirectedMultigraph.from_edges``, which makes the checks and states
+    what is wrong: a loop, a negative or a non-integer multiplicity.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("multiplicity matrix must be n x n")
+    return DirectedMultigraph.from_edges(n, [
+        (u, v, m) for u, row in enumerate(rows) for v, m in enumerate(row) if u != v or m != 0
+    ])
+
+
 def enumerate_digraphs(n: int, max_mult: int):
     """All loop-free multigraphs on n labeled vertices, multiplicities
     in [0, max_mult] per ordered pair, in lexicographic order."""
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mults in itertools.product(range(max_mult + 1), repeat=len(pairs)):
-        rows = [[0] * n for _ in range(n)]
-        for (u, v), m in zip(pairs, mults):
-            rows[u][v] = m
-        yield DirectedMultigraph(n, tuple(tuple(row) for row in rows))
+        yield DirectedMultigraph.from_edges(n, [(u, v, m) for (u, v), m in zip(pairs, mults)])
 
 
 def enumerate_chip_vectors(n: int, max_total: int):
@@ -384,10 +398,7 @@ def enumerate_instances(n: int, max_mult: int, max_total_chips: int, seed=None):
     rng = Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     while True:
-        rows = [[0] * n for _ in range(n)]
-        for u, v in pairs:
-            rows[u][v] = rng.randint(0, max_mult)
-        g = DirectedMultigraph(n, tuple(tuple(row) for row in rows))
+        g = DirectedMultigraph.from_edges(n, [(u, v, rng.randint(0, max_mult)) for u, v in pairs])
         ribbon = default_ribbon(g)
         while True:
             chips = tuple(

@@ -405,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> int:
     # argparse keeps no state between parse_args calls, and with the
-    # engine's final-size tuples (multigraph.out_edges) a kept parser
-    # does not raise peak RSS.
+    # engine's tuples built from lists (tests/test_layering.py's
+    # QUERY_PATH) a kept parser does not raise peak RSS.
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -12,7 +12,7 @@ from itertools import groupby
 from random import Random
 
 from .instancefile import Instance
-from .multigraph import DirectedMultigraph, head_totals
+from .multigraph import DirectedMultigraph, OutEdges, head_totals, share_small
 from .rotorrouting import (
     ChipRotorConfig,
     RibbonStructure,
@@ -128,20 +128,23 @@ def gen_instance(
 def _random_small_graph(
     rng: Random, mult_max: int, force_strongly_connected: bool
 ) -> DirectedMultigraph:
-    """A random graph on at most _CASE_N_MAX vertices."""
+    """A random graph on at most _CASE_N_MAX vertices.
+
+    Each tail's runs come straight from its drawn row, heads ascending:
+    the draws make a valid graph, so it skips ``from_edges``' checks.
+    """
     n = rng.randint(2, _CASE_N_MAX)
-    rows = [[0] * n for _ in range(n)]
-    if force_strongly_connected:
-        for u in range(n):
-            rows[u][(u + 1) % n] = 1
+    adj = []
     for u in range(n):
+        row = [0] * n
+        if force_strongly_connected:
+            row[(u + 1) % n] = 1
         for v in range(n):
             if u != v and rng.random() < 0.45:
-                rows[u][v] += rng.randint(1, mult_max)
-    for u in range(n):
-        for v in range(n):
-            rows[u][v] = min(rows[u][v], mult_max)
-    return DirectedMultigraph(n, rows)
+                row[v] += rng.randint(1, mult_max)
+        row = [min(m, mult_max) for m in row]
+        adj.append(OutEdges(sum(row), tuple([(v, m) for v, m in enumerate(row) if m])))
+    return DirectedMultigraph.from_checked_adjacency(share_small(tuple(adj)))
 
 
 def _random_chips(rng: Random, n: int) -> tuple[int, ...]:

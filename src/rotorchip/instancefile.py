@@ -102,6 +102,8 @@ class Instance:
             return self.configs[DEFAULT_CONFIG_NAME]
         if len(self.configs) == 1:
             return next(iter(self.configs.values()))
+        if not self.configs:
+            raise InstanceFormatError("instance has no configuration (no chips line)")
         raise InstanceFormatError(
             "no default configuration and the choice is ambiguous"
         )

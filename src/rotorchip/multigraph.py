@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import NamedTuple
 
 IntVector = tuple[int, ...]
@@ -20,16 +19,17 @@ def _check_vector(n: int, vec, what: str, nonneg: bool = False) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
-# Graphs built from rows and ribbons on at most this many vertices share
-# equal rows' adjacency entries, vertex orders and view rows with others
-# through bounded caches.  The oracle sweeps and the case streams hold
-# thousands of them on 2-4 vertices at once, with a few hundred distinct
-# rows among them, where a copy per graph would cost about 650 bytes
-# each.  Larger graphs rarely repeat a row and keep their own.
+# Graphs and ribbons on at most this many vertices share equal adjacency
+# entries and dense view rows with others through one bounded cache.  The
+# oracle sweeps and the case streams hold thousands of them on 2-4
+# vertices at once, with a few hundred distinct entries among them, where
+# a copy per graph would cost about 650 bytes each.  Larger graphs rarely
+# repeat an entry and keep their own.
 SMALL_GRAPH_MAX_N = 8
 
 
-# the first equal item seen: rows of a dense view, or ribbon vertex orders
+# the first equal item seen: adjacency entries of graphs and ribbons, or
+# rows of a dense view
 _first_seen = lru_cache(maxsize=2048)(lambda item: item)
 
 
@@ -49,22 +49,6 @@ class OutEdges(NamedTuple):
 
     degree: int
     edges: tuple[Run, ...]
-
-
-def out_edges(row: IntVector) -> OutEdges:
-    """The adjacency entry of one multiplicity row, heads ascending, in O(n)."""
-    # Tuples here and on the other per-query paths are built from lists,
-    # never from a generator, map, zip or compress.  CPython (3.11) starts
-    # those at 10 slots, resizes them, and frees them onto the free list
-    # of their final size, which keeps up to 2,000 of each size 1-19 until
-    # a full collection; with few collections those lists fill to about
-    # 3 MB.  A tuple built from a list takes and returns one of its size
-    # (tests/test_layering.py holds the query path's modules to this).
-    heads = list(compress(range(len(row)), row))
-    return OutEdges(sum(row), tuple([(v, row[v]) for v in heads]))
-
-
-_shared_out_edges = lru_cache(maxsize=1024)(out_edges)
 
 
 def dense_row(n: int, out: OutEdges) -> IntVector:
@@ -87,37 +71,21 @@ def head_totals(runs) -> dict[int, int]:
 class DirectedMultigraph:
     """Loopless directed multigraph on vertices ``0..n-1``.
 
-    It stores its adjacency only, an ``OutEdges`` per vertex: the graph of
-    a ribbon, as instances hold, keeps the ribbon's runs, and the
-    constructors one run per head, heads ascending.  ``mult[u][v]`` counts
-    the parallel edges u -> v; it is the oracles' dense view, built on
-    each access in O(n^2), so readers bind it once.  Graphs compare, hash
-    and print by their per-head edge totals, in O(runs) whatever the run
-    order.  Counts are plain Python ints, so multiplicities far beyond
-    machine word size stay exact.  Instances are immutable and use slots,
-    because sweeps and benchmarks hold thousands of small graphs at once.
+    It stores its adjacency only, an ``OutEdges`` per vertex.  A checked
+    graph comes from edges or runs: ``from_edges`` keeps one run per head,
+    heads ascending, and the graph of a ribbon, as instances hold, keeps
+    the ribbon's runs.  ``from_checked_adjacency`` wraps runs its caller
+    has checked.  ``mult[u][v]`` counts the parallel edges u -> v; it is
+    the oracles' dense view, built on each access in O(n^2), so readers
+    bind it once.  Graphs compare, hash and print by their per-head edge
+    totals, in O(runs) whatever the run order.  Counts are plain Python
+    ints, so multiplicities far beyond machine word size stay exact.
+    Instances are immutable and use slots, because sweeps and benchmarks
+    hold thousands of small graphs at once.
     """
 
     n: int
     _adj: tuple[OutEdges, ...]
-
-    def __init__(self, n: int, mult: IntMatrix) -> None:
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        rows = [tuple(row) for row in mult]
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError("multiplicity matrix must be n x n")
-        for u, row in enumerate(rows):
-            for v, m in enumerate(row):
-                if not isinstance(m, int):
-                    raise ValueError(f"multiplicity {m!r} on edge {u}->{v} is not an integer")
-                if m < 0:
-                    raise ValueError(f"negative multiplicity on edge {u}->{v}")
-                if u == v and m != 0:
-                    raise ValueError(f"loop at vertex {u} is not allowed")
-        convert = _shared_out_edges if n <= SMALL_GRAPH_MAX_N else out_edges
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", tuple([convert(row) for row in rows]))
 
     @classmethod
     def from_checked_adjacency(cls, adj: tuple[OutEdges, ...]) -> DirectedMultigraph:
@@ -129,7 +97,10 @@ class DirectedMultigraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> DirectedMultigraph:
-        """Build from ``(u, v, mult)`` triples in O(n + triples); repeated pairs add up."""
+        """Build from ``(u, v, mult)`` triples in O(n + triples); repeated pairs add up.
+
+        A small graph's entries are shared through ``share_small``.
+        """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         totals: list[dict[int, int]] = [{} for _ in range(n)]
@@ -137,9 +108,9 @@ class DirectedMultigraph:
             _check_edge(n, u, v, m)
             if m:
                 totals[u][v] = totals[u].get(v, 0) + m
-        return cls.from_checked_adjacency(tuple([
+        return cls.from_checked_adjacency(share_small(tuple([
             OutEdges(sum(heads.values()), tuple(sorted(heads.items()))) for heads in totals
-        ]))
+        ])))
 
     @property
     def mult(self) -> IntMatrix:

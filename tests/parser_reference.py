@@ -3,7 +3,8 @@
 ``test_instancefile`` runs it side by side with ``parse_instance`` on
 mutated files: both must return equal instances, or raise the same error
 with the same message and line.  Only the imports differ from the
-original module, plus ``with_edge_lines`` at the end: this parser reads
+original module and its graph is built by the oracle's ``graph_from_rows``,
+plus ``with_edge_lines`` at the end: this parser reads
 only files that state their edges in ``edge`` lines.
 """
 
@@ -16,7 +17,7 @@ from rotorchip.instancefile import (
     MAX_VERTICES,
     Instance,
 )
-from rotorchip.multigraph import DirectedMultigraph
+from rotorchip.bruteforce import graph_from_rows
 from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure
 
 
@@ -161,7 +162,7 @@ def parse_instance(text: str) -> Instance:
 
     if n is None or mult is None:
         raise InstanceFormatError("missing graph line")
-    graph = DirectedMultigraph(n, tuple(tuple(row) for row in mult))
+    graph = graph_from_rows(mult)
 
     for v, rs in ribbon_lines.items():
         totals = [0] * n

@@ -814,6 +814,17 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("chips, error", [
+        ("", "instance has no configuration (no chips line)"),
+        ("chips a : 1 0\nchips b : 0 1\n", "no default configuration and the choice is ambiguous"),
+    ])
+    def test_no_single_configuration_exits_2(
+        self, capsys, tmp_path: Path, chips: str, error: str
+    ) -> None:
+        p = tmp_path / "cycle.rcg"
+        p.write_text("graph 2\nedge 0 1 1\nedge 1 0 1\n" + chips, encoding="utf-8")
+        assert _outcome(capsys, ["chip-halting", str(p)]) == (2, "", f"error={error}\n")
+
     def test_huge_vertex_count_exits_2_before_allocating(self, capsys, tmp_path: Path) -> None:
         # a dense 100000 x 100000 matrix would exhaust memory
         p = tmp_path / "huge.rcg"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from parser_reference import parse_instance as reference_parse
 from parser_reference import with_edge_lines
 
+from rotorchip.bruteforce import graph_from_rows
 from rotorchip.chipfiring import bounded_chip_game, halts
 from rotorchip.errors import InstanceFormatError
 from rotorchip.generators import FAMILIES, gen_instance, random_ribbon
@@ -277,7 +278,7 @@ class TestRoundTrip:
     def test_ribbon_that_does_not_match_the_graph_raises(self) -> None:
         # written out, the runs would silently become another graph
         inst = Instance(
-            DirectedMultigraph(2, ((0, 2), (1, 0))),
+            DirectedMultigraph.from_edges(2, [(0, 1, 2), (1, 0, 1)]),
             RibbonStructure(runs=(((1, 1),), ((0, 1),))),
         )
         with pytest.raises(ValueError) as exc:
@@ -289,7 +290,7 @@ class TestRoundTrip:
     def test_multiplicity_past_the_digit_limit(self, digit_limit: int) -> None:
         big = 10 ** digit_limit  # one digit past the limit
         inst = Instance(
-            DirectedMultigraph(2, ((0, big), (1, 0))),
+            DirectedMultigraph.from_edges(2, [(0, 1, big), (1, 0, 1)]),
             RibbonStructure(runs=(((1, big),), ((0, 1),))),
             {"default": ChipRotorConfig((0, 0), (0, 0))},
         )
@@ -312,14 +313,16 @@ class TestSingleConfig:
 
     def test_ambiguous_raises(self) -> None:
         text = "graph 1\nchips a : 1\nchips b : 2\n"
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError) as exc:
             parse_instance(text).single_config()
+        assert str(exc.value) == "no default configuration and the choice is ambiguous"
 
     def test_no_configs(self) -> None:
         inst = parse_instance("graph 2\nedge 0 1 1\n")
         assert isinstance(inst, Instance)
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(InstanceFormatError) as exc:
             inst.single_config()
+        assert str(exc.value) == "instance has no configuration (no chips line)"
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +588,7 @@ class TestRibbonOnly:
             # the parser skipped the constructors' checks: they must pass
             ribbon = RibbonStructure(inst.ribbon.runs)
             assert ribbon.degrees == inst.ribbon.degrees
-            assert ribbon.graph == DirectedMultigraph(inst.graph.n, inst.graph.mult)
+            assert ribbon.graph == graph_from_rows(inst.graph.mult)
         assert _outcome(parse_instance, text) == _reference_outcome(text)
 
 
@@ -653,7 +656,7 @@ class TestRunOrder:
     def test_run_order_cannot_change_a_result(self, drawn, data) -> None:
         rows, text = drawn
         n = len(rows)
-        dense = DirectedMultigraph(n, rows)
+        dense = graph_from_rows(rows)
         # the oracles read this view, so it must give the rows back
         assert dense.mult == rows
         parsed = parse_instance(text).graph
@@ -685,7 +688,7 @@ class TestRunOrder:
             v += v >= u  # any vertex but u
             changed = [list(row) for row in rows]
             changed[u][v] += data.draw(st.sampled_from([-1, 1])) if rows[u][v] else 1
-            other = DirectedMultigraph(n, changed)
+            other = graph_from_rows(changed)
             assert other != parsed and other != from_triples
 
 
@@ -696,7 +699,7 @@ class TestOneEdgeStore:
         rows, text = drawn
         n = len(rows)
         for g in (
-            DirectedMultigraph(n, rows),
+            graph_from_rows(rows),
             DirectedMultigraph.from_edges(n, _split_triples(data, rows)),
             parse_instance(text).graph,
         ):

@@ -90,7 +90,7 @@ class TestPeriodVector:
         assert primitive_period_vector(d21) == (1, 2)
 
     def test_single_vertex(self) -> None:
-        assert primitive_period_vector(DirectedMultigraph(1, ((0,),))) == (1,)
+        assert primitive_period_vector(DirectedMultigraph.from_edges(1, [])) == (1,)
 
     def test_rejects_non_strongly_connected(self, fig1: DirectedMultigraph) -> None:
         with pytest.raises(ValueError):
@@ -331,7 +331,7 @@ def _two_sink_graph(rng: Random, digits: int) -> DirectedMultigraph:
     return _glued(rng, blocks, [(0, j, rng.randint(1, 10**digits)) for j in (1, 2)])
 
 
-_SINGLE_VERTEX = DirectedMultigraph(1, ((0,),))
+_SINGLE_VERTEX = DirectedMultigraph.from_edges(1, [])
 
 
 def _chain_graph(rng: Random, digits: int) -> DirectedMultigraph:

@@ -97,9 +97,13 @@ def test_the_guard_sees_a_dense_row_call(tmp_path) -> None:
     assert _dense_row_callers(tmp_path) == ["engine.py:1", "engine.py:4", "sweeps.py:2"]
 
 
-# the modules on a query's path, where tuples are built from lists (see
-# multigraph.out_edges): a tuple built from an iterator of unknown length
-# starts small, is resized, and leaves a tuple of another size on a free list
+# The modules on a query's path, where tuples are built from lists, never
+# from a generator, map, zip, filter or compress.  CPython (3.11) starts a
+# tuple from an iterator of unknown length at 10 slots, resizes it, and
+# frees it onto the free list of its final size, which keeps up to 2,000 of
+# each size 1-19 until a full collection; with few collections those lists
+# fill to about 3 MB.  A tuple built from a list takes and returns one of
+# its size.
 QUERY_PATH = {"instancefile.py", "multigraph.py", "intlinalg.py", "chipfiring.py",
               "rotorrouting.py", "cli.py"}
 _ITERATORS = {"map", "zip", "filter", "compress"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import enumerate_digraphs, laplacian, reachability_matrix
+from rotorchip.bruteforce import enumerate_digraphs, graph_from_rows, laplacian, reachability_matrix
 from rotorchip.chipfiring import (
     bounded_chip_game, halts, is_recurrent, is_recurrent_via_reach, lin_equiv, reach_chip,
 )
@@ -28,10 +28,10 @@ from rotorchip.rotorrouting import (
 )
 
 
-def small_graphs(max_n: int = 5, max_mult: int = 3) -> st.SearchStrategy[DirectedMultigraph]:
-    def build(n: int, draw_rows: list[list[int]]) -> DirectedMultigraph:
-        rows = [[0 if u == v else draw_rows[u][v] for v in range(n)] for u in range(n)]
-        return DirectedMultigraph(n=n, mult=tuple(tuple(r) for r in rows))
+def loopless_rows(max_n: int = 5, max_mult: int = 3) -> st.SearchStrategy[tuple[tuple[int, ...], ...]]:
+    """n x n multiplicity matrices with a zero diagonal, n in [1, max_n]."""
+    def build(n: int, draw_rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(0 if u == v else draw_rows[u][v] for v in range(n)) for u in range(n))
 
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.builds(
@@ -44,6 +44,10 @@ def small_graphs(max_n: int = 5, max_mult: int = 3) -> st.SearchStrategy[Directe
             ),
         )
     )
+
+
+def small_graphs(max_n: int = 5, max_mult: int = 3) -> st.SearchStrategy[DirectedMultigraph]:
+    return loopless_rows(max_n, max_mult).map(graph_from_rows)
 
 
 def _cycle(vertices: list[int], mult: int = 1) -> list[tuple[int, int, int]]:
@@ -129,29 +133,46 @@ class TestConstruction:
             DirectedMultigraph.from_edges(2, [(0, 0, 1)])
 
     def test_rejects_negative_multiplicity(self) -> None:
-        with pytest.raises(ValueError):
-            DirectedMultigraph(n=2, mult=((0, -1), (0, 0)))
+        for build in (
+            lambda: DirectedMultigraph.from_edges(2, [(0, 1, -1)]),
+            lambda: graph_from_rows(((0, -1), (0, 0))),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == "negative multiplicity on edge 0->1"
 
     @pytest.mark.parametrize("m", [2.7, "1", 1.0])
     def test_rejects_a_multiplicity_that_is_not_an_integer(self, m) -> None:
+        for build in (
+            lambda: DirectedMultigraph.from_edges(2, [(0, 1, m), (1, 0, 1)]),
+            lambda: graph_from_rows(((0, m), (1, 0))),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == f"edge {(0, 1, m)!r} is not three integers"
+
+    @pytest.mark.parametrize("m, message", [
+        (1, "loop at vertex 1 is not allowed"),
+        (-1, "loop at vertex 1 is not allowed"),
+        (2.7, "edge (1, 1, 2.7) is not three integers"),
+    ])
+    def test_rows_reject_a_nonzero_diagonal_entry(self, m, message: str) -> None:
         with pytest.raises(ValueError) as exc:
-            DirectedMultigraph.from_edges(2, [(0, 1, m), (1, 0, 1)])
-        assert str(exc.value) == f"edge {(0, 1, m)!r} is not three integers"
-        with pytest.raises(ValueError) as exc:
-            DirectedMultigraph(2, ((0, m), (1, 0)))
-        assert str(exc.value) == f"multiplicity {m!r} on edge 0->1 is not an integer"
+            graph_from_rows(((0, 1), (1, m)))
+        assert str(exc.value) == message
 
     def test_rejects_an_endpoint_that_is_not_an_integer(self) -> None:
         with pytest.raises(ValueError, match="is not three integers"):
             DirectedMultigraph.from_edges(2, [(0, 1.0, 1)])
 
-    def test_rejects_bad_shape(self) -> None:
-        with pytest.raises(ValueError):
-            DirectedMultigraph(n=2, mult=((0, 1),))
+    @pytest.mark.parametrize("rows", [((0, 1),), ((0, 1), (1,)), ((0,), (1, 0))])
+    def test_rows_reject_a_matrix_that_is_not_square(self, rows) -> None:
+        with pytest.raises(ValueError, match="must be n x n"):
+            graph_from_rows(rows)
 
     def test_rejects_no_vertex(self) -> None:
         with pytest.raises(ValueError, match="at least one vertex"):
-            DirectedMultigraph(0, ())
+            graph_from_rows(())
         with pytest.raises(ValueError, match="at least one vertex"):
             DirectedMultigraph.from_edges(0, [])
 
@@ -160,23 +181,29 @@ class TestConstruction:
         assert g.out_degree(0) == 3
         assert g.out_degree(2) == 0
 
-    @given(small_graphs(max_n=12, max_mult=10**18))
+    @given(loopless_rows(max_n=12, max_mult=10**18))
     @settings(max_examples=60, deadline=None)
-    def test_adjacency_matches_matrix(self, g: DirectedMultigraph) -> None:
-        # max_n straddles SMALL_GRAPH_MAX_N: shared rows below, kept above
-        adj = g.adjacency()
-        for row, out in zip(g.mult, adj):
+    def test_rows_give_back_their_matrix(self, rows) -> None:
+        # max_n straddles SMALL_GRAPH_MAX_N: shared entries below, kept above
+        g = graph_from_rows(rows)
+        assert g.mult == rows
+        for row, out in zip(rows, g.adjacency()):
             assert out.degree == sum(row)
             assert out.edges == tuple((u, m) for u, m in enumerate(row) if m)
-        assert g.adjacency() == adj
 
-    def test_adjacency_kept_or_shared(self) -> None:
+    def test_small_graphs_share_equal_entries(self) -> None:
+        g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        h = DirectedMultigraph.from_edges(3, [(0, 1, 1), (0, 1, 1), (2, 1, 1)])
+        rows = graph_from_rows(((0, 2, 0), (0, 0, 0), (0, 0, 0)))
+        assert g.adjacency()[0] is h.adjacency()[0] is rows.adjacency()[0]
+        assert g.adjacency()[2] is rows.adjacency()[1] is rows.adjacency()[2]
+
+    def test_large_graphs_keep_their_own_entries(self) -> None:
         n = SMALL_GRAPH_MAX_N + 1
-        big = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
-        assert big.adjacency() is big.adjacency()
-        g = DirectedMultigraph(3, ((0, 2, 0), (0, 0, 1), (0, 0, 0)))
-        h = DirectedMultigraph(3, ((0, 2, 0), (0, 0, 0), (0, 1, 0)))
-        assert g.adjacency()[0] is h.adjacency()[0]
+        g = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
+        h = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
+        assert g == h and g.adjacency()[0] == h.adjacency()[0]
+        assert g.adjacency()[0] is not h.adjacency()[0]
 
 
 class TestLaplacian:
@@ -278,9 +305,7 @@ class TestPredicates:
         g = gen_graph(family, n, Random(seed))
         mult = g.mult
         # adding the reverse of every edge balances any graph
-        both = DirectedMultigraph(
-            n, tuple(tuple(mult[u][v] + mult[v][u] for v in range(n)) for u in range(n))
-        )
+        both = graph_from_rows([[mult[u][v] + mult[v][u] for v in range(n)] for u in range(n)])
         for h in (g, both):
             rows = h.mult
             balanced = all(sum(row[v] for row in rows) == sum(rows[v]) for v in range(n))

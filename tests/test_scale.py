@@ -31,7 +31,15 @@ from rotorchip.chipfiring import (
 )
 from rotorchip.cli import run_command
 from rotorchip.errors import DEFAULT_GAME_BUDGET
-from rotorchip.generators import FAMILIES, chip_case_stream, gen_graph, gen_instance, random_ribbon
+from rotorchip.generators import (
+    FAMILIES,
+    chip_case_stream,
+    gen_graph,
+    gen_instance,
+    random_ribbon,
+    rotor_case_stream,
+    strongly_connected_stream,
+)
 from rotorchip.instancefile import MAX_VERTICES, Instance, serialize_instance
 from rotorchip.intlinalg import (
     is_reduced,
@@ -671,3 +679,21 @@ def test_chip_case_stream_is_pinned() -> None:
     for case in islice(chip_case_stream(0), 2000):
         digest.update(repr((case.graph, case.source, case.target, case.mode)).encode())
     assert digest.hexdigest() == "26215852daa4adcd1ef523df68a0b1b50ebf69a5c382fb01f838d7a76234b8af"
+
+
+def test_rotor_case_stream_is_pinned() -> None:
+    # the first 2,000 cases at seed 0, as the stream drew them when its
+    # graphs were built from n x n rows
+    digest = hashlib.sha256()
+    for case in islice(rotor_case_stream(0), 2000):
+        digest.update(repr((case.graph, case.ribbon, case.source, case.target, case.mode)).encode())
+    assert digest.hexdigest() == "8d3124da4ee79e48ed7438ed1fec47fb05be54f68cdd99546de03e2b2fe0f537"
+
+
+def test_strongly_connected_stream_is_pinned() -> None:
+    # the first 2,000 draws at seed 0, graph runs included, as the stream
+    # drew them when its graphs were built from n x n rows
+    digest = hashlib.sha256()
+    for g, chips in islice(strongly_connected_stream(0), 2000):
+        digest.update(repr((g.adjacency(), chips)).encode())
+    assert digest.hexdigest() == "a946b634070d337c92a345ed1c1961b7e7c2f0bd1a1df3b84fad4aeae7a2e41c"
