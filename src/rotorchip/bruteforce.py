@@ -352,15 +352,17 @@ def solve_integer(a: IntMatrix, d: IntVector) -> IntVector | None:
 def graph_from_rows(rows) -> DirectedMultigraph:
     """The graph of an n x n multiplicity matrix, ``rows[u][v]`` edges u -> v.
 
-    Every off-diagonal entry and any nonzero diagonal entry goes to
+    Every entry but an integer zero on the diagonal goes to
     ``DirectedMultigraph.from_edges``, which makes the checks and states
-    what is wrong: a loop, a negative or a non-integer multiplicity.
+    what is wrong: a loop, a negative or a non-integer multiplicity (a
+    diagonal 0.0 included).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("multiplicity matrix must be n x n")
     return DirectedMultigraph.from_edges(n, [
-        (u, v, m) for u, row in enumerate(rows) for v, m in enumerate(row) if u != v or m != 0
+        (u, v, m) for u, row in enumerate(rows) for v, m in enumerate(row)
+        if u != v or m != 0 or not isinstance(m, int)
     ])
 
 

@@ -130,8 +130,11 @@ def _random_small_graph(
 ) -> DirectedMultigraph:
     """A random graph on at most _CASE_N_MAX vertices.
 
-    Each tail's runs come straight from its drawn row, heads ascending:
-    the draws make a valid graph, so it skips ``from_edges``' checks.
+    Each tail's runs come straight from its drawn row, heads ascending,
+    not through ``from_edges``: its per-edge checks and per-tail dicts
+    made ``desk-many``'s set-up of 10,000 case graphs about 17% slower
+    (0.311 -> 0.365 s, medians of 7 alternating runs on a 2-core guest).
+    The draws make a valid graph by construction.
     """
     n = rng.randint(2, _CASE_N_MAX)
     adj = []

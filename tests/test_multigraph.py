@@ -155,6 +155,7 @@ class TestConstruction:
         (1, "loop at vertex 1 is not allowed"),
         (-1, "loop at vertex 1 is not allowed"),
         (2.7, "edge (1, 1, 2.7) is not three integers"),
+        (0.0, "edge (1, 1, 0.0) is not three integers"),
     ])
     def test_rows_reject_a_nonzero_diagonal_entry(self, m, message: str) -> None:
         with pytest.raises(ValueError) as exc:
@@ -184,12 +185,14 @@ class TestConstruction:
     @given(loopless_rows(max_n=12, max_mult=10**18))
     @settings(max_examples=60, deadline=None)
     def test_rows_give_back_their_matrix(self, rows) -> None:
-        # max_n straddles SMALL_GRAPH_MAX_N: shared entries below, kept above
+        # max_n straddles SMALL_GRAPH_MAX_N: both sides give back their matrix
         g = graph_from_rows(rows)
         assert g.mult == rows
-        for row, out in zip(rows, g.adjacency()):
+        adj = g.adjacency()
+        for row, out in zip(rows, adj):
             assert out.degree == sum(row)
             assert out.edges == tuple((u, m) for u, m in enumerate(row) if m)
+        assert g.adjacency() == adj
 
     def test_small_graphs_share_equal_entries(self) -> None:
         g = DirectedMultigraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
@@ -202,6 +205,7 @@ class TestConstruction:
         n = SMALL_GRAPH_MAX_N + 1
         g = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
         h = DirectedMultigraph.from_edges(n, [(0, 1, 2)])
+        assert g.adjacency() is g.adjacency()
         assert g == h and g.adjacency()[0] == h.adjacency()[0]
         assert g.adjacency()[0] is not h.adjacency()[0]
 
