@@ -172,13 +172,15 @@ def random_maximal_bounded_chip_game(
     bound: IntVector,
     rng: Random,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[IntVector, IntVector]:
+) -> tuple[IntVector, IntVector, tuple[int, ...]]:
     """A uniformly random maximal bound-respecting legal game, one firing
-    at a time.  Returns (firing vector, final configuration)."""
+    at a time.  Returns (firing vector, final configuration, the fired
+    vertices in order)."""
     mult = g.mult
     degs = [sum(row) for row in mult]
     cur = list(x)
     fired = [0] * g.n
+    seq: list[int] = []
     for _ in range(max_steps):
         eligible = [
             v
@@ -186,12 +188,13 @@ def random_maximal_bounded_chip_game(
             if fired[v] < bound[v] and cur[v] >= degs[v]
         ]
         if not eligible:
-            return tuple(fired), tuple(cur)
+            return tuple(fired), tuple(cur), tuple(seq)
         v = rng.choice(eligible)
         cur[v] -= degs[v]
         for u in range(g.n):
             cur[u] += mult[v][u]
         fired[v] += 1
+        seq.append(v)
     raise BudgetExceededError(f"random chip game exceeded {max_steps} steps")
 
 
@@ -201,12 +204,15 @@ def random_maximal_bounded_rotor_game(
     bound: IntVector,
     rng: Random,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[IntVector, ChipRotorConfig]:
-    """A uniformly random maximal bound-respecting legal rotor game."""
+) -> tuple[IntVector, ChipRotorConfig, tuple[int, ...]]:
+    """A uniformly random maximal bound-respecting legal rotor game.
+    Returns (routing vector, final configuration, the routed vertices in
+    order)."""
     heads = _expanded_heads(ribbon)
     chips = list(config.chips)
     rotors = list(config.rotors)
     routed = [0] * ribbon.n
+    seq: list[int] = []
     for _ in range(max_steps):
         eligible = [
             v
@@ -214,13 +220,14 @@ def random_maximal_bounded_rotor_game(
             if heads[v] and routed[v] < bound[v] and chips[v] > 0
         ]
         if not eligible:
-            return tuple(routed), ChipRotorConfig(tuple(chips), tuple(rotors))
+            return tuple(routed), ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(seq)
         v = rng.choice(eligible)
         pos = (rotors[v] + 1) % len(heads[v])
         rotors[v] = pos
         chips[v] -= 1
         chips[heads[v][pos]] += 1
         routed[v] += 1
+        seq.append(v)
     raise BudgetExceededError(f"random rotor game exceeded {max_steps} steps")
 
 

@@ -7,13 +7,10 @@ bounded-game abelian property makes the firing vector and the final
 configuration schedule-independent, so determinism costs nothing and
 buys reproducible traces.
 
-The bounded game plays in sorted rounds: each round fires every vertex
-eligible at its start, in ascending order, each with its largest safe
-batch at its turn.  A firing at v takes chips only from v and gives them
-only to v's heads, so only those can join the next round, and no round
-rescans all n.  A batch costs O(runs(v)) over the graph's adjacency,
-where runs(v) is v's out-support unless a head repeats, plus a share of
-one sort per round.  ``halts`` fires one chip-firing at a time, smallest
+The bounded game plays ``multigraph.play_rounds``' sorted rounds with
+the out-degrees as units: a batch fires v k times in O(runs(v)) over the
+graph's adjacency, where runs(v) is v's out-support unless a head
+repeats.  ``halts`` fires one chip-firing at a time, smallest
 vertex first, in one of two loops that play the same game.  The heap
 loop keeps the legal vertices in a min-heap: O(runs(v) + log n) per
 firing.  The packed loop keeps the configuration in one int of w-bit
@@ -49,6 +46,7 @@ from .multigraph import (
     IntVector,
     OutEdges,
     _check_vector,
+    play_rounds,
     strongly_connected_balance,
 )
 
@@ -119,9 +117,12 @@ def _play_batches(
 
 @dataclass(frozen=True, slots=True)
 class BoundedChipResult:
+    """A bounded game's outcome; ``batch_count`` counts its batches, traced or not."""
+
     firing_vector: CountVector
     final: ChipConfig
     trace: ChipGameTrace | None
+    batch_count: int
 
 
 def bounded_chip_game(
@@ -134,61 +135,32 @@ def bounded_chip_game(
     """Play a maximal legal game firing each v at most bound(v) times.
 
     The firing vector and final configuration are the same for every
-    maximal bounded schedule, so a deterministic one is canonical: sorted
-    rounds.  Round 0 is the eligible vertices, ascending; each vertex in
-    a round fires its largest safe batch, computed at its turn.  A batch
-    spends v's remaining bound or its pile, so v leaves the worklist; a
-    head that becomes eligible and is not waiting later in the round
-    joins the next one, which is sorted.  A vertex in a round stays
-    eligible until its turn, because only its own batch takes its chips
-    or its bound.  Cost: O(runs(v)) per batch plus one sort per round.
+    maximal bounded schedule, so a deterministic one is canonical: the
+    sorted rounds of ``play_rounds``, with the out-degrees as units, so
+    a vertex may fire while x(v) >= deg(v).  A sink moves nothing when it
+    fires, so it burns its whole bound in one batch.
 
-    Each batch fires at least once, so the game takes at most sum(bound)
-    batches.  As measured on Eulerian graphs, the count grows about
-    linearly in the chips' bit length: about 358,000 batches for 256-bit
-    chips at n=60 (README).  No polynomial bound is claimed; on the chain
-    with two edges forward and one back it grows about 2^(0.9 n).  Raises
+    As measured on Eulerian graphs, the batch count grows about linearly
+    in the chips' bit length: about 358,000 batches for 256-bit chips at
+    n=60 (README).  No polynomial bound is claimed; on the chain with two
+    edges forward and one back it grows about 2^(0.9 n).  Raises
     BudgetExceededError when more than ``max_batches`` batches are
-    needed.  Without ``trace`` the batches are counted, not kept, and the
-    result's trace is None, so the game holds O(n) memory however long it
-    runs.
+    needed.  Without ``trace`` the result's trace is None.
     """
     _check_vector(g.n, bound, "count vector", nonneg=True)
     _check_vector(g.n, x, "chip configuration")
     adj = g.adjacency()
-    degs = [out.degree for out in adj]
     cur = list(x)
-    fired = [0] * g.n
-    queued = [b > 0 and c >= d for b, c, d in zip(bound, cur, degs)]
-    batches: list[tuple[int, int]] = []
-    played = 0
-    current = [v for v in range(g.n) if queued[v]]
-    while current:
-        joined = []
-        for v in current:
-            queued[v] = False
-            remaining = bound[v] - fired[v]
-            # firing a sink moves nothing; burn the whole bound at once
-            k = min(remaining, cur[v] // degs[v]) if degs[v] else remaining
-            if played >= max_batches:
-                raise BudgetExceededError(
-                    f"bounded chip game exceeded {max_batches} batches"
-                )
-            _fire_in_place(cur, adj[v], v, k)
-            fired[v] += k
-            played += 1
-            if trace:
-                batches.append((v, k))
-            for u, _ in adj[v].edges:
-                if not queued[u] and cur[u] >= degs[u] and fired[u] < bound[u]:
-                    queued[u] = True
-                    joined.append(u)
-        current = sorted(joined)
+    fired, batches, count = play_rounds(
+        adj, cur, [out.degree for out in adj], bound,
+        lambda v, k: _fire_in_place(cur, adj[v], v, k), max_batches, trace, "chip",
+    )
     final = tuple(cur)
     return BoundedChipResult(
         firing_vector=tuple(fired),
         final=final,
         trace=ChipGameTrace(tuple(x), tuple(batches), final, tuple(fired)) if trace else None,
+        batch_count=count,
     )
 
 

@@ -1,10 +1,16 @@
-"""Directed multigraphs with arbitrary-precision edge multiplicities."""
+"""Directed multigraphs with arbitrary-precision edge multiplicities.
+
+Beside the graphs' per-vertex ``OutEdges`` runs lives ``play_rounds``,
+the sorted-round schedule that plays both bounded games, chip and rotor.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+from .errors import BudgetExceededError
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -49,6 +55,63 @@ class OutEdges(NamedTuple):
 
     degree: int
     edges: tuple[Run, ...]
+
+
+def play_rounds(
+    adj: tuple[OutEdges, ...],
+    piles: list[int],
+    units: list[int],
+    bound: Sequence[int],
+    batch: Callable[[int, int], None],
+    max_batches: int,
+    trace: bool,
+    game: str,
+) -> tuple[list[int], list[tuple[int, int]] | None, int]:
+    """Play a maximal bounded game in sorted rounds: (done, batches, count).
+
+    The one schedule of both bounded games.  Vertex v may act while
+    done(v) < bound(v) and piles[v] >= units[v].  Its batch is
+    k = min(bound(v) - done(v), piles[v] // units[v]) acts, or the rest of
+    its bound when units[v] is 0, and ``batch(v, k)`` plays it in place
+    on ``piles``, taking only from v and giving only to v's heads in
+    ``adj``.  Round 0 is the vertices that may act, ascending; each plays
+    its batch, computed at its turn, which spends its bound or its pile.
+    A head that may now act and is not waiting later in the round joins
+    the next one, which is sorted.  A vertex stays able to act until its
+    turn, because only its own batch takes its pile or its bound.  So no
+    round rescans all n: a batch costs its callback plus O(runs(v)) and
+    a share of one sort per round.  Each batch acts at least once, so at
+    most sum(bound) batches are played; past ``max_batches`` it raises
+    BudgetExceededError naming ``game``.  ``done`` counts each vertex's
+    acts and ``count`` the batches; ``batches`` lists them as (v, k) with
+    ``trace``, else is None, so the game holds O(n) memory however long
+    it runs.
+    """
+    n = len(adj)
+    done = [0] * n
+    queued = [b > 0 and c >= u for b, c, u in zip(bound, piles, units)]
+    batches: list[tuple[int, int]] | None = [] if trace else None
+    count = 0
+    current = [v for v in range(n) if queued[v]]
+    while current:
+        joined = []
+        for v in current:
+            queued[v] = False
+            remaining = bound[v] - done[v]
+            k = min(remaining, piles[v] // units[v]) if units[v] else remaining
+            if count >= max_batches:
+                raise BudgetExceededError(f"bounded {game} game exceeded {max_batches} batches")
+            batch(v, k)
+            done[v] += k
+            count += 1
+            if trace:
+                batches.append((v, k))
+            for u, _ in adj[v].edges:
+                if not queued[u] and piles[u] >= units[u] and done[u] < bound[u]:
+                    queued[u] = True
+                    joined.append(u)
+        current = sorted(joined)
+    return done, batches, count
 
 
 def dense_row(n: int, out: OutEdges) -> IntVector:

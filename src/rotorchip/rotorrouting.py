@@ -10,9 +10,8 @@ multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``pi_r`` loops over it, ``route_many`` (and ``route`` through it) calls
 it once, and the bounded game and the batch replay behind traces and
 the sequence validator call it on their own lists.  The bounded game
-plays in sorted rounds, as the chip game does: each round routes every
-vertex eligible at its start, in ascending order, so a batch costs
-O(runs(v)) plus a share of one sort per round.
+plays ``multigraph.play_rounds``' sorted rounds, as the chip game does,
+with one chip as each vertex's unit.
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -31,7 +30,8 @@ from typing import Iterable, NamedTuple
 from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
 from .multigraph import (
-    DirectedMultigraph, IntVector, OutEdges, Run, _check_vector, head_totals, share_small,
+    DirectedMultigraph, IntVector, OutEdges, Run, _check_vector, head_totals, play_rounds,
+    share_small,
 )
 
 CountVector = IntVector
@@ -287,9 +287,12 @@ def _play_batches(
 
 @dataclass(frozen=True, slots=True)
 class BoundedRotorResult:
+    """A bounded game's outcome; ``batch_count`` counts its batches, traced or not."""
+
     routing_vector: CountVector
     final: ChipRotorConfig
     trace: RotorGameTrace | None
+    batch_count: int
 
 
 def bounded_rotor_game(
@@ -303,54 +306,31 @@ def bounded_rotor_game(
 
     Bounded rotor games are abelian, so any maximal schedule yields the
     canonical routing vector, the game's odometer, and the same final
-    configuration.  This one plays sorted rounds: round 0 is the eligible
-    vertices, ascending; each vertex in a round routes its largest safe
-    batch, computed at its turn.  A batch spends v's remaining bound or
-    its pile, so v leaves the worklist; a head that becomes eligible and
-    is not waiting later in the round joins the next one, which is
-    sorted.  Cost: O(runs(v)) per batch plus one sort per round.  As
-    measured on Eulerian graphs, the batch count grows about linearly in
-    the chips' bit length: about 182,000 batches for 128-bit chips at
+    configuration.  This one is the sorted rounds of ``play_rounds``,
+    with one chip as every vertex's unit, so a vertex may route while it
+    holds a chip.  A sink is never routed: its bound counts as 0.
+
+    As measured on Eulerian graphs, the batch count grows about linearly
+    in the chips' bit length: about 182,000 batches for 128-bit chips at
     n=60 (README).  No polynomial bound is claimed.  Raises
     BudgetExceededError when more than ``max_batches`` batches are
-    needed.  Without ``trace`` the batches are counted, not kept, and the
-    result's trace is None, so the game holds O(n) memory however long it
-    runs.
+    needed.  Without ``trace`` the result's trace is None.
     """
     validate_config(ribbon, config)
     _check_vector(ribbon.n, bound, "bound", nonneg=True)
-    adj, degs = ribbon.adjacency(), ribbon.degrees
+    adj = ribbon.adjacency()
     chips = list(config.chips)
     rotors = list(config.rotors)
-    routed = [0] * ribbon.n
-    queued = [d > 0 and b > 0 and c > 0 for d, b, c in zip(degs, bound, chips)]
-    batches: list[tuple[int, int]] = []
-    played = 0
-    current = [v for v in range(ribbon.n) if queued[v]]
-    while current:
-        joined = []
-        for v in current:
-            queued[v] = False
-            k = min(bound[v] - routed[v], chips[v])
-            if played >= max_batches:
-                raise BudgetExceededError(
-                    f"bounded rotor game exceeded {max_batches} batches"
-                )
-            _route_vertex(adj[v], chips, rotors, v, k)
-            routed[v] += k
-            played += 1
-            if trace:
-                batches.append((v, k))
-            for u, _ in adj[v].edges:
-                if not queued[u] and chips[u] > 0 and routed[u] < bound[u] and degs[u]:
-                    queued[u] = True
-                    joined.append(u)
-        current = sorted(joined)
+    routed, batches, count = play_rounds(
+        adj, chips, [1] * ribbon.n, [b if out.degree else 0 for b, out in zip(bound, adj)],
+        lambda v, k: _route_vertex(adj[v], chips, rotors, v, k), max_batches, trace, "rotor",
+    )
     final = ChipRotorConfig(tuple(chips), tuple(rotors))
     return BoundedRotorResult(
         routing_vector=tuple(routed),
         final=final,
         trace=RotorGameTrace(config, tuple(batches), final, tuple(routed)) if trace else None,
+        batch_count=count,
     )
 
 

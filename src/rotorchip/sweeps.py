@@ -152,7 +152,7 @@ def run_odometer_sweep(count: int, seed: int) -> SweepReport:
         formula = rotorrouting.odometer_equals_bound(ribbon, case.source, r)
         engine = rotorrouting.bounded_rotor_game(ribbon, case.source, r)
         simulated = engine.routing_vector == r
-        routed, _ = bruteforce.random_maximal_bounded_rotor_game(
+        routed, _, _ = bruteforce.random_maximal_bounded_rotor_game(
             ribbon, case.source, r, Random(rng.getrandbits(64))
         )
         randomized = routed == r
@@ -185,7 +185,7 @@ def run_abelian_sweep(count: int, seed: int) -> SweepReport:
             for _ in range(2)
         ]
         report.total += 1
-        for fired, final in runs:
+        for fired, final, _ in runs:
             if fired != engine.firing_vector or final != engine.final:
                 report.fail(
                     f"chip schedules disagree: {fired}/{final} vs "
@@ -196,7 +196,7 @@ def run_abelian_sweep(count: int, seed: int) -> SweepReport:
         )
         rengine = rotorrouting.bounded_rotor_game(ribbon, case.source, rbound)
         for _ in range(2):
-            routed, final = bruteforce.random_maximal_bounded_rotor_game(
+            routed, final, _ = bruteforce.random_maximal_bounded_rotor_game(
                 ribbon, case.source, rbound, Random(rng.getrandbits(64))
             )
             if routed != rengine.routing_vector or final != rengine.final:
@@ -233,11 +233,12 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
         if i % 2 == 0:
             # chips p(v)*deg(v) let any order fire the full bound p
             x = tuple(p[v] * degs[v] for v in range(g.n))
-            seq = list(
-                _random_bounded_chip_sequence(g, x, p, Random(rng.getrandbits(64)))
+            _, after, bounded = bruteforce.random_maximal_bounded_chip_game(
+                g, x, p, Random(rng.getrandbits(64))
             )
+            seq = list(bounded)
             seq += bruteforce.random_legal_chip_sequence(
-                g, _after_firing(g, x, seq), rng.randint(0, 6), rng
+                g, after, rng.randint(0, 6), rng
             )
             report.total += 1
             if not chipfiring.validate_legal_firing_sequence(g, x, seq):
@@ -256,14 +257,10 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
             ribbon = random_ribbon(g, rng)
             rper = tuple(p[v] * degs[v] for v in range(g.n))
             config = ChipRotorConfig(rper, _random_rotors(ribbon, rng))
-            seq = list(
-                _random_bounded_rotor_sequence(
-                    ribbon, config, rper, Random(rng.getrandbits(64))
-                )
+            _, cur, bounded = bruteforce.random_maximal_bounded_rotor_game(
+                ribbon, config, rper, Random(rng.getrandbits(64))
             )
-            cur = config
-            for v in seq:
-                cur = rotorrouting.route(ribbon, cur, v)
+            seq = list(bounded)
             for _ in range(rng.randint(0, 6)):
                 legal = [
                     v
@@ -305,44 +302,6 @@ def _after_firing(g: DirectedMultigraph, x, seq):
     for v in seq:
         cur = chipfiring.fire(g, cur, v)
     return cur
-
-
-def _random_bounded_chip_sequence(g, x, bound, rng) -> tuple[int, ...]:
-    adj = g.adjacency()
-    degs = g.out_degrees()
-    cur = list(x)
-    left = list(bound)
-    seq = []
-    while True:
-        legal = [
-            v for v in range(g.n) if left[v] > 0 and degs[v] and cur[v] >= degs[v]
-        ]
-        if not legal:
-            return tuple(seq)
-        v = rng.choice(legal)
-        cur[v] -= degs[v]
-        for u, m in adj[v].edges:
-            cur[u] += m
-        left[v] -= 1
-        seq.append(v)
-
-
-def _random_bounded_rotor_sequence(ribbon, config, bound, rng) -> tuple[int, ...]:
-    cur = config
-    left = list(bound)
-    seq = []
-    while True:
-        legal = [
-            v
-            for v in range(ribbon.n)
-            if left[v] > 0 and rotorrouting.is_legal_route(ribbon, cur, v)
-        ]
-        if not legal:
-            return tuple(seq)
-        v = rng.choice(legal)
-        cur = rotorrouting.route(ribbon, cur, v)
-        left[v] -= 1
-        seq.append(v)
 
 
 def run_eulerian_sweep(count: int, seed: int) -> SweepReport:

@@ -16,10 +16,15 @@ from rotorchip.bruteforce import (
     random_maximal_bounded_rotor_game,
     reachability_matrix,
 )
-from rotorchip.chipfiring import bounded_chip_game
+from rotorchip.chipfiring import bounded_chip_game, validate_legal_firing_sequence
 from rotorchip.errors import BudgetExceededError
 from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected
-from rotorchip.rotorrouting import ChipRotorConfig, RibbonStructure, bounded_rotor_game
+from rotorchip.rotorrouting import (
+    ChipRotorConfig,
+    RibbonStructure,
+    bounded_rotor_game,
+    validate_legal_routing_sequence,
+)
 
 
 class TestBfsChip:
@@ -62,20 +67,24 @@ class TestRandomSchedules:
             rng = random.Random(seed)
             x = (rng.randint(0, 4), rng.randint(0, 4))
             bound = (rng.randint(0, 3), rng.randint(0, 3))
-            f, final = random_maximal_bounded_chip_game(d21, x, bound, rng)
+            f, final, seq = random_maximal_bounded_chip_game(d21, x, bound, rng)
             res = bounded_chip_game(d21, x, bound)
             assert f == res.firing_vector
             assert final == res.final
+            assert tuple([seq.count(v) for v in range(d21.n)]) == f
+            assert validate_legal_firing_sequence(d21, x, seq)
 
     def test_rotor_schedule_matches_engine(self, d21_ribbon: RibbonStructure) -> None:
         for seed in range(10):
             rng = random.Random(seed)
             cfg = ChipRotorConfig((rng.randint(0, 3), rng.randint(0, 3)), (rng.randrange(2), 0))
             bound = (rng.randint(0, 3), rng.randint(0, 3))
-            r, final = random_maximal_bounded_rotor_game(d21_ribbon, cfg, bound, rng)
+            r, final, seq = random_maximal_bounded_rotor_game(d21_ribbon, cfg, bound, rng)
             res = bounded_rotor_game(d21_ribbon, cfg, bound)
             assert r == res.routing_vector
             assert final == res.final
+            assert tuple([seq.count(v) for v in range(d21_ribbon.n)]) == r
+            assert validate_legal_routing_sequence(d21_ribbon, cfg, seq)
 
 
 class TestEnumerators:

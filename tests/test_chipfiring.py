@@ -145,8 +145,8 @@ class TestAbelian:
         x = (rng.randint(0, 4), rng.randint(0, 4))
         bound = (rng.randint(0, 3), rng.randint(0, 3))
         res = bounded_chip_game(d21, x, bound)
-        f1, y1 = random_maximal_bounded_chip_game(d21, x, bound, random.Random(seed + 1))
-        f2, y2 = random_maximal_bounded_chip_game(d21, x, bound, random.Random(seed + 2))
+        f1, y1, _ = random_maximal_bounded_chip_game(d21, x, bound, random.Random(seed + 1))
+        f2, y2, _ = random_maximal_bounded_chip_game(d21, x, bound, random.Random(seed + 2))
         assert f1 == f2 == res.firing_vector
         assert y1 == y2 == res.final
 
@@ -643,6 +643,12 @@ class TestScheduleMatchesDenseScan:
         res = bounded_chip_game(g, x, bound, max_batches=max_batches)
         assert (res.firing_vector, res.final, res.trace.batches) == expected
         assert res.trace.replay(g)
+        assert res.batch_count == len(res.trace.batches)
+        untraced = bounded_chip_game(g, x, bound, max_batches=max_batches, trace=False)
+        assert untraced.trace is None
+        assert (untraced.firing_vector, untraced.final, untraced.batch_count) == (
+            res.firing_vector, res.final, res.batch_count,
+        )
         # bounded games are abelian: another schedule fires the same vector
         assert (res.firing_vector, res.final) == _dense_smallest_first_chip_game(g, x, bound)
 

@@ -890,8 +890,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error=bounded chip game exceeded 0 batches\n"
 
+    def test_rotor_odometer_budget_exit(self, capsys, d21_path: str) -> None:
+        argv = ["rotor-odom", d21_path, "--config", "go", "--r", "1,0", "--budget-steps", "0"]
+        assert _outcome(capsys, argv) == (3, "", "error=bounded rotor game exceeded 0 batches\n")
+
     def test_state_budget_is_not_a_halting_option(self, capsys, c2_path: str) -> None:
-        # --budget-steps also caps the stored configurations: one per firing
+        # --budget-states belongs to bfs-reach; chip-halting's one budget,
+        # --budget-steps, counts firings
         code, out, err = _outcome(capsys, ["chip-halting", c2_path, "--budget-states", "1"])
         assert (code, out) == (2, "")
         assert err.endswith("error: unrecognized arguments: --budget-states 1\n")

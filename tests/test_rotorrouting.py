@@ -603,7 +603,8 @@ class TestScheduleMatchesDenseScan:
         degs = ribbon.degrees
         chips = tuple(data.draw(st.integers(min_value=-1, max_value=2 * d + 1)) for d in degs)
         rotors = tuple(data.draw(st.integers(0, d - 1)) if d else None for d in degs)
-        bound = tuple(data.draw(st.integers(0, 2 * d + 2)) if d else 0 for d in degs)
+        # a sink's bound is never spent: the game does not route a sink
+        bound = tuple(data.draw(st.integers(0, 2 * d + 2 if d else 2)) for d in degs)
         config = ChipRotorConfig(chips, rotors)
         try:
             expected = _dense_bounded_rotor_game(ribbon, config, bound, max_batches)
@@ -615,6 +616,12 @@ class TestScheduleMatchesDenseScan:
         assert isinstance(res, BoundedRotorResult)
         assert (res.routing_vector, res.final, res.trace.batches) == expected
         assert res.trace.replay(ribbon)
+        assert res.batch_count == len(res.trace.batches)
+        untraced = bounded_rotor_game(ribbon, config, bound, max_batches=max_batches, trace=False)
+        assert untraced.trace is None
+        assert (untraced.routing_vector, untraced.final, untraced.batch_count) == (
+            res.routing_vector, res.final, res.batch_count,
+        )
         # bounded games are abelian: another schedule routes the same vector
         expected_abelian = _dense_smallest_first_rotor_game(ribbon, config, bound)
         assert (res.routing_vector, res.final) == expected_abelian

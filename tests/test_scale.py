@@ -543,6 +543,7 @@ def test_reach_chip_eulerian_n60_256_bit_chips_within_wall_bound() -> None:
     assert verdict.decision == "YES"
     assert verdict.firing_vector == game.firing_vector
     assert verdict.trace is not None and verdict.trace.replay(g)
+    assert game.batch_count == len(verdict.trace.batches) == 358_077
     assert elapsed < 10.0, f"reach_chip eulerian n=60, b=256: {elapsed:.1f}s >= 10s"
 
 
@@ -561,19 +562,23 @@ def test_reach_rotor_trace_eulerian_n60_128_bit_chips_within_wall_bound() -> Non
     assert (verdict.decision, verdict.reason) == ("YES", None)
     assert verdict.routing_vector == game.routing_vector
     assert verdict.trace is not None and verdict.trace.replay(ribbon)
+    assert game.batch_count == len(verdict.trace.batches) == 181_894
     assert elapsed < 10.0, f"reach_rotor eulerian n=60, b=128: {elapsed:.1f}s >= 10s"
 
 
 @pytest.mark.parametrize("recurrent", [is_recurrent, is_recurrent_via_reach])
 def test_recurrence_on_the_chain_n16_within_memory_bound(recurrent) -> None:
     # two edges from i to i+1, one back: p(i) = 2^i and the game plays
-    # about 16,000 batches; counted, not kept, they peak at about 5 KB,
-    # where one (v, k) tuple per batch peaked at 0.6-0.7 MB (8.9 MB at n=20)
+    # 9,814 batches (9,813 through reach); counted, not kept, they peak at
+    # about 5 KB, where one (v, k) tuple per batch peaked at 0.6-0.7 MB
+    # (8.9 MB at n=20)
     n = 16
     g = DirectedMultigraph.from_edges(
         n, [(i, i + 1, 2) for i in range(n - 1)] + [(i + 1, i, 1) for i in range(n - 1)]
     )
     x = tuple([2 * d - 1 for d in g.out_degrees()])
+    p = primitive_period_vector(g)
+    assert bounded_chip_game(g, x, p, trace=False).batch_count == 9_814
     tracemalloc.start()
     try:
         assert recurrent(g, x)
@@ -599,6 +604,7 @@ def test_bounded_rotor_game_without_trace_eulerian_n60_within_memory_bound() -> 
         tracemalloc.stop()
     assert game.trace is None
     assert (game.routing_vector, game.final) == (traced.routing_vector, traced.final)
+    assert game.batch_count == 23_108
     assert peak < 50e3, f"bounded_rotor_game n=60, b=16: peak {peak / 1e3:.0f} KB"
 
 
