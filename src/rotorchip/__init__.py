@@ -22,11 +22,9 @@ from .multigraph import (
 from .intlinalg import (
     PeriodBasis,
     is_reduced,
-    is_routing_reduced,
     nonneg_reduced_solution,
     period_basis,
     primitive_period_vector,
-    reduce_routing_vector,
     reduce_vector,
 )
 from .chipfiring import (
@@ -75,11 +73,9 @@ __all__ = [
     "scc_decompose",
     "PeriodBasis",
     "is_reduced",
-    "is_routing_reduced",
     "nonneg_reduced_solution",
     "period_basis",
     "primitive_period_vector",
-    "reduce_routing_vector",
     "reduce_vector",
     "BoundedChipResult",
     "ChipGameTrace",

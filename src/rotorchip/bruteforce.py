@@ -9,7 +9,10 @@ The Hermite-normal-form integer solver lives here too, as the oracle for
 the engine's exact linear algebra, and the dense ``laplacian``; no other
 module reads the graph's dense ``mult`` view.  ``graph_from_rows`` builds
 a graph from an n x n multiplicity matrix, the paper's encoding, through
-the engine's checked ``from_edges``.
+the engine's checked ``from_edges``.  The routing reductions live here
+as well: no engine procedure needs them, and they reduce by whole rotor
+turns through the engine's ``reduce_vector``, which the tests hold to a
+reference.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from collections import deque
 from random import Random
 
 from .errors import BudgetExceededError
-from .multigraph import DirectedMultigraph, IntMatrix, IntVector
+from .intlinalg import reduce_vector
+from .multigraph import DirectedMultigraph, IntMatrix, IntVector, _check_vector
 from .rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
 
 DEFAULT_MAX_STATES = 200_000
@@ -354,6 +358,26 @@ def solve_integer(a: IntMatrix, d: IntVector) -> IntVector | None:
         return None
     # d == coeff @ h == coeff @ u @ b, so x = u^T @ coeff solves a @ x == d
     return tuple(sum(coeff[i] * u[i][j] for i in range(ncols)) for j in range(ncols))
+
+
+def reduce_routing_vector(g: DirectedMultigraph, r: IntVector) -> IntVector:
+    """The routing-reduced representative of r >= 0 modulo routing periods.
+
+    A routing period is a sink component's period vector times the
+    out-degrees, so r reduces by whole rotor turns: with q(v) = r(v) //
+    deg(v), and 0 at a sink, the result is r - deg * (q -
+    reduce_vector(g, q)).  A trivial sink has out-degree 0, so its zero
+    routing period keeps its entry.
+    """
+    _check_vector(g.n, r, "vector", nonneg=True)
+    degs = g.out_degrees()
+    q = tuple([x // d if d else 0 for x, d in zip(r, degs)])
+    return tuple([x - d * (a - b) for x, d, a, b in zip(r, degs, q, reduce_vector(g, q))])
+
+
+def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
+    """True when r >= 0 dominates no nonzero routing period vector."""
+    return reduce_routing_vector(g, r) == tuple(r)
 
 
 def graph_from_rows(rows) -> DirectedMultigraph:

@@ -10,7 +10,9 @@ buys reproducible traces.
 The bounded game plays ``multigraph.play_rounds``' sorted rounds with
 the out-degrees as units: a batch fires v k times in O(runs(v)) over the
 graph's adjacency, where runs(v) is v's out-support unless a head
-repeats.  ``halts`` fires one chip-firing at a time, smallest
+repeats.  Trace replay and the sequence validator check every firing
+through ``multigraph.replay_batches``, with the same units and batch.
+``halts`` fires one chip-firing at a time, smallest
 vertex first, in one of two loops that play the same game.  The heap
 loop keeps the legal vertices in a min-heap: O(runs(v) + log n) per
 firing.  The packed loop keeps the configuration in one int of w-bit
@@ -47,6 +49,7 @@ from .multigraph import (
     OutEdges,
     _check_vector,
     play_rounds,
+    replay_batches,
     strongly_connected_balance,
 )
 
@@ -93,26 +96,23 @@ class ChipGameTrace:
 
     def replay(self, g: DirectedMultigraph) -> bool:
         """Re-run the batches, checking legality of every single firing."""
-        return _play_batches(g, self.initial, self.batches) == (self.final, self.firing_vector)
+        return _replay(g, self.initial, self.batches) == (self.final, self.firing_vector)
 
 
-def _play_batches(
+def _replay(
     g: DirectedMultigraph, x: ChipConfig, batches
 ) -> tuple[ChipConfig, CountVector] | None:
     """(final, firing vector) after the (v, k) batches from x; None at an illegal one.
 
-    Within a batch v only loses chips, so checking the k-th firing's
-    precondition covers all k of them: O(runs(v)) per batch.
+    ``replay_batches`` with the out-degrees as units: O(runs(v)) per batch.
     """
     adj = g.adjacency()
     cur = list(x)
-    fired = [0] * g.n
-    for v, k in batches:
-        if not 0 <= v < g.n or k < 1 or cur[v] < k * adj[v].degree:
-            return None
-        _fire_in_place(cur, adj[v], v, k)
-        fired[v] += k
-    return tuple(cur), tuple(fired)
+    fired = replay_batches(
+        cur, [out.degree for out in adj], [True] * g.n,
+        lambda v, k: _fire_in_place(cur, adj[v], v, k), batches,
+    )
+    return None if fired is None else (tuple(cur), tuple(fired))
 
 
 @dataclass(frozen=True, slots=True)
@@ -540,4 +540,4 @@ def verify_nonhalting_certificate(g: DirectedMultigraph, x: ChipConfig, y: ChipC
 
 def validate_legal_firing_sequence(g: DirectedMultigraph, x: ChipConfig, seq) -> bool:
     """True when each firing in seq is legal at its moment: O(runs(v)) per firing."""
-    return _play_batches(g, x, ((v, 1) for v in seq)) is not None
+    return _replay(g, x, ((v, 1) for v in seq)) is not None

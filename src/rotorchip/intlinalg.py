@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .multigraph import (
     DirectedMultigraph,
@@ -302,25 +302,6 @@ def nonneg_reduced_solution(g: DirectedMultigraph, d: IntVector) -> IntVector | 
     return tuple(out)
 
 
-def _sink_steps(
-    g: DirectedMultigraph, scale: Sequence[int]
-) -> Iterator[tuple[IntVector, list[int]]]:
-    """Each sink component with its period vector times ``scale``, aligned with it.
-
-    A sink has no leaving edges, so its out-degrees are its own.  Zero
-    steps (trivial sinks under the routing scale, the out-degree)
-    constrain nothing and are skipped.
-    """
-    scc = scc_decompose(g)
-    degs = g.out_degrees()
-    for i in scc.sink_component_ids():
-        comp = scc.components[i]
-        p = _component_period(g, comp, degs, scc.is_balanced[i])
-        step = [x * scale[v] for v, x in zip(comp, p)]
-        if any(step):
-            yield comp, step
-
-
 def is_reduced(g: DirectedMultigraph, f: IntVector) -> bool:
     """True when f >= 0 dominates no nonzero period vector.
 
@@ -330,31 +311,17 @@ def is_reduced(g: DirectedMultigraph, f: IntVector) -> bool:
     return reduce_vector(g, f) == tuple(f)
 
 
-def is_routing_reduced(g: DirectedMultigraph, r: IntVector) -> bool:
-    """True when r >= 0 dominates no nonzero routing period vector.
-
-    Routing period vectors scale each period vector entry by the vertex
-    out-degree.  Trivial sink components (out-degree-zero vertices) have
-    the zero routing period vector and impose no constraint; r is
-    reduced when ``reduce_routing_vector`` keeps it.
-    """
-    return reduce_routing_vector(g, r) == tuple(r)
-
-
 def reduce_vector(g: DirectedMultigraph, f: IntVector) -> IntVector:
-    """The reduced representative of f >= 0 modulo the period lattice."""
+    """The reduced representative of f >= 0 modulo the period lattice.
+
+    One decomposition; each sink component shifts f down by its period
+    vector.  A sink has no leaving edges, so its out-degrees are its own.
+    """
     _check_vector(g.n, f, "vector", nonneg=True)
+    scc = scc_decompose(g)
+    degs = g.out_degrees()
     out = list(f)
-    for comp, p in _sink_steps(g, (1,) * g.n):
-        _shift_down(out, comp, p)
+    for i in scc.sink_component_ids():
+        comp = scc.components[i]
+        _shift_down(out, comp, _component_period(g, comp, degs, scc.is_balanced[i]))
     return tuple(out)
-
-
-def reduce_routing_vector(g: DirectedMultigraph, r: IntVector) -> IntVector:
-    """The routing-reduced representative of r >= 0 modulo routing periods."""
-    _check_vector(g.n, r, "vector", nonneg=True)
-    out = list(r)
-    for comp, p in _sink_steps(g, g.out_degrees()):
-        _shift_down(out, comp, p)
-    return tuple(out)
-

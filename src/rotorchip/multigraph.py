@@ -1,14 +1,16 @@
 """Directed multigraphs with arbitrary-precision edge multiplicities.
 
-Beside the graphs' per-vertex ``OutEdges`` runs lives ``play_rounds``,
-the sorted-round schedule that plays both bounded games, chip and rotor.
+Beside the graphs' per-vertex ``OutEdges`` runs live ``play_rounds``,
+the sorted-round schedule that plays both bounded games, chip and rotor,
+and ``replay_batches``, the one legality check behind both games' trace
+replay and sequence validators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 
@@ -112,6 +114,35 @@ def play_rounds(
                     joined.append(u)
         current = sorted(joined)
     return done, batches, count
+
+
+def replay_batches(
+    piles: list[int],
+    units: Sequence[int],
+    may_act: Sequence[bool],
+    batch: Callable[[int, int], None],
+    batches: Iterable[tuple[int, int]],
+) -> list[int] | None:
+    """Play the (v, k) batches in place on ``piles``: each vertex's act count, or None.
+
+    The one replay of both games, taking ``play_rounds``' units and batch
+    callback.  A batch is legal when v is a vertex with ``may_act[v]``,
+    k >= 1 and piles[v] >= k * units[v]; the rotor game refuses its sinks
+    by passing False there.  Within a batch only v loses from its pile,
+    units[v] per act, so the k-th act's precondition covers all k of
+    them: a batch costs its callback.  The replay stops, returning None,
+    at the first illegal batch, and raises ValueError unless ``piles``
+    has one entry per unit.
+    """
+    n = len(units)
+    _check_vector(n, piles, "configuration")
+    done = [0] * n
+    for v, k in batches:
+        if not (0 <= v < n and k >= 1 and may_act[v] and piles[v] >= k * units[v]):
+            return None
+        batch(v, k)
+        done[v] += k
+    return done
 
 
 def dense_row(n: int, out: OutEdges) -> IntVector:

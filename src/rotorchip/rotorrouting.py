@@ -8,10 +8,12 @@ O(number of runs) arbitrary-precision operations, never O(degree), so
 multiplicities around 10**18 stay cheap.  One in-place kernel,
 ``_route_vertex``, routes a single vertex k times in O(runs(v));
 ``pi_r`` loops over it, ``route_many`` (and ``route`` through it) calls
-it once, and the bounded game and the batch replay behind traces and
-the sequence validator call it on their own lists.  The bounded game
-plays ``multigraph.play_rounds``' sorted rounds, as the chip game does,
-with one chip as each vertex's unit.
+it once, and the bounded game and trace replay call it on their own
+lists.  As the chip game does, the bounded game plays
+``multigraph.play_rounds``' sorted rounds, and trace replay and the
+sequence validator check every routing through
+``multigraph.replay_batches``, with one chip as each vertex's unit and
+the sinks refused.
 
 A chip-and-rotor configuration pairs a chip vector with a rotor
 position per non-sink vertex (a flat index into the cyclic order).  A
@@ -31,7 +33,7 @@ from .errors import DEFAULT_GAME_BUDGET, BudgetExceededError
 from .intlinalg import nonneg_reduced_solution
 from .multigraph import (
     DirectedMultigraph, IntVector, OutEdges, Run, _check_vector, head_totals, play_rounds,
-    share_small,
+    replay_batches, share_small,
 )
 
 CountVector = IntVector
@@ -261,28 +263,26 @@ class RotorGameTrace:
 
     def replay(self, ribbon: RibbonStructure) -> bool:
         """Re-run the batches, checking legality of every single routing."""
-        played = _play_batches(ribbon, self.initial, self.batches)
-        return played == (self.final, self.routing_vector)
+        return _replay(ribbon, self.initial, self.batches) == (self.final, self.routing_vector)
 
 
-def _play_batches(
+def _replay(
     ribbon: RibbonStructure, config: ChipRotorConfig, batches
 ) -> tuple[ChipRotorConfig, CountVector] | None:
     """(final, routing vector) after the (v, k) batches from config; None at an illegal one.
 
-    Within a batch only v loses chips and loses exactly one per routing,
-    so chips(v) >= k certifies all k legality checks: O(runs(v)) per batch.
+    ``replay_batches`` with one chip as the unit, refusing the sinks:
+    O(runs(v)) per batch, after ``validate_config``.
     """
+    validate_config(ribbon, config)
     adj = ribbon.adjacency()
     chips = list(config.chips)
     rotors = list(config.rotors)
-    routed = [0] * len(adj)
-    for v, k in batches:
-        if not 0 <= v < len(adj) or k < 1 or adj[v].degree == 0 or chips[v] < k:
-            return None
-        _route_vertex(adj[v], chips, rotors, v, k)
-        routed[v] += k
-    return ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(routed)
+    routed = replay_batches(
+        chips, [1] * ribbon.n, [out.degree > 0 for out in adj],
+        lambda v, k: _route_vertex(adj[v], chips, rotors, v, k), batches,
+    )
+    return None if routed is None else (ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(routed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -495,4 +495,4 @@ def validate_legal_routing_sequence(
     seq: Iterable[int],
 ) -> bool:
     """True when each routing in seq is legal at its moment: O(runs(v)) per routing."""
-    return _play_batches(ribbon, config, ((v, 1) for v in seq)) is not None
+    return _replay(ribbon, config, ((v, 1) for v in seq)) is not None

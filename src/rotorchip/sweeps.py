@@ -25,7 +25,7 @@ from .generators import (
     rotor_case_stream,
     strongly_connected_stream,
 )
-from .multigraph import DirectedMultigraph, strongly_connected_balance
+from .multigraph import strongly_connected_balance
 from .rotorrouting import ChipRotorConfig
 
 ORACLE_MAX_STATES = 250_000
@@ -221,7 +221,12 @@ def _delete_first(seq, quota) -> tuple[int, ...]:
 
 def run_deletion_sweep(count: int, seed: int) -> SweepReport:
     """Deleting the first period's worth of firings or routings from a
-    dominating legal sequence leaves a legal sequence with the same end."""
+    dominating legal sequence leaves a legal sequence with the same end.
+
+    Both games' sequences are checked by their trace replay, which gives
+    each sequence's end and act counts.  ``appended`` counts the acts drawn
+    past the bounded game and ``deleted`` the acts taken out.
+    """
     report = SweepReport("deletion")
     started = time.monotonic()
     rng = Random(seed)
@@ -232,76 +237,47 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
         degs = g.out_degrees()
         if i % 2 == 0:
             # chips p(v)*deg(v) let any order fire the full bound p
-            x = tuple(p[v] * degs[v] for v in range(g.n))
+            game, replay, graph, period = "chip", chipfiring._replay, g, p
+            start = tuple(p[v] * degs[v] for v in range(g.n))
             _, after, bounded = bruteforce.random_maximal_bounded_chip_game(
-                g, x, p, Random(rng.getrandbits(64))
+                g, start, p, Random(rng.getrandbits(64))
             )
             seq = list(bounded)
-            seq += bruteforce.random_legal_chip_sequence(
-                g, after, rng.randint(0, 6), rng
-            )
-            report.total += 1
-            if not chipfiring.validate_legal_firing_sequence(g, x, seq):
-                report.fail(f"recorded chip sequence illegal: {g} {x} {seq}")
-                continue
-            fired = _count_vector(g.n, seq)
-            if any(a < b for a, b in zip(fired, p)):
-                report.fail(f"recorded chip sequence fails to dominate: {seq}")
-                continue
-            deleted = _delete_first(seq, p)
-            if not chipfiring.validate_legal_firing_sequence(g, x, deleted):
-                report.fail(f"deleted chip sequence illegal: {g} {x} {seq}")
-            elif _after_firing(g, x, deleted) != _after_firing(g, x, seq):
-                report.fail(f"deleted chip sequence changes the end: {seq}")
+            seq += bruteforce.random_legal_chip_sequence(g, after, rng.randint(0, 6), rng)
         else:
-            ribbon = random_ribbon(g, rng)
-            rper = tuple(p[v] * degs[v] for v in range(g.n))
-            config = ChipRotorConfig(rper, _random_rotors(ribbon, rng))
+            game, replay = "rotor", rotorrouting._replay
+            graph = random_ribbon(g, rng)
+            period = tuple(p[v] * degs[v] for v in range(g.n))
+            start = ChipRotorConfig(period, _random_rotors(graph, rng))
             _, cur, bounded = bruteforce.random_maximal_bounded_rotor_game(
-                ribbon, config, rper, Random(rng.getrandbits(64))
+                graph, start, period, Random(rng.getrandbits(64))
             )
             seq = list(bounded)
             for _ in range(rng.randint(0, 6)):
-                legal = [
-                    v
-                    for v in range(g.n)
-                    if rotorrouting.is_legal_route(ribbon, cur, v)
-                ]
+                legal = [v for v in range(g.n) if rotorrouting.is_legal_route(graph, cur, v)]
                 if not legal:
                     break
                 v = rng.choice(legal)
-                cur = rotorrouting.route(ribbon, cur, v)
+                cur = rotorrouting.route(graph, cur, v)
                 seq.append(v)
-            report.total += 1
-            if not rotorrouting.validate_legal_routing_sequence(
-                ribbon, config, seq
-            ):
-                report.fail(f"recorded rotor sequence illegal: {g} {seq}")
-                continue
-            odo = _count_vector(g.n, seq)
-            if any(a < b for a, b in zip(odo, rper)):
-                report.fail(f"recorded rotor sequence fails to dominate: {seq}")
-                continue
-            deleted = _delete_first(seq, rper)
-            if not rotorrouting.validate_legal_routing_sequence(
-                ribbon, config, deleted
-            ):
-                report.fail(f"deleted rotor sequence illegal: {g} {seq}")
+        report.total += 1
+        report.count("appended", len(seq) - len(bounded))
+        played = replay(graph, start, [(v, 1) for v in seq])
+        if played is None:
+            report.fail(f"recorded {game} sequence illegal: {g} {start} {seq}")
+            continue
+        end, counts = played
+        if any(a < b for a, b in zip(counts, period)):
+            report.fail(f"recorded {game} sequence fails to dominate: {seq}")
+            continue
+        deleted = _delete_first(seq, period)
+        report.count("deleted", len(seq) - len(deleted))
+        kept = replay(graph, start, [(v, 1) for v in deleted])
+        if kept is None:
+            report.fail(f"deleted {game} sequence illegal: {g} {start} {seq}")
+        elif kept[0] != end:
+            report.fail(f"deleted {game} sequence changes the end: {seq}")
     return _finish(report, started)
-
-
-def _count_vector(n: int, seq) -> tuple[int, ...]:
-    out = [0] * n
-    for v in seq:
-        out[v] += 1
-    return tuple(out)
-
-
-def _after_firing(g: DirectedMultigraph, x, seq):
-    cur = tuple(x)
-    for v in seq:
-        cur = chipfiring.fire(g, cur, v)
-    return cur
 
 
 def run_eulerian_sweep(count: int, seed: int) -> SweepReport:

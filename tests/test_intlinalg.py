@@ -10,16 +10,21 @@ from hypothesis import strategies as st
 
 from bareiss_reference import _solve_reduced as reference_solve
 from rotorchip import intlinalg, multigraph
-from rotorchip.bruteforce import enumerate_digraphs, hermite_row_reduce, laplacian, solve_integer
+from rotorchip.bruteforce import (
+    enumerate_digraphs,
+    hermite_row_reduce,
+    is_routing_reduced,
+    laplacian,
+    reduce_routing_vector,
+    solve_integer,
+)
 from rotorchip.generators import FAMILIES, gen_graph
 from rotorchip.intlinalg import (
     PeriodBasis,
     is_reduced,
-    is_routing_reduced,
     nonneg_reduced_solution,
     period_basis,
     primitive_period_vector,
-    reduce_routing_vector,
     reduce_vector,
 )
 from rotorchip.multigraph import (

@@ -150,3 +150,58 @@ def test_the_guard_sees_a_tuple_from_an_iterator(tmp_path) -> None:
     assert _iterator_tuples(tmp_path) == [
         "cli.py:1", "intlinalg.py:2", "intlinalg.py:3", "intlinalg.py:4", "intlinalg.py:6",
     ]
+
+
+# the one replay of both games' (v, k) batches lives beside play_rounds,
+# and the routing reductions, which no engine procedure needs, in the oracle
+BATCH_LOOP_HOLDERS = {"multigraph.py"}
+ORACLE_ONLY = {"reduce_routing_vector", "is_routing_reduced"}
+
+
+def _replay_breaks(src: Path = SRC) -> list[str]:
+    """Each ``_play_batches``, batch loop or routing reduction out of place, as ``file:line name``.
+
+    A batch loop is a ``for`` statement over something named ``batches``.
+    """
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_play_batches" or (
+                    node.name in ORACLE_ONLY and path.name != "bruteforce.py"
+                ):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.For) and path.name not in BATCH_LOOP_HOLDERS:
+                it = node.iter
+                if (getattr(it, "id", None) or getattr(it, "attr", None)) == "batches":
+                    found.append(f"{path.name}:{node.lineno} batch loop")
+    return found
+
+
+def test_one_replay_and_the_routing_reductions_in_the_oracle() -> None:
+    assert _replay_breaks() == []
+
+
+def test_the_guard_sees_a_second_replay(tmp_path) -> None:
+    (tmp_path / "chipfiring.py").write_text(
+        "def _play_batches(g, x, batches):\n"
+        "    for v, k in batches:\n"
+        "        pass\n"
+        "\n"
+        "def replay(trace):\n"
+        "    for v, k in trace.batches:\n"
+        "        pass\n"
+    )
+    (tmp_path / "intlinalg.py").write_text("def reduce_routing_vector(g, r):\n    return r\n")
+    (tmp_path / "multigraph.py").write_text(
+        "def replay_batches(batches):\n    for v, k in batches:\n        pass\n"
+        "def is_routing_reduced(g, r):\n    return True\n"
+    )
+    (tmp_path / "bruteforce.py").write_text("def is_routing_reduced(g, r):\n    return True\n")
+    assert _replay_breaks(tmp_path) == [
+        "chipfiring.py:1 _play_batches",
+        "chipfiring.py:2 batch loop",
+        "chipfiring.py:6 batch loop",
+        "intlinalg.py:1 reduce_routing_vector",
+        "multigraph.py:4 is_routing_reduced",
+    ]

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import enumerate_digraphs, graph_from_rows, laplacian, reachability_matrix
+from rotorchip.bruteforce import (
+    enumerate_digraphs, graph_from_rows, laplacian, reachability_matrix, reduce_routing_vector,
+)
+from rotorchip import chipfiring, rotorrouting
 from rotorchip.chipfiring import (
-    bounded_chip_game, halts, is_recurrent, is_recurrent_via_reach, lin_equiv, reach_chip,
+    ChipGameTrace, bounded_chip_game, fire, halts, is_legal_fire, is_recurrent,
+    is_recurrent_via_reach, lin_equiv, reach_chip, validate_legal_firing_sequence,
 )
 from rotorchip.generators import FAMILIES, gen_graph
-from rotorchip.intlinalg import nonneg_reduced_solution, reduce_routing_vector, reduce_vector
+from rotorchip.intlinalg import nonneg_reduced_solution, reduce_vector
 from rotorchip.multigraph import (
     SMALL_GRAPH_MAX_N,
     DirectedMultigraph,
@@ -22,9 +26,13 @@ from rotorchip.multigraph import (
 from rotorchip.rotorrouting import (
     ChipRotorConfig,
     RibbonStructure,
+    RotorGameTrace,
     bounded_rotor_game,
+    is_legal_route,
     pi_r,
+    route,
     validate_config,
+    validate_legal_routing_sequence,
 )
 
 
@@ -363,6 +371,20 @@ VECTOR_SITES = {
     ),
     "bounded_rotor_game": ("bound", True, lambda v: bounded_rotor_game(_C2_RIBBON, _C2_CONFIG, v)),
     "pi_r": ("routing vector", True, lambda v: pi_r(_C2_RIBBON, _C2_CONFIG, v)),
+    "validate_legal_firing_sequence": (
+        "configuration", False, lambda v: validate_legal_firing_sequence(_C2, v, [0])
+    ),
+    "ChipGameTrace.replay": (
+        "configuration", False, lambda v: ChipGameTrace(v, ((0, 1),), v, (1, 0)).replay(_C2)
+    ),
+    "validate_legal_routing_sequence": (
+        "configuration", False,
+        lambda v: validate_legal_routing_sequence(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), [0]),
+    ),
+    "RotorGameTrace.replay": (
+        "configuration", False,
+        lambda v: RotorGameTrace(ChipRotorConfig(v, (0, 0)), (), _C2_CONFIG, (0, 0)).replay(_C2_RIBBON),
+    ),
 }
 
 
@@ -376,7 +398,137 @@ class TestVectorChecks:
             with pytest.raises(ValueError, match=f"^{what} must be nonnegative$"):
                 call((1, -1))
 
+    @pytest.mark.parametrize("rotors", [(None, 0), (7, 0)])
+    def test_rotor_replays_check_the_start_rotors(self, rotors) -> None:
+        # a non-sink needs a rotor in [0, degree); the replay used to raise
+        # TypeError on None and route from position 7 of a degree-1 vertex
+        config = ChipRotorConfig((1, 0), rotors)
+        trace = RotorGameTrace(config, ((0, 1),), _C2_CONFIG, (1, 0))
+        for call in (
+            lambda: validate_legal_routing_sequence(_C2_RIBBON, config, [0]),
+            lambda: trace.replay(_C2_RIBBON),
+        ):
+            with pytest.raises(ValueError, match="^rotor position at vertex 0 out of range$"):
+                call()
+
+    def test_replays_refuse_a_larger_graph(self) -> None:
+        # a trace of _C2 replayed on three vertices used to raise IndexError
+        path = DirectedMultigraph.from_edges(3, [(0, 1, 1), (1, 0, 1), (1, 2, 1)])
+        chip = bounded_chip_game(_C2, (1, 0), (1, 1)).trace
+        rotor = bounded_rotor_game(_C2_RIBBON, _C2_CONFIG, (1, 1)).trace
+        for call in (lambda: chip.replay(path), lambda: rotor.replay(RibbonStructure.of(path))):
+            with pytest.raises(ValueError, match="^configuration length must match the vertex count$"):
+                call()
+
     def test_pi_r_refuses_routing_a_sink(self, fig1_ribbon: RibbonStructure) -> None:
         config = ChipRotorConfig((0, 0, 0, 0), (0, 0, 0, None))
         with pytest.raises(ValueError, match="^routing vector positive at sink vertex 3$"):
             pi_r(fig1_ribbon, config, (1, 0, 0, 1))
+
+
+def _step(game: str, g: DirectedMultigraph, ribbon: RibbonStructure, state, batches):
+    """(end, act counts) after the batches, one act at a time; None at an illegal act.
+
+    The batches' reference: a batch (v, k) is k single acts, each legal by
+    ``is_legal_fire`` or ``is_legal_route``, and it needs k >= 1.
+    """
+    counts = [0] * g.n
+    for v, k in batches:
+        if k < 1:
+            return None
+        for _ in range(k):
+            if game == "chip":
+                if not is_legal_fire(g, state, v):
+                    return None
+                state = fire(g, state, v)
+            else:
+                if not is_legal_route(ribbon, state, v):
+                    return None
+                state = route(ribbon, state, v)
+        counts[v] += k
+    return state, tuple(counts)
+
+
+def _most_acts(game: str, g: DirectedMultigraph, state, v: int) -> int | None:
+    """The most acts v may play in one legal batch at ``state``, None when unbounded.
+
+    A chip sink with a nonnegative pile fires any number of times.
+    """
+    deg = g.out_degree(v)
+    if game == "chip":
+        if deg:
+            return max(state[v] // deg, 0)
+        return None if state[v] >= 0 else 0
+    return max(state.chips[v], 0) if deg else 0
+
+
+@st.composite
+def _batch_games(draw):
+    """A game, its graph and start, and a list of batches, legal or corrupted.
+
+    A legal prefix is drawn batch by batch from the acts the current state
+    allows.  A corrupted list then gets one illegal batch: k = 0, a vertex
+    out of range, one act past the pile, a rotor batch at a sink, or a
+    chip sink fired on a negative pile; and some batches after it.
+    """
+    g = draw(small_graphs(max_n=4, max_mult=2))
+    ribbon = RibbonStructure.of(g)
+    game = draw(st.sampled_from(("chip", "rotor")))
+    chips = tuple(draw(st.lists(st.integers(-3, 8), min_size=g.n, max_size=g.n)))
+    if game == "chip":
+        start = chips
+    else:
+        rotors = tuple([draw(st.integers(0, d - 1)) if d else None for d in ribbon.degrees])
+        start = ChipRotorConfig(chips, rotors)
+    state, batches = start, []
+    for _ in range(draw(st.integers(0, 6))):
+        most = {v: _most_acts(game, g, state, v) for v in range(g.n)}
+        legal = [v for v in range(g.n) if most[v] != 0]
+        if not legal:
+            break
+        v = draw(st.sampled_from(legal))
+        k = draw(st.integers(1, min(most[v] or 4, 4)))
+        batches.append((v, k))
+        state, _ = _step(game, g, ribbon, state, [(v, k)])
+    corrupt = draw(st.booleans())
+    if corrupt:
+        sinks = [v for v in range(g.n) if not g.out_degree(v)]
+        kinds = [
+            (draw(st.integers(0, g.n - 1)), 0),
+            (draw(st.sampled_from((-1, g.n))), 1),
+        ]
+        bounded = [v for v in range(g.n) if _most_acts(game, g, state, v) is not None]
+        if bounded:
+            v = draw(st.sampled_from(bounded))
+            kinds.append((v, _most_acts(game, g, state, v) + 1))
+        if game == "rotor" and sinks:
+            kinds.append((draw(st.sampled_from(sinks)), draw(st.integers(1, 3))))
+        negative = [v for v in sinks if game == "chip" and state[v] < 0]
+        if negative:
+            kinds.append((draw(st.sampled_from(negative)), 1))
+        batches.append(draw(st.sampled_from(kinds)))
+        batches += draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(1, 2)), max_size=2))
+    return game, g, ribbon, start, batches, corrupt
+
+
+class TestReplayBatches:
+    @given(_batch_games())
+    @settings(max_examples=400, deadline=None)
+    def test_replays_and_validators_match_single_acts(self, case) -> None:
+        game, g, ribbon, start, batches, corrupt = case
+        want = _step(game, g, ribbon, start, batches)
+        assert (want is None) == corrupt, (game, g, start, batches)
+        end, counts = want if want is not None else (start, (0,) * g.n)
+        singles = [v for v, k in batches for _ in range(k)]
+        single_acts = _step(game, g, ribbon, start, [(v, 1) for v in singles])
+        if game == "chip":
+            got = chipfiring._replay(g, start, batches)
+            trace = ChipGameTrace(start, tuple(batches), end, counts).replay(g)
+            valid = validate_legal_firing_sequence(g, start, singles)
+        else:
+            got = rotorrouting._replay(ribbon, start, batches)
+            trace = RotorGameTrace(start, tuple(batches), end, counts).replay(ribbon)
+            valid = validate_legal_routing_sequence(ribbon, start, singles)
+        assert got == want
+        assert trace == (want is not None)
+        assert valid == (single_acts is not None)

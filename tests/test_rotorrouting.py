@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorchip.bruteforce import _expanded_heads, bfs_reach_rotor, enumerate_digraphs, laplacian
+from rotorchip.bruteforce import (
+    _expanded_heads, bfs_reach_rotor, enumerate_digraphs, is_routing_reduced, laplacian,
+)
 from rotorchip.errors import BudgetExceededError
 from rotorchip.generators import gen_graph, random_ribbon
-from rotorchip.intlinalg import is_routing_reduced, primitive_period_vector
+from rotorchip.intlinalg import primitive_period_vector
 from rotorchip import rotorrouting
 from rotorchip.multigraph import DirectedMultigraph
 from rotorchip.rotorrouting import (

@@ -18,7 +18,7 @@ from random import Random
 import pytest
 
 from rotorchip import chipfiring
-from rotorchip.bruteforce import laplacian, random_legal_chip_sequence
+from rotorchip.bruteforce import laplacian, random_legal_chip_sequence, reduce_routing_vector
 from rotorchip.chipfiring import (
     HaltingVerdict,
     bounded_chip_game,
@@ -46,7 +46,6 @@ from rotorchip.intlinalg import (
     nonneg_reduced_solution,
     period_basis,
     primitive_period_vector,
-    reduce_routing_vector,
     reduce_vector,
 )
 from rotorchip.multigraph import (
