@@ -30,6 +30,10 @@ succinct  ``pi_r`` with a full-turn routing vector on two-run ribbons whose
           run once, so its time should track the multiplicity's bit length,
           not its magnitude; step simulation cross-checks the small ones.
 
+Every time is nominal: scaled by a reference kernel timed around each
+call, so the rows read as times on an idle reference machine and a slow
+stretch of a shared machine moves them less (``REFERENCE_NOMINAL_S``).
+
 Exits 1 when a timed CLI call exits nonzero (printing its argv, exit
 code and stderr), when a parse does not round-trip, or when the closed
 form or the simulation disagrees.
@@ -70,28 +74,61 @@ _FREE_TUPLES = re.compile(
 )
 
 
+# Times are scaled to a nominal machine speed.  On a shared machine the same
+# work runs up to twice as slow for seconds at a time; a fixed reference
+# kernel timed just before and just after each call slows down with it, so
+# each call's wall time is multiplied by REFERENCE_NOMINAL_S over the mean
+# of those two kernel times.  REFERENCE_NOMINAL_S is about the kernel's time
+# on an idle 2-core KVM guest with Python 3.11, so the figures read as times
+# on that machine when it is idle.
+REFERENCE_NOMINAL_S = 0.00014
+_KERNEL_TOKENS = " ".join([f"{i % 97}:{i % 13 + 1}" for i in range(300)])
+
+
+def reference_kernel() -> None:
+    """Fixed work in the programs' mix: split and convert run tokens, count
+    them in a dict of small tuples, and do big-integer arithmetic."""
+    seen: dict[tuple[int, int], int] = {}
+    for token in _KERNEL_TOKENS.split():
+        head, count = token.split(":")
+        run = (int(head), int(count))
+        seen[run] = seen.get(run, 0) + 1
+    big = 3 ** 200
+    sum([big * k // 7 for k in range(60)])
+
+
+def reference_seconds() -> float:
+    t0 = time.perf_counter()
+    reference_kernel()
+    return time.perf_counter() - t0
+
+
 def round_robin_medians(calls: list, repeats: int) -> list[float]:
-    """Each call's median time over ``repeats`` rounds, each call after a full collection.
+    """Each call's median nominal time over ``repeats`` rounds, each call after a full collection.
 
     Every round times each call once, starting one call later than the
     round before, so a slow stretch of a shared machine spreads over all
-    calls instead of falling on one call's repeats.  Collecting outside
-    the timed region keeps the garbage of earlier calls from triggering a
-    collection inside a later one.
+    calls instead of falling on one call's repeats, and each time is
+    scaled by the reference kernel run around it (REFERENCE_NOMINAL_S).
+    Collecting outside the timed region keeps the garbage of earlier
+    calls from triggering a collection inside a later one.
     """
     times: list[list[float]] = [[] for _ in calls]
     for start in range(repeats):
         for i in range(start, start + len(calls)):
             i %= len(calls)
             gc.collect()
+            before = reference_seconds()
             t0 = time.perf_counter()
             calls[i]()
-            times[i].append(time.perf_counter() - t0)
+            elapsed = time.perf_counter() - t0
+            around = (before + reference_seconds()) / 2
+            times[i].append(elapsed * REFERENCE_NOMINAL_S / around)
     return [statistics.median(t) for t in times]
 
 
 def median_seconds(call, repeats: int) -> float:
-    """The median time of ``repeats`` calls, each after a full collection."""
+    """The median nominal time of ``repeats`` calls, each after a full collection."""
     return round_robin_medians([call], repeats)[0]
 
 

@@ -2,8 +2,11 @@
 
 Everything here re-derives the step relations from raw edge data instead
 of calling the engine helpers, so an engine bug cannot silently agree
-with its oracle.  All searches carry explicit state budgets and raise
-BudgetExceededError rather than run unbounded; the sweeps size their
+with its oracle.  One chip firing step (``_fire``) and one rotor routing
+step (``_route``) back every search and random game.  The three searches
+are one breadth-first search (``_search``) over their successor
+functions; it carries an explicit state budget and raises
+BudgetExceededError rather than run unbounded, and the sweeps size their
 instances so the budgets are never the binding constraint.
 The Hermite-normal-form integer solver lives here too, as the oracle for
 the engine's exact linear algebra, and the dense ``laplacian``; no other
@@ -44,17 +47,48 @@ def laplacian(g: DirectedMultigraph) -> IntMatrix:
     ])
 
 
-def _chip_successors(g: DirectedMultigraph, x: IntVector):
-    """All single-firing successors of x, skipping no-op sink firings."""
-    for v, row in enumerate(g.mult):
-        deg = sum(row)
-        if deg == 0 or x[v] < deg:
-            continue
-        nxt = list(x)
-        nxt[v] -= deg
-        for u in range(g.n):
-            nxt[u] += row[u]
-        yield tuple(nxt)
+def _search(start, goal, successors, max_states: int, name: str) -> bool:
+    """Breadth-first search for a nonempty legal game from start to goal.
+
+    The oracle's one search: ``successors(state)`` yields the states one
+    act away.  The start is not its own goal, so the reach searches
+    answer start == goal before searching.  Past ``max_states`` distinct
+    states it raises BudgetExceededError naming the ``name`` search.
+    """
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for nxt in successors(queue.popleft()):
+            if nxt == goal:
+                return True
+            if nxt not in seen:
+                if len(seen) >= max_states:
+                    raise BudgetExceededError(f"{name} search exceeded {max_states} states")
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def _fire(cur: list[int], row: IntVector, deg: int, v: int) -> None:
+    """Fire v once in place: it loses its deg chips and each u gains row[u]."""
+    cur[v] -= deg
+    for u, m in enumerate(row):
+        cur[u] += m
+
+
+def _chip_moves(g: DirectedMultigraph):
+    """The successor function of single firings, skipping no-op sink firings."""
+    mult = g.mult
+    degs = [sum(row) for row in mult]
+
+    def successors(x: IntVector):
+        for v, deg in enumerate(degs):
+            if deg and x[v] >= deg:
+                nxt = list(x)
+                _fire(nxt, mult[v], deg, v)
+                yield tuple(nxt)
+
+    return successors
 
 
 def bfs_reach_chip(
@@ -64,51 +98,35 @@ def bfs_reach_chip(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
     """Exhaustive search for a legal chip game from x to y."""
-    x = tuple(x)
-    y = tuple(y)
-    if x == y:
-        return True
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _chip_successors(g, cur):
-            if nxt == y:
-                return True
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise BudgetExceededError(
-                        f"chip reachability search exceeded {max_states} states"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    x, y = tuple(x), tuple(y)
+    return x == y or _search(x, y, _chip_moves(g), max_states, "chip reachability")
 
 
 def _expanded_heads(ribbon: RibbonStructure) -> list[list[int]]:
     """Flat cyclic order per vertex, one entry per out-edge position."""
-    heads: list[list[int]] = []
-    for rs in ribbon.runs:
-        flat: list[int] = []
-        for head, count in rs:
-            flat.extend([head] * count)
-        heads.append(flat)
-    return heads
+    return [[head for head, count in runs for _ in range(count)] for runs in ribbon.runs]
 
 
-def _rotor_successors(heads: list[list[int]], state: ChipRotorConfig):
-    chips, rotors = state
-    for v, flat in enumerate(heads):
-        if not flat or chips[v] <= 0:
-            continue
-        pos = (rotors[v] + 1) % len(flat)
-        head = flat[pos]
-        nchips = list(chips)
-        nchips[v] -= 1
-        nchips[head] += 1
-        nrotors = list(rotors)
-        nrotors[v] = pos
-        yield ChipRotorConfig(tuple(nchips), tuple(nrotors))
+def _route(chips: list[int], rotors: list, flat: list[int], v: int) -> None:
+    """Route v once in place: its rotor steps along ``flat`` and sends a chip there."""
+    pos = (rotors[v] + 1) % len(flat)
+    rotors[v] = pos
+    chips[v] -= 1
+    chips[flat[pos]] += 1
+
+
+def _rotor_moves(ribbon: RibbonStructure):
+    """The successor function of single routings at non-sinks holding a chip."""
+    heads = _expanded_heads(ribbon)
+
+    def successors(state: ChipRotorConfig):
+        for v, flat in enumerate(heads):
+            if flat and state.chips[v] > 0:
+                chips, rotors = list(state.chips), list(state.rotors)
+                _route(chips, rotors, flat, v)
+                yield ChipRotorConfig(tuple(chips), tuple(rotors))
+
+    return successors
 
 
 def bfs_reach_rotor(
@@ -118,24 +136,7 @@ def bfs_reach_rotor(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
     """Exhaustive search for a legal rotor game from c1 to c2."""
-    if c1 == c2:
-        return True
-    heads = _expanded_heads(ribbon)
-    seen = {c1}
-    queue = deque([c1])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _rotor_successors(heads, cur):
-            if nxt == c2:
-                return True
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise BudgetExceededError(
-                        f"rotor reachability search exceeded {max_states} states"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return c1 == c2 or _search(c1, c2, _rotor_moves(ribbon), max_states, "rotor reachability")
 
 
 def oracle_is_recurrent(
@@ -148,26 +149,12 @@ def oracle_is_recurrent(
     Firing a vertex of out-degree 0 is legal when it holds x(v) >= 0
     chips and changes nothing, so it alone is a nonempty game back to x,
     as in the engine: on the one-vertex graph every x >= 0 is recurrent.
-    The search below skips such firings, so they are checked first.
+    The search skips such firings, so they are checked first.
     """
     x = tuple(x)
     if any(c >= 0 and not any(row) for c, row in zip(x, g.mult)):
         return True
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _chip_successors(g, cur):
-            if nxt == x:
-                return True
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise BudgetExceededError(
-                        f"recurrence search exceeded {max_states} states"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return _search(x, x, _chip_moves(g), max_states, "recurrence")
 
 
 def random_maximal_bounded_chip_game(
@@ -186,17 +173,11 @@ def random_maximal_bounded_chip_game(
     fired = [0] * g.n
     seq: list[int] = []
     for _ in range(max_steps):
-        eligible = [
-            v
-            for v in range(g.n)
-            if fired[v] < bound[v] and cur[v] >= degs[v]
-        ]
+        eligible = [v for v in range(g.n) if fired[v] < bound[v] and cur[v] >= degs[v]]
         if not eligible:
             return tuple(fired), tuple(cur), tuple(seq)
         v = rng.choice(eligible)
-        cur[v] -= degs[v]
-        for u in range(g.n):
-            cur[u] += mult[v][u]
+        _fire(cur, mult[v], degs[v], v)
         fired[v] += 1
         seq.append(v)
     raise BudgetExceededError(f"random chip game exceeded {max_steps} steps")
@@ -219,17 +200,12 @@ def random_maximal_bounded_rotor_game(
     seq: list[int] = []
     for _ in range(max_steps):
         eligible = [
-            v
-            for v in range(ribbon.n)
-            if heads[v] and routed[v] < bound[v] and chips[v] > 0
+            v for v in range(ribbon.n) if heads[v] and routed[v] < bound[v] and chips[v] > 0
         ]
         if not eligible:
             return tuple(routed), ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(seq)
         v = rng.choice(eligible)
-        pos = (rotors[v] + 1) % len(heads[v])
-        rotors[v] = pos
-        chips[v] -= 1
-        chips[heads[v][pos]] += 1
+        _route(chips, rotors, heads[v], v)
         routed[v] += 1
         seq.append(v)
     raise BudgetExceededError(f"random rotor game exceeded {max_steps} steps")
@@ -255,9 +231,7 @@ def random_legal_chip_sequence(
         if not eligible:
             break
         v = rng.choice(eligible)
-        cur[v] -= degs[v]
-        for u in range(g.n):
-            cur[u] += mult[v][u]
+        _fire(cur, mult[v], degs[v], v)
         seq.append(v)
     return tuple(seq)
 

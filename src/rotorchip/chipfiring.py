@@ -71,6 +71,7 @@ def fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> ChipConfig:
 
 
 def is_legal_fire(g: DirectedMultigraph, x: ChipConfig, v: int) -> bool:
+    _check_vector(g.n, x, "configuration")
     return 0 <= v < g.n and x[v] >= g.out_degree(v)
 
 
@@ -78,6 +79,7 @@ def fire_many(g: DirectedMultigraph, x: ChipConfig, v: int, k: int) -> ChipConfi
     """Fire v exactly k times in one arithmetic step."""
     if k < 0:
         raise ValueError("repetition count must be nonnegative")
+    _check_vector(g.n, x, "configuration")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     out = list(x)

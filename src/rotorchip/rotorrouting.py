@@ -143,19 +143,37 @@ class ChipRotorConfig(NamedTuple):
     rotors: tuple[int | None, ...]
 
 
+def _check_rotor(out: OutEdges, pos: int | None, v: int) -> None:
+    """Raise ValueError unless v carries no rotor at a sink, else one in [0, degree)."""
+    if out.degree == 0:
+        if pos is not None:
+            raise ValueError(f"sink vertex {v} must carry no rotor")
+    elif pos is None or not 0 <= pos < out.degree:
+        raise ValueError(f"rotor position at vertex {v} out of range")
+
+
 def validate_config(ribbon: RibbonStructure, config: ChipRotorConfig) -> None:
     _check_vector(ribbon.n, config.chips, "configuration")
     _check_vector(ribbon.n, config.rotors, "configuration")
     for v, (out, pos) in enumerate(zip(ribbon.adjacency(), config.rotors)):
-        if out.degree == 0:
-            if pos is not None:
-                raise ValueError(f"sink vertex {v} must carry no rotor")
-        elif pos is None or not 0 <= pos < out.degree:
-            raise ValueError(f"rotor position at vertex {v} out of range")
+        # a sink needs None and a non-sink a position; _check_rotor says which is wrong
+        if out.degree if pos is None else not 0 <= pos < out.degree:
+            _check_rotor(out, pos, v)
+
+
+def _check_start(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> bool:
+    """Whether v is a vertex, after a single routing's O(1) checks of its
+    start: both lengths, and v's own rotor when v is a vertex."""
+    _check_vector(ribbon.n, config.chips, "configuration")
+    _check_vector(ribbon.n, config.rotors, "configuration")
+    if not 0 <= v < ribbon.n:
+        return False
+    _check_rotor(ribbon.adjacency()[v], config.rotors[v], v)
+    return True
 
 
 def is_legal_route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> bool:
-    return 0 <= v < ribbon.n and not ribbon.is_sink(v) and config.chips[v] > 0
+    return _check_start(ribbon, config, v) and not ribbon.is_sink(v) and config.chips[v] > 0
 
 
 def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotorConfig:
@@ -163,11 +181,8 @@ def route(ribbon: RibbonStructure, config: ChipRotorConfig, v: int) -> ChipRotor
 
     Routing at a sink moves nothing and is the identity.
     """
-    if not 0 <= v < ribbon.n:
-        raise ValueError(f"vertex {v} out of range")
-    if ribbon.is_sink(v):
-        return config
-    return route_many(ribbon, config, v, 1)
+    sink = 0 <= v < ribbon.n and ribbon.is_sink(v)
+    return route_many(ribbon, config, v, 0 if sink else 1)
 
 
 def _route_vertex(
@@ -214,16 +229,28 @@ def pi_r(
     """Route each vertex v exactly r(v) times, ignoring legality.
 
     Unconstrained routings commute, so the result is order-independent.
-    Cost is O(total runs) big-integer operations.
+    Cost is O(total runs) big-integer operations, after
+    ``validate_config`` and the checks of r.
     """
+    validate_config(ribbon, config)
+    _check_routing_vector(ribbon, r)
+    return _pi_r(ribbon.adjacency(), config, r)
+
+
+def _check_routing_vector(ribbon: RibbonStructure, r: CountVector) -> None:
+    """Raise ValueError unless r >= 0 has n entries and routes no sink."""
     _check_vector(ribbon.n, r, "routing vector", nonneg=True)
-    adj = ribbon.adjacency()
+    for v, (out, rv) in enumerate(zip(ribbon.adjacency(), r)):
+        if rv and out.degree == 0:
+            raise ValueError(f"routing vector positive at sink vertex {v}")
+
+
+def _pi_r(adj: tuple[OutEdges, ...], config: ChipRotorConfig, r: CountVector) -> ChipRotorConfig:
+    """``pi_r`` on a checked configuration and routing vector."""
     chips = list(config.chips)
     rotors = list(config.rotors)
     for v, rv in enumerate(r):
         if rv:
-            if adj[v].degree == 0:
-                raise ValueError(f"routing vector positive at sink vertex {v}")
             _route_vertex(adj[v], chips, rotors, v, rv)
     return ChipRotorConfig(tuple(chips), tuple(rotors))
 
@@ -240,7 +267,7 @@ def route_many(
     """
     if k < 0:
         raise ValueError("repetition count must be nonnegative")
-    if not 0 <= v < ribbon.n:
+    if not _check_start(ribbon, config, v):
         raise ValueError(f"vertex {v} out of range")
     if k == 0:
         return config
@@ -358,7 +385,7 @@ def unconstrained_reach(
         for v in range(ribbon.n)
     ])
     # routing v r1[v] times turns its rotor to c2.rotors[v]; sinks keep None
-    aligned = pi_r(ribbon, c1, r1)
+    aligned = _pi_r(ribbon.adjacency(), c1, r1)
     z = nonneg_reduced_solution(
         g, tuple([b - a for a, b in zip(aligned.chips, c2.chips)])
     )
@@ -380,8 +407,17 @@ def reachability_sets(
     exactly 0.  S2: vertices of T whose forward orbit under the target
     rotor edges stays inside T; such a vertex's last outgoing chip can
     never be replaced, so no legal order exists.  A legal game realizing
-    r exists iff S1 and S2 are both empty.
+    r exists iff S1 and S2 are both empty.  r is checked as ``pi_r``
+    checks it.
     """
+    _check_routing_vector(ribbon, r)
+    return _obstruction_sets(ribbon, target, r)
+
+
+def _obstruction_sets(
+    ribbon: RibbonStructure, target: ChipRotorConfig, r: CountVector
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``reachability_sets`` for a checked r."""
     y = target.chips
     s1 = tuple([v for v in range(ribbon.n) if r[v] > 0 and y[v] < 0])
     t = tuple([v for v in range(ribbon.n) if r[v] > 0 and y[v] == 0])
@@ -451,7 +487,7 @@ def reach_rotor(
     r = unconstrained_reach(g, ribbon, c1, c2)
     if r is None:
         return RotorReachVerdict("NO", reason="not-unconstrained-reachable")
-    s1, t, s2 = reachability_sets(ribbon, c2, r)
+    s1, t, s2 = _obstruction_sets(ribbon, c2, r)
     if s1 or s2:
         return RotorReachVerdict(
             "NO",
@@ -483,9 +519,8 @@ def odometer_equals_bound(
     order realizes r, iff both obstruction sets for the unconstrained
     image pi_r(config) are empty.
     """
-    validate_config(ribbon, config)
     target = pi_r(ribbon, config, r)
-    s1, _, s2 = reachability_sets(ribbon, target, r)
+    s1, _, s2 = _obstruction_sets(ribbon, target, r)
     return not s1 and not s2
 
 

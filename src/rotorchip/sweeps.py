@@ -2,9 +2,13 @@
 
 Each sweep draws seeded random cases, runs a decision procedure and its
 independent ground truth, and reports counters plus verbatim failing
-cases.  The acceptance tests and the ``oracle-check`` subcommand both
-run these; a sweep passes only with zero failures.  A longer run of every
-sweep, which exits 1 if any of them records a failure:
+cases.  ``_sweep`` registers each one in ``SWEEPS``, making and timing its
+report; the two reach sweeps are one loop (``_reach_sweep``) over their
+case streams, and every oracle search goes through ``_oracle``, which
+fails a case whose search runs out of states.  The acceptance tests and
+the ``oracle-check`` subcommand both run these; a sweep passes only with
+zero failures.  A longer run of every sweep, which exits 1 if any of them
+records a failure:
 
     rotorchip oracle-check --sweep all --count 10000 --seed 0
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable
 
 from . import bruteforce, chipfiring, intlinalg, rotorrouting
 from .errors import BudgetExceededError
@@ -60,86 +65,95 @@ class SweepReport:
         return " ".join(parts)
 
 
-def _finish(report: SweepReport, started: float) -> SweepReport:
-    report.elapsed = time.monotonic() - started
-    return report
+SWEEPS: dict[str, Callable[[int, int], SweepReport]] = {}
 
 
-def run_rotor_reach_sweep(count: int, seed: int) -> SweepReport:
-    """reach_rotor versus exhaustive BFS over legal routings."""
-    report = SweepReport("rotor-reach")
-    started = time.monotonic()
-    stream = rotor_case_stream(seed)
+def _sweep(name: str):
+    """Register a sweep body as ``SWEEPS[name](count, seed) -> SweepReport``.
+
+    The body fills the report it is given; the registered function makes
+    the report, times the body and returns the report.  Sweeps register
+    in the order they run under ``--sweep all``.
+    """
+
+    def register(body: Callable[[SweepReport, int, int], None]):
+        def run(count: int, seed: int) -> SweepReport:
+            report = SweepReport(name)
+            started = time.monotonic()
+            body(report, count, seed)
+            report.elapsed = time.monotonic() - started
+            return report
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        SWEEPS[name] = run
+        return run
+
+    return register
+
+
+def _oracle(report: SweepReport, search, args: tuple, *case) -> bool | None:
+    """``search(*args)`` within ORACLE_MAX_STATES states, or None once the
+    case is failed: a desk-scale case must not exhaust the oracle."""
+    try:
+        return search(*args, ORACLE_MAX_STATES)
+    except BudgetExceededError:
+        report.fail(f"oracle budget exceeded: {' '.join(map(str, case))}")
+        return None
+
+
+def _reach_sweep(report: SweepReport, cases, count: int, decide, search, board) -> None:
+    """The engine's reach decision against the BFS oracle on ``count`` cases.
+
+    ``decide(case)`` is the engine's verdict and ``search`` the oracle;
+    ``board(case)`` is what the oracle searches and a YES trace replays
+    on, the graph for chips and the ribbon for rotors.  A YES must carry
+    a trace that replays and ends at the target.
+    """
     for _ in range(count):
-        case = next(stream)
-        verdict = rotorrouting.reach_rotor(
-            case.graph, case.ribbon, case.source, case.target
-        )
-        try:
-            expected = bruteforce.bfs_reach_rotor(
-                case.ribbon, case.source, case.target, ORACLE_MAX_STATES
-            )
-        except BudgetExceededError:
-            report.fail(f"oracle budget exceeded: {case}")
-            report.total += 1
-            continue
+        case = next(cases)
+        verdict = decide(case)
         report.total += 1
-        report.count(f"mode-{case.mode}")
-        report.count("yes" if expected else "no")
-        if (verdict.decision == "YES") != expected:
-            report.fail(
-                f"decision {verdict.decision} vs oracle {expected}: {case}"
-            )
+        expected = _oracle(report, search, (board(case), case.source, case.target), case)
+        if expected is None:
             continue
-        if verdict.decision == "YES":
-            trace = verdict.trace
-            if trace is None or not trace.replay(case.ribbon):
-                report.fail(f"YES trace does not replay: {case}")
-            elif trace.final != case.target:
-                report.fail(f"YES trace misses the target: {case}")
-    return _finish(report, started)
-
-
-def run_chip_reach_sweep(count: int, seed: int) -> SweepReport:
-    """reach_chip versus exhaustive BFS over legal firings."""
-    report = SweepReport("chip-reach")
-    started = time.monotonic()
-    stream = chip_case_stream(seed)
-    for _ in range(count):
-        case = next(stream)
-        verdict = chipfiring.reach_chip(case.graph, case.source, case.target)
-        try:
-            expected = bruteforce.bfs_reach_chip(
-                case.graph, case.source, case.target, ORACLE_MAX_STATES
-            )
-        except BudgetExceededError:
-            report.fail(f"oracle budget exceeded: {case}")
-            report.total += 1
-            continue
-        report.total += 1
         report.count(f"mode-{case.mode}")
         report.count("yes" if expected else "no")
         if verdict.decision == "UNKNOWN":
             report.fail(f"engine budget exceeded: {case}")
-            continue
-        if (verdict.decision == "YES") != expected:
-            report.fail(
-                f"decision {verdict.decision} vs oracle {expected}: {case}"
-            )
-            continue
-        if verdict.decision == "YES":
+        elif (verdict.decision == "YES") != expected:
+            report.fail(f"decision {verdict.decision} vs oracle {expected}: {case}")
+        elif verdict.decision == "YES":
             trace = verdict.trace
-            if trace is None or not trace.replay(case.graph):
+            if trace is None or not trace.replay(board(case)):
                 report.fail(f"YES trace does not replay: {case}")
             elif trace.final != case.target:
                 report.fail(f"YES trace misses the target: {case}")
-    return _finish(report, started)
 
 
-def run_odometer_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("rotor-reach")
+def run_rotor_reach_sweep(report: SweepReport, count: int, seed: int) -> None:
+    """reach_rotor versus exhaustive BFS over legal routings."""
+    _reach_sweep(
+        report, rotor_case_stream(seed), count,
+        decide=lambda c: rotorrouting.reach_rotor(c.graph, c.ribbon, c.source, c.target),
+        search=bruteforce.bfs_reach_rotor, board=lambda c: c.ribbon,
+    )
+
+
+@_sweep("chip-reach")
+def run_chip_reach_sweep(report: SweepReport, count: int, seed: int) -> None:
+    """reach_chip versus exhaustive BFS over legal firings."""
+    _reach_sweep(
+        report, chip_case_stream(seed), count,
+        decide=lambda c: chipfiring.reach_chip(c.graph, c.source, c.target),
+        search=bruteforce.bfs_reach_chip, board=lambda c: c.graph,
+    )
+
+
+@_sweep("odometer")
+def run_odometer_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Obstruction-set odometer formula versus simulated bounded games."""
-    report = SweepReport("odometer")
-    started = time.monotonic()
     stream = rotor_case_stream(seed)
     rng = Random(seed ^ 0x6F646F6D)
     for _ in range(count):
@@ -163,13 +177,11 @@ def run_odometer_sweep(count: int, seed: int) -> SweepReport:
                 f"formula {formula}, greedy {simulated}, random {randomized}: "
                 f"r={r} {case}"
             )
-    return _finish(report, started)
 
 
-def run_abelian_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("abelian")
+def run_abelian_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Maximal bounded games are schedule-independent, chip and rotor."""
-    report = SweepReport("abelian")
-    started = time.monotonic()
     stream = rotor_case_stream(seed)
     rng = Random(seed ^ 0x6162656C)
     for _ in range(count):
@@ -204,7 +216,6 @@ def run_abelian_sweep(count: int, seed: int) -> SweepReport:
                     f"rotor schedules disagree: {routed}/{final} vs "
                     f"{rengine.routing_vector}/{rengine.final}: {case}"
                 )
-    return _finish(report, started)
 
 
 def _delete_first(seq, quota) -> tuple[int, ...]:
@@ -219,7 +230,8 @@ def _delete_first(seq, quota) -> tuple[int, ...]:
     return tuple(out)
 
 
-def run_deletion_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("deletion")
+def run_deletion_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Deleting the first period's worth of firings or routings from a
     dominating legal sequence leaves a legal sequence with the same end.
 
@@ -227,8 +239,6 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
     each sequence's end and act counts.  ``appended`` counts the acts drawn
     past the bounded game and ``deleted`` the acts taken out.
     """
-    report = SweepReport("deletion")
-    started = time.monotonic()
     rng = Random(seed)
     graphs = strongly_connected_stream(seed ^ 0x64656C, mult_max=2)
     for i in range(count):
@@ -277,13 +287,11 @@ def run_deletion_sweep(count: int, seed: int) -> SweepReport:
             report.fail(f"deleted {game} sequence illegal: {g} {start} {seq}")
         elif kept[0] != end:
             report.fail(f"deleted {game} sequence changes the end: {seq}")
-    return _finish(report, started)
 
 
-def run_eulerian_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("eulerian")
+def run_eulerian_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Connected Eulerian graphs have the all-ones period and per = n."""
-    report = SweepReport("eulerian")
-    started = time.monotonic()
     rng = Random(seed)
     for _ in range(count):
         g = gen_graph("eulerian", rng.randint(2, 7), rng)
@@ -297,13 +305,11 @@ def run_eulerian_sweep(count: int, seed: int) -> SweepReport:
             report.fail(f"period vector {p} not all-ones: {g}")
         elif basis.per != g.n:
             report.fail(f"per {basis.per} != n={g.n}: {g}")
-    return _finish(report, started)
 
 
-def run_reduce_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("reduce")
+def run_reduce_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Exact solve and reduction laws on random graphs and vectors."""
-    report = SweepReport("reduce")
-    started = time.monotonic()
     stream = chip_case_stream(seed)
     rng = Random(seed ^ 0x72656475)
     for _ in range(count):
@@ -341,40 +347,31 @@ def run_reduce_sweep(count: int, seed: int) -> SweepReport:
             report.fail(f"solution not reduced: {sol} {g}")
         elif sol != reduced:
             report.fail(f"solution {sol} differs from reduce {reduced}: {g}")
-    return _finish(report, started)
 
 
-def run_recurrence_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("recurrence")
+def run_recurrence_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Both recurrence procedures versus the BFS oracle, strongly connected."""
-    report = SweepReport("recurrence")
-    started = time.monotonic()
     stream = strongly_connected_stream(seed)
     for _ in range(count):
         g, chips = next(stream)
         direct = chipfiring.is_recurrent(g, chips)
         via_reach = chipfiring.is_recurrent_via_reach(g, chips)
-        try:
-            oracle = bruteforce.oracle_is_recurrent(
-                g, chips, ORACLE_MAX_STATES
-            )
-        except BudgetExceededError:
-            report.fail(f"oracle budget exceeded: {g} {chips}")
-            report.total += 1
-            continue
         report.total += 1
+        oracle = _oracle(report, bruteforce.oracle_is_recurrent, (g, chips), g, chips)
+        if oracle is None:
+            continue
         report.count("recurrent" if oracle else "transient")
         if direct != oracle or via_reach != oracle:
             report.fail(
                 f"direct {direct}, via-reach {via_reach}, oracle {oracle}: "
                 f"{g} {chips}"
             )
-    return _finish(report, started)
 
 
-def run_halting_sweep(count: int, seed: int) -> SweepReport:
+@_sweep("halting")
+def run_halting_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Halting verdicts carry checkable evidence either way."""
-    report = SweepReport("halting")
-    started = time.monotonic()
     stream = strongly_connected_stream(seed)
     for _ in range(count):
         g, chips = next(stream)
@@ -396,17 +393,4 @@ def run_halting_sweep(count: int, seed: int) -> SweepReport:
                 )
         else:
             report.fail(f"budget exceeded on desk-scale instance: {chips} {g}")
-    return _finish(report, started)
 
-
-SWEEPS = {
-    "rotor-reach": run_rotor_reach_sweep,
-    "chip-reach": run_chip_reach_sweep,
-    "odometer": run_odometer_sweep,
-    "abelian": run_abelian_sweep,
-    "deletion": run_deletion_sweep,
-    "eulerian": run_eulerian_sweep,
-    "reduce": run_reduce_sweep,
-    "recurrence": run_recurrence_sweep,
-    "halting": run_halting_sweep,
-}

@@ -61,6 +61,41 @@ class TestOracleRecurrent:
         assert oracle_is_recurrent(d21, (2, 0))
 
 
+class TestSearchRules:
+    """The three searches share one budget rule and differ only in their goal."""
+
+    def test_budget_messages(
+        self, c2: DirectedMultigraph, d21_ribbon: RibbonStructure
+    ) -> None:
+        a = ChipRotorConfig((3, 1), (0, 0))
+        b = ChipRotorConfig((0, 5), (0, 0))
+        for call, message in (
+            (lambda: bfs_reach_chip(c2, (4, 4), (0, 9), max_states=2),
+             "chip reachability search exceeded 2 states"),
+            (lambda: bfs_reach_rotor(d21_ribbon, a, b, max_states=3),
+             "rotor reachability search exceeded 3 states"),
+            (lambda: oracle_is_recurrent(c2, (5, 3), max_states=1),
+             "recurrence search exceeded 1 states"),
+        ):
+            with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+                call()
+
+    def test_budget_counts_the_states_held(self, c2: DirectedMultigraph) -> None:
+        # on the 2-cycle, 2 chips in all take three states, the start included
+        assert not bfs_reach_chip(c2, (2, 0), (0, 3), max_states=3)
+        with pytest.raises(BudgetExceededError):
+            bfs_reach_chip(c2, (2, 0), (0, 3), max_states=2)
+
+    def test_a_start_is_its_own_goal_only_for_reach(
+        self, c2: DirectedMultigraph, d21_ribbon: RibbonStructure
+    ) -> None:
+        # no firing is legal from (0, 0), so no nonempty game returns to it
+        assert not oracle_is_recurrent(c2, (0, 0))
+        assert bfs_reach_chip(c2, (0, 0), (0, 0))
+        stuck = ChipRotorConfig((0, 0), (0, 0))
+        assert bfs_reach_rotor(d21_ribbon, stuck, stuck)
+
+
 class TestRandomSchedules:
     def test_chip_schedule_matches_engine(self, d21: DirectedMultigraph) -> None:
         for seed in range(10):

@@ -205,3 +205,46 @@ def test_the_guard_sees_a_second_replay(tmp_path) -> None:
         "intlinalg.py:1 reduce_routing_vector",
         "multigraph.py:4 is_routing_reduced",
     ]
+
+
+def _deque_builders(src: Path = SRC) -> list[str]:
+    """Each ``deque(...)`` call in the package, as ``file:function`` of its innermost function.
+
+    A call outside every function is listed as ``file:<module>``.
+    """
+    found = []
+
+    def visit(node: ast.AST, path: Path, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+            ) == "deque":
+                found.append(f"{path.name}:{owner}")
+            visit(child, path, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return found
+
+
+def test_one_breadth_first_search_in_the_oracle() -> None:
+    # bfs_reach_chip, bfs_reach_rotor and oracle_is_recurrent all call it
+    assert _deque_builders() == ["bruteforce.py:_search"]
+
+
+def test_the_guard_sees_a_second_search(tmp_path) -> None:
+    (tmp_path / "bruteforce.py").write_text(
+        "from collections import deque\n"
+        "import collections\n"
+        "def _search(start):\n    return deque([start])\n"
+        "def bfs(start):\n"
+        "    def inner():\n        return collections.deque()\n"
+        "    return inner\n"
+    )
+    (tmp_path / "sweeps.py").write_text("from collections import deque\nQUEUE = deque()\n")
+    assert _deque_builders(tmp_path) == [
+        "bruteforce.py:_search", "bruteforce.py:inner", "sweeps.py:<module>",
+    ]

@@ -11,7 +11,7 @@ from rotorchip.bruteforce import (
 )
 from rotorchip import chipfiring, rotorrouting
 from rotorchip.chipfiring import (
-    ChipGameTrace, bounded_chip_game, fire, halts, is_legal_fire, is_recurrent,
+    ChipGameTrace, bounded_chip_game, fire, fire_many, halts, is_legal_fire, is_recurrent,
     is_recurrent_via_reach, lin_equiv, reach_chip, validate_legal_firing_sequence,
 )
 from rotorchip.generators import FAMILIES, gen_graph
@@ -30,7 +30,9 @@ from rotorchip.rotorrouting import (
     bounded_rotor_game,
     is_legal_route,
     pi_r,
+    reachability_sets,
     route,
+    route_many,
     validate_config,
     validate_legal_routing_sequence,
 )
@@ -371,6 +373,17 @@ VECTOR_SITES = {
     ),
     "bounded_rotor_game": ("bound", True, lambda v: bounded_rotor_game(_C2_RIBBON, _C2_CONFIG, v)),
     "pi_r": ("routing vector", True, lambda v: pi_r(_C2_RIBBON, _C2_CONFIG, v)),
+    "pi_r config": ("configuration", False, lambda v: pi_r(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), (0, 0))),
+    "reachability_sets": ("routing vector", True, lambda v: reachability_sets(_C2_RIBBON, _C2_CONFIG, v)),
+    "fire": ("configuration", False, lambda v: fire(_C2, v, 0)),
+    "fire_many": ("configuration", False, lambda v: fire_many(_C2, v, 0, 2)),
+    "is_legal_fire": ("configuration", False, lambda v: is_legal_fire(_C2, v, 0)),
+    "route chips": ("configuration", False, lambda v: route(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), 0)),
+    "route rotors": ("configuration", False, lambda v: route(_C2_RIBBON, ChipRotorConfig((1, 0), v), 0)),
+    "route_many": ("configuration", False, lambda v: route_many(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), 0, 2)),
+    "is_legal_route": (
+        "configuration", False, lambda v: is_legal_route(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), 0)
+    ),
     "validate_legal_firing_sequence": (
         "configuration", False, lambda v: validate_legal_firing_sequence(_C2, v, [0])
     ),
@@ -398,15 +411,20 @@ class TestVectorChecks:
             with pytest.raises(ValueError, match=f"^{what} must be nonnegative$"):
                 call((1, -1))
 
-    @pytest.mark.parametrize("rotors", [(None, 0), (7, 0)])
+    @pytest.mark.parametrize("rotors", [(None, 0), (7, 0), (-1, 0)])
     def test_rotor_replays_check_the_start_rotors(self, rotors) -> None:
-        # a non-sink needs a rotor in [0, degree); the replay used to raise
-        # TypeError on None and route from position 7 of a degree-1 vertex
+        # a non-sink needs a rotor in [0, degree); the replays, the
+        # single-routing entries and pi_r used to raise TypeError on None
+        # and route from position 7 of a degree-1 vertex
         config = ChipRotorConfig((1, 0), rotors)
         trace = RotorGameTrace(config, ((0, 1),), _C2_CONFIG, (1, 0))
         for call in (
             lambda: validate_legal_routing_sequence(_C2_RIBBON, config, [0]),
             lambda: trace.replay(_C2_RIBBON),
+            lambda: route(_C2_RIBBON, config, 0),
+            lambda: route_many(_C2_RIBBON, config, 0, 3),
+            lambda: is_legal_route(_C2_RIBBON, config, 0),
+            lambda: pi_r(_C2_RIBBON, config, (1, 0)),
         ):
             with pytest.raises(ValueError, match="^rotor position at vertex 0 out of range$"):
                 call()
@@ -418,6 +436,21 @@ class TestVectorChecks:
         rotor = bounded_rotor_game(_C2_RIBBON, _C2_CONFIG, (1, 1)).trace
         for call in (lambda: chip.replay(path), lambda: rotor.replay(RibbonStructure.of(path))):
             with pytest.raises(ValueError, match="^configuration length must match the vertex count$"):
+                call()
+
+    def test_single_routings_check_a_sink_rotor(self, fig1_ribbon: RibbonStructure) -> None:
+        # routing at the sink 3 is the identity, on a start whose sink has no rotor
+        good = ChipRotorConfig((0, 0, 0, 1), (0, 0, 0, None))
+        assert route(fig1_ribbon, good, 3) == good
+        assert not is_legal_route(fig1_ribbon, good, 3)
+        bad = ChipRotorConfig((0, 0, 0, 1), (0, 0, 0, 0))
+        for call in (
+            lambda: route(fig1_ribbon, bad, 3),
+            lambda: route_many(fig1_ribbon, bad, 3, 0),
+            lambda: is_legal_route(fig1_ribbon, bad, 3),
+            lambda: pi_r(fig1_ribbon, bad, (0, 0, 0, 0)),
+        ):
+            with pytest.raises(ValueError, match="^sink vertex 3 must carry no rotor$"):
                 call()
 
     def test_pi_r_refuses_routing_a_sink(self, fig1_ribbon: RibbonStructure) -> None:
