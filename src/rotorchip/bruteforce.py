@@ -7,7 +7,9 @@ step (``_route``) back every search and random game.  The three searches
 are one breadth-first search (``_search``) over their successor
 functions; it carries an explicit state budget and raises
 BudgetExceededError rather than run unbounded, and the sweeps size their
-instances so the budgets are never the binding constraint.
+instances so the budgets are never the binding constraint.  The random
+games, maximal bounded ones and short legal ones, are one loop
+(``_random_play``) that draws a uniformly random eligible vertex per act.
 The Hermite-normal-form integer solver lives here too, as the oracle for
 the engine's exact linear algebra, and the dense ``laplacian``; no other
 module reads the graph's dense ``mult`` view.  ``graph_from_rows`` builds
@@ -27,7 +29,7 @@ from random import Random
 from .errors import BudgetExceededError
 from .intlinalg import reduce_vector
 from .multigraph import DirectedMultigraph, IntMatrix, IntVector, _check_vector
-from .rotorrouting import ChipRotorConfig, RibbonStructure, default_ribbon
+from .rotorrouting import ChipRotorConfig, RibbonStructure
 
 DEFAULT_MAX_STATES = 200_000
 DEFAULT_MAX_STEPS = 200_000
@@ -157,6 +159,64 @@ def oracle_is_recurrent(
     return _search(x, x, _chip_moves(g), max_states, "recurrence")
 
 
+def _chip_play(g: DirectedMultigraph, x: IntVector):
+    """Chip play from x in place, for ``_random_play``: (legal, act, end).
+
+    As in the engine, firing a sink is legal while it holds a
+    nonnegative number of chips, and moves nothing.
+    """
+    mult = g.mult
+    degs = [sum(row) for row in mult]
+    cur = list(x)
+    return (
+        lambda v: cur[v] >= degs[v],
+        lambda v: _fire(cur, mult[v], degs[v], v),
+        lambda: tuple(cur),
+    )
+
+
+def _rotor_play(ribbon: RibbonStructure, config: ChipRotorConfig):
+    """Rotor play from config in place, for ``_random_play``: (legal, act, end)."""
+    heads = _expanded_heads(ribbon)
+    chips, rotors = list(config.chips), list(config.rotors)
+    return (
+        lambda v: chips[v] > 0 and bool(heads[v]),
+        lambda v: _route(chips, rotors, heads[v], v),
+        lambda: ChipRotorConfig(tuple(chips), tuple(rotors)),
+    )
+
+
+def _random_play(play, bound: IntVector, steps: int, rng: Random):
+    """The oracle's one random game: up to ``steps`` acts, each at a
+    uniformly random eligible vertex, stopping early when none is.
+
+    ``play`` is (legal, act, end) from ``_chip_play`` or ``_rotor_play``;
+    v is eligible while it is legal and has acted fewer than bound(v)
+    times.  Returns (act counts, end, the vertices in order).
+    """
+    legal, act, end = play
+    counts = [0] * len(bound)
+    seq: list[int] = []
+    for _ in range(steps):
+        eligible = [v for v, b in enumerate(bound) if counts[v] < b and legal(v)]
+        if not eligible:
+            break
+        v = rng.choice(eligible)
+        act(v)
+        counts[v] += 1
+        seq.append(v)
+    return tuple(counts), end(), tuple(seq)
+
+
+def _maximal(play, bound: IntVector, rng: Random, max_steps: int, name: str):
+    """``_random_play`` to a maximal game, raising BudgetExceededError
+    once ``max_steps`` acts are made."""
+    played = _random_play(play, bound, max_steps, rng)
+    if len(played[2]) == max_steps:
+        raise BudgetExceededError(f"random {name} game exceeded {max_steps} steps")
+    return played
+
+
 def random_maximal_bounded_chip_game(
     g: DirectedMultigraph,
     x: IntVector,
@@ -167,20 +227,7 @@ def random_maximal_bounded_chip_game(
     """A uniformly random maximal bound-respecting legal game, one firing
     at a time.  Returns (firing vector, final configuration, the fired
     vertices in order)."""
-    mult = g.mult
-    degs = [sum(row) for row in mult]
-    cur = list(x)
-    fired = [0] * g.n
-    seq: list[int] = []
-    for _ in range(max_steps):
-        eligible = [v for v in range(g.n) if fired[v] < bound[v] and cur[v] >= degs[v]]
-        if not eligible:
-            return tuple(fired), tuple(cur), tuple(seq)
-        v = rng.choice(eligible)
-        _fire(cur, mult[v], degs[v], v)
-        fired[v] += 1
-        seq.append(v)
-    raise BudgetExceededError(f"random chip game exceeded {max_steps} steps")
+    return _maximal(_chip_play(g, x), bound, rng, max_steps, "chip")
 
 
 def random_maximal_bounded_rotor_game(
@@ -193,47 +240,24 @@ def random_maximal_bounded_rotor_game(
     """A uniformly random maximal bound-respecting legal rotor game.
     Returns (routing vector, final configuration, the routed vertices in
     order)."""
-    heads = _expanded_heads(ribbon)
-    chips = list(config.chips)
-    rotors = list(config.rotors)
-    routed = [0] * ribbon.n
-    seq: list[int] = []
-    for _ in range(max_steps):
-        eligible = [
-            v for v in range(ribbon.n) if heads[v] and routed[v] < bound[v] and chips[v] > 0
-        ]
-        if not eligible:
-            return tuple(routed), ChipRotorConfig(tuple(chips), tuple(rotors)), tuple(seq)
-        v = rng.choice(eligible)
-        _route(chips, rotors, heads[v], v)
-        routed[v] += 1
-        seq.append(v)
-    raise BudgetExceededError(f"random rotor game exceeded {max_steps} steps")
+    return _maximal(_rotor_play(ribbon, config), bound, rng, max_steps, "rotor")
 
 
-def random_legal_chip_sequence(
-    g: DirectedMultigraph,
-    x: IntVector,
+def random_legal_sequence(
+    board: DirectedMultigraph | RibbonStructure,
+    start: IntVector | ChipRotorConfig,
     length: int,
     rng: Random,
-) -> tuple[int, ...]:
-    """A random legal firing sequence from x, stopping early when stuck.
-
-    Sinks are skipped: their firings are no-ops and would pad the
-    sequence without moving anything.
-    """
-    mult = g.mult
-    degs = [sum(row) for row in mult]
-    cur = list(x)
-    seq: list[int] = []
-    for _ in range(length):
-        eligible = [v for v in range(g.n) if degs[v] and cur[v] >= degs[v]]
-        if not eligible:
-            break
-        v = rng.choice(eligible)
-        _fire(cur, mult[v], degs[v], v)
-        seq.append(v)
-    return tuple(seq)
+) -> tuple[IntVector, IntVector | ChipRotorConfig, tuple[int, ...]]:
+    """A random legal game of up to ``length`` acts from start, stopping
+    early when stuck: firings on a graph, routings on a ribbon.  Returns
+    (act counts, final configuration, the vertices in order); a bound of
+    ``length`` acts per vertex binds no such game."""
+    if isinstance(board, RibbonStructure):
+        play = _rotor_play(board, start)
+    else:
+        play = _chip_play(board, start)
+    return _random_play(play, (length,) * board.n, length, rng)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -377,46 +401,6 @@ def enumerate_digraphs(n: int, max_mult: int):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mults in itertools.product(range(max_mult + 1), repeat=len(pairs)):
         yield DirectedMultigraph.from_edges(n, [(u, v, m) for (u, v), m in zip(pairs, mults)])
-
-
-def enumerate_chip_vectors(n: int, max_total: int):
-    """Nonnegative chip vectors of length n with sum <= max_total."""
-    for chips in itertools.product(range(max_total + 1), repeat=n):
-        if sum(chips) <= max_total:
-            yield chips
-
-
-def enumerate_instances(n: int, max_mult: int, max_total_chips: int, seed=None):
-    """Stream of (graph, default ribbon, ChipRotorConfig) instances.
-
-    With seed None the stream is exhaustive over digraphs, chip vectors
-    and rotor states, in deterministic order; desk-scale parameters only.
-    With a seed, an endless replayable random stream over the same space.
-    """
-    if seed is None:
-        for g in enumerate_digraphs(n, max_mult):
-            ribbon = default_ribbon(g)
-            degs = ribbon.degrees
-            rotor_ranges = [range(d) if d else (None,) for d in degs]
-            for chips in enumerate_chip_vectors(n, max_total_chips):
-                for rotors in itertools.product(*rotor_ranges):
-                    yield g, ribbon, ChipRotorConfig(chips, rotors)
-        return
-    rng = Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    while True:
-        g = DirectedMultigraph.from_edges(n, [(u, v, rng.randint(0, max_mult)) for u, v in pairs])
-        ribbon = default_ribbon(g)
-        while True:
-            chips = tuple(
-                rng.randint(0, max_total_chips) for _ in range(n)
-            )
-            if sum(chips) <= max_total_chips:
-                break
-        rotors = tuple(
-            rng.randrange(d) if d else None for d in ribbon.degrees
-        )
-        yield g, ribbon, ChipRotorConfig(chips, rotors)
 
 
 def reachability_matrix(g: DirectedMultigraph) -> tuple[tuple[bool, ...], ...]:

@@ -373,10 +373,14 @@ def unconstrained_reach(
     beyond that only whole turns remain, and a whole turn at v moves
     chips exactly like firing v.  So r = r1 + z * deg with z the reduced
     nonnegative solution of L z = chips2 - pi_r1(c1).chips, solved on
-    ``g``, which must equal ``ribbon.graph``.  Cost: ``pi_r``, then the
-    solve, which is O(n) with no connectivity pass or elimination when
-    the chip totals differ or the alignment lands on chips2.
+    ``g``, which must equal ``ribbon.graph``: ValueError otherwise, after
+    an O(1) test when g wraps the ribbon's own runs.  Cost: ``pi_r``,
+    then the solve, which is O(n) with no connectivity pass or
+    elimination when the chip totals differ or the alignment lands on
+    chips2.
     """
+    if g.adjacency() is not ribbon.adjacency() and g != ribbon.graph:
+        raise ValueError("graph is not the ribbon's graph")
     validate_config(ribbon, c1)
     validate_config(ribbon, c2)
     degs = ribbon.degrees
@@ -407,9 +411,10 @@ def reachability_sets(
     exactly 0.  S2: vertices of T whose forward orbit under the target
     rotor edges stays inside T; such a vertex's last outgoing chip can
     never be replaced, so no legal order exists.  A legal game realizing
-    r exists iff S1 and S2 are both empty.  r is checked as ``pi_r``
-    checks it.
+    r exists iff S1 and S2 are both empty.  The target and r are
+    checked as ``pi_r`` checks its configuration and r.
     """
+    validate_config(ribbon, target)
     _check_routing_vector(ribbon, r)
     return _obstruction_sets(ribbon, target, r)
 
@@ -482,7 +487,7 @@ def reach_rotor(
     witness.  If its budget of ``max_batches`` runs out the decision
     stands with trace = None and reason "trace-budget-exceeded".  Without
     ``trace`` no game is played and ``max_batches`` is not used.  ``g``
-    must equal ``ribbon.graph``.
+    must equal ``ribbon.graph``, as ``unconstrained_reach`` checks.
     """
     r = unconstrained_reach(g, ribbon, c1, c2)
     if r is None:

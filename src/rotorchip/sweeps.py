@@ -5,8 +5,10 @@ independent ground truth, and reports counters plus verbatim failing
 cases.  ``_sweep`` registers each one in ``SWEEPS``, making and timing its
 report; the two reach sweeps are one loop (``_reach_sweep``) over their
 case streams, and every oracle search goes through ``_oracle``, which
-fails a case whose search runs out of states.  The acceptance tests and
-the ``oracle-check`` subcommand both run these; a sweep passes only with
+fails a case whose search runs out of states.  The random games the
+sweeps check are the oracle's; the engine plays its own bounded games
+and replays the oracle's.  The acceptance tests and the
+``oracle-check`` subcommand both run these; a sweep passes only with
 zero failures.  A longer run of every sweep, which exits 1 if any of them
 records a failure:
 
@@ -235,9 +237,11 @@ def run_deletion_sweep(report: SweepReport, count: int, seed: int) -> None:
     """Deleting the first period's worth of firings or routings from a
     dominating legal sequence leaves a legal sequence with the same end.
 
-    Both games' sequences are checked by their trace replay, which gives
-    each sequence's end and act counts.  ``appended`` counts the acts drawn
-    past the bounded game and ``deleted`` the acts taken out.
+    The oracle draws each sequence: a random maximal game bounded by the
+    period, then a random legal extension.  The engine's trace replay
+    must end where the oracle's game did, and gives the act counts.
+    ``appended`` counts the acts drawn past the bounded game and
+    ``deleted`` the acts taken out.
     """
     rng = Random(seed)
     graphs = strongly_connected_stream(seed ^ 0x64656C, mult_max=2)
@@ -247,42 +251,33 @@ def run_deletion_sweep(report: SweepReport, count: int, seed: int) -> None:
         degs = g.out_degrees()
         if i % 2 == 0:
             # chips p(v)*deg(v) let any order fire the full bound p
-            game, replay, graph, period = "chip", chipfiring._replay, g, p
+            game, replay, board, period = "chip", chipfiring._replay, g, p
             start = tuple(p[v] * degs[v] for v in range(g.n))
-            _, after, bounded = bruteforce.random_maximal_bounded_chip_game(
-                g, start, p, Random(rng.getrandbits(64))
-            )
-            seq = list(bounded)
-            seq += bruteforce.random_legal_chip_sequence(g, after, rng.randint(0, 6), rng)
+            bounded = bruteforce.random_maximal_bounded_chip_game
         else:
             game, replay = "rotor", rotorrouting._replay
-            graph = random_ribbon(g, rng)
+            board = random_ribbon(g, rng)
             period = tuple(p[v] * degs[v] for v in range(g.n))
-            start = ChipRotorConfig(period, _random_rotors(graph, rng))
-            _, cur, bounded = bruteforce.random_maximal_bounded_rotor_game(
-                graph, start, period, Random(rng.getrandbits(64))
-            )
-            seq = list(bounded)
-            for _ in range(rng.randint(0, 6)):
-                legal = [v for v in range(g.n) if rotorrouting.is_legal_route(graph, cur, v)]
-                if not legal:
-                    break
-                v = rng.choice(legal)
-                cur = rotorrouting.route(graph, cur, v)
-                seq.append(v)
+            start = ChipRotorConfig(period, _random_rotors(board, rng))
+            bounded = bruteforce.random_maximal_bounded_rotor_game
+        _, after, first = bounded(board, start, period, Random(rng.getrandbits(64)))
+        _, end, appended = bruteforce.random_legal_sequence(board, after, rng.randint(0, 6), rng)
+        seq = first + appended
         report.total += 1
-        report.count("appended", len(seq) - len(bounded))
-        played = replay(graph, start, [(v, 1) for v in seq])
+        report.count("appended", len(appended))
+        played = replay(board, start, [(v, 1) for v in seq])
         if played is None:
             report.fail(f"recorded {game} sequence illegal: {g} {start} {seq}")
             continue
-        end, counts = played
-        if any(a < b for a, b in zip(counts, period)):
+        if played[0] != end:
+            report.fail(f"replayed {game} sequence ends at {played[0]}, oracle at {end}: {seq}")
+            continue
+        if any(a < b for a, b in zip(played[1], period)):
             report.fail(f"recorded {game} sequence fails to dominate: {seq}")
             continue
         deleted = _delete_first(seq, period)
         report.count("deleted", len(seq) - len(deleted))
-        kept = replay(graph, start, [(v, 1) for v in deleted])
+        kept = replay(board, start, [(v, 1) for v in deleted])
         if kept is None:
             report.fail(f"deleted {game} sequence illegal: {g} {start} {seq}")
         elif kept[0] != end:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -8,14 +7,14 @@ import pytest
 from rotorchip.bruteforce import (
     bfs_reach_chip,
     bfs_reach_rotor,
-    enumerate_chip_vectors,
     enumerate_digraphs,
-    enumerate_instances,
     oracle_is_recurrent,
+    random_legal_sequence,
     random_maximal_bounded_chip_game,
     random_maximal_bounded_rotor_game,
     reachability_matrix,
 )
+from rotorchip.chipfiring import _replay as replay_chips
 from rotorchip.chipfiring import bounded_chip_game, validate_legal_firing_sequence
 from rotorchip.errors import BudgetExceededError
 from rotorchip.multigraph import DirectedMultigraph, is_strongly_connected
@@ -25,6 +24,7 @@ from rotorchip.rotorrouting import (
     bounded_rotor_game,
     validate_legal_routing_sequence,
 )
+from rotorchip.rotorrouting import _replay as replay_rotors
 
 
 class TestBfsChip:
@@ -121,6 +121,52 @@ class TestRandomSchedules:
             assert tuple([seq.count(v) for v in range(d21_ribbon.n)]) == r
             assert validate_legal_routing_sequence(d21_ribbon, cfg, seq)
 
+    def test_budget_messages(self, c2: DirectedMultigraph, d21_ribbon: RibbonStructure) -> None:
+        # one chip on the 2-cycle fires 0, 1, 0, 1, ... until bound (5, 5)
+        # stops it after 10 firings; the d21 game routes 0, 1, 0, 1
+        start = ChipRotorConfig((1, 0), (0, 0))
+
+        def chip(steps: int):
+            return random_maximal_bounded_chip_game(c2, (1, 0), (5, 5), random.Random(0), steps)
+
+        def rotor(steps: int):
+            return random_maximal_bounded_rotor_game(d21_ribbon, start, (2, 2), random.Random(0), steps)
+
+        assert chip(11) == ((5, 5), (1, 0), (0, 1) * 5)
+        assert rotor(5) == ((2, 2), start, (0, 1) * 2)
+        # a game of exactly max_steps acts raises: the budget cannot tell
+        # it from a longer one
+        for call, steps, message in (
+            (chip, 10, "random chip game exceeded 10 steps"),
+            (chip, 3, "random chip game exceeded 3 steps"),
+            (rotor, 4, "random rotor game exceeded 4 steps"),
+            (rotor, 0, "random rotor game exceeded 0 steps"),
+        ):
+            with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+                call(steps)
+
+    def test_legal_sequences_replay_to_their_end(
+        self, d21: DirectedMultigraph, d21_ribbon: RibbonStructure
+    ) -> None:
+        for seed in range(10):
+            rng = random.Random(seed)
+            x = (rng.randint(0, 4), rng.randint(0, 4))
+            cfg = ChipRotorConfig(x, (rng.randrange(2), 0))
+            length = rng.randint(0, 8)
+            for board, start, replay in ((d21, x, replay_chips), (d21_ribbon, cfg, replay_rotors)):
+                counts, end, seq = random_legal_sequence(board, start, length, rng)
+                assert len(seq) <= length
+                assert replay(board, start, [(v, 1) for v in seq]) == (end, counts)
+
+    def test_legal_sequences_stop_when_stuck(
+        self, c2: DirectedMultigraph, d21_ribbon: RibbonStructure
+    ) -> None:
+        # one chip on the 2-cycle never gets stuck; no chips at all is stuck at once
+        assert random_legal_sequence(c2, (1, 0), 3, random.Random(0)) == ((2, 1), (0, 1), (0, 1, 0))
+        assert random_legal_sequence(c2, (0, 0), 3, random.Random(0)) == ((0, 0), (0, 0), ())
+        stuck = ChipRotorConfig((0, 0), (1, 0))
+        assert random_legal_sequence(d21_ribbon, stuck, 3, random.Random(0)) == ((0, 0), stuck, ())
+
 
 class TestEnumerators:
     def test_two_vertex_simple_digraphs(self) -> None:
@@ -143,30 +189,6 @@ class TestEnumerators:
         # (max_mult + 1) choices per ordered pair of distinct vertices.
         assert len(list(enumerate_digraphs(2, 2))) == 9
         assert len(list(enumerate_digraphs(3, 1))) == 64
-
-    def test_chip_vectors(self) -> None:
-        vecs = list(enumerate_chip_vectors(2, 2))
-        assert set(vecs) == {
-            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
-        }
-
-    def test_exhaustive_instances_are_valid(self) -> None:
-        seen = 0
-        for g, ribbon, cfg in itertools.islice(enumerate_instances(2, 1, 1), 50):
-            assert ribbon.graph == g
-            assert len(cfg.chips) == g.n
-            for v in range(g.n):
-                if g.out_degree(v) == 0:
-                    assert cfg.rotors[v] is None
-                else:
-                    assert 0 <= cfg.rotors[v] < g.out_degree(v)
-            seen += 1
-        assert seen > 0
-
-    def test_seeded_stream_replays(self) -> None:
-        a = list(itertools.islice(enumerate_instances(3, 2, 2, seed=9), 8))
-        b = list(itertools.islice(enumerate_instances(3, 2, 2, seed=9), 8))
-        assert a == b
 
 
 class TestReachabilityMatrix:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import time
 from pathlib import Path
 
@@ -630,6 +631,25 @@ class TestOracleCheck:
             f"sweep={name}" for name in SWEEPS
         ]
         assert all(line.endswith("ok=yes") for line in lines)
+
+    def test_sweep_lines_are_pinned(self, capsys) -> None:
+        # every sweep's seeded draws and counters; a change to any case
+        # stream or random game moves at least one of these lines
+        code, lines = run(capsys, "oracle-check", "--sweep", "all", "--count", "1000", "--seed", "0")
+        assert code == 0
+        assert [re.sub(r"elapsed=\S+", "elapsed=*", line) for line in lines] == [
+            "sweep=rotor-reach total=1000 mode-pi-image=321 mode-random=331 mode-rollout=348"
+            " no=585 yes=415 elapsed=* ok=yes",
+            "sweep=chip-reach total=1000 mode-laplacian-image=343 mode-random=329"
+            " mode-rollout=328 no=575 yes=425 elapsed=* ok=yes",
+            "sweep=odometer total=1000 full=149 partial=851 elapsed=* ok=yes",
+            "sweep=abelian total=1000 elapsed=* ok=yes",
+            "sweep=deletion total=1000 appended=2979 deleted=25002 elapsed=* ok=yes",
+            "sweep=eulerian total=1000 elapsed=* ok=yes",
+            "sweep=reduce total=1000 elapsed=* ok=yes",
+            "sweep=recurrence total=1000 recurrent=134 transient=866 elapsed=* ok=yes",
+            "sweep=halting total=1000 halts=847 non-halting=153 elapsed=* ok=yes",
+        ]
 
 
 class TestBfsReach:

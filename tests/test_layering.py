@@ -207,10 +207,11 @@ def test_the_guard_sees_a_second_replay(tmp_path) -> None:
     ]
 
 
-def _deque_builders(src: Path = SRC) -> list[str]:
-    """Each ``deque(...)`` call in the package, as ``file:function`` of its innermost function.
+def _call_owners(callee: str, src: Path = SRC, files: set[str] | None = None) -> list[str]:
+    """Each call of ``callee``, by name or attribute, as ``file:function`` of its innermost function.
 
-    A call outside every function is listed as ``file:<module>``.
+    A call outside every function is listed as ``file:<module>``.  With
+    ``files``, only the modules of those names are read.
     """
     found = []
 
@@ -221,18 +222,19 @@ def _deque_builders(src: Path = SRC) -> list[str]:
                 continue
             if isinstance(child, ast.Call) and (
                 getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-            ) == "deque":
+            ) == callee:
                 found.append(f"{path.name}:{owner}")
             visit(child, path, owner)
 
     for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+        if files is None or path.name in files:
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
     return found
 
 
 def test_one_breadth_first_search_in_the_oracle() -> None:
     # bfs_reach_chip, bfs_reach_rotor and oracle_is_recurrent all call it
-    assert _deque_builders() == ["bruteforce.py:_search"]
+    assert _call_owners("deque") == ["bruteforce.py:_search"]
 
 
 def test_the_guard_sees_a_second_search(tmp_path) -> None:
@@ -245,6 +247,48 @@ def test_the_guard_sees_a_second_search(tmp_path) -> None:
         "    return inner\n"
     )
     (tmp_path / "sweeps.py").write_text("from collections import deque\nQUEUE = deque()\n")
-    assert _deque_builders(tmp_path) == [
+    assert _call_owners("deque", tmp_path) == [
         "bruteforce.py:_search", "bruteforce.py:inner", "sweeps.py:<module>",
     ]
+
+
+# The oracle draws every random game in one loop, and the sweeps take
+# every act they check from the oracle: they name no engine single act.
+ORACLE_AND_SWEEPS = {"bruteforce.py", "sweeps.py"}
+ENGINE_ACTS = {"fire", "fire_many", "is_legal_fire", "route", "route_many", "is_legal_route"}
+
+
+def _sweep_acts(src: Path = SRC) -> list[str]:
+    """Each engine single act named in ``sweeps.py``, as ``line name``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse((src / "sweeps.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [(node.lineno, name) for name in names if name in ENGINE_ACTS]
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+def test_one_random_play_loop_in_the_oracle() -> None:
+    assert _call_owners("choice", files=ORACLE_AND_SWEEPS) == ["bruteforce.py:_random_play"]
+    assert _sweep_acts() == []
+
+
+def test_the_guard_sees_a_second_random_play(tmp_path) -> None:
+    (tmp_path / "bruteforce.py").write_text(
+        "def _random_play(rng, eligible):\n    return rng.choice(eligible)\n"
+        "def game(rng):\n    return rng.choice([0, 1])\n"
+    )
+    (tmp_path / "sweeps.py").write_text(
+        "from .rotorrouting import route\n"
+        "from . import chipfiring\n"
+        "def run(rng, g, x):\n"
+        "    v = rng.choice([0, 1])\n"
+        "    return chipfiring.fire(g, x, v), fire_many\n"
+    )
+    (tmp_path / "generators.py").write_text("def draw(rng):\n    return rng.choice([0])\n")
+    assert _call_owners("choice", tmp_path, ORACLE_AND_SWEEPS) == [
+        "bruteforce.py:_random_play", "bruteforce.py:game", "sweeps.py:run",
+    ]
+    assert _sweep_acts(tmp_path) == ["1 route", "5 fire", "5 fire_many"]

@@ -375,6 +375,9 @@ VECTOR_SITES = {
     "pi_r": ("routing vector", True, lambda v: pi_r(_C2_RIBBON, _C2_CONFIG, v)),
     "pi_r config": ("configuration", False, lambda v: pi_r(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), (0, 0))),
     "reachability_sets": ("routing vector", True, lambda v: reachability_sets(_C2_RIBBON, _C2_CONFIG, v)),
+    "reachability_sets target": (
+        "configuration", False, lambda v: reachability_sets(_C2_RIBBON, ChipRotorConfig(v, (0, 0)), (0, 0))
+    ),
     "fire": ("configuration", False, lambda v: fire(_C2, v, 0)),
     "fire_many": ("configuration", False, lambda v: fire_many(_C2, v, 0, 2)),
     "is_legal_fire": ("configuration", False, lambda v: is_legal_fire(_C2, v, 0)),
@@ -415,7 +418,8 @@ class TestVectorChecks:
     def test_rotor_replays_check_the_start_rotors(self, rotors) -> None:
         # a non-sink needs a rotor in [0, degree); the replays, the
         # single-routing entries and pi_r used to raise TypeError on None
-        # and route from position 7 of a degree-1 vertex
+        # and route from position 7 of a degree-1 vertex, and
+        # reachability_sets read a target's None rotor
         config = ChipRotorConfig((1, 0), rotors)
         trace = RotorGameTrace(config, ((0, 1),), _C2_CONFIG, (1, 0))
         for call in (
@@ -425,6 +429,7 @@ class TestVectorChecks:
             lambda: route_many(_C2_RIBBON, config, 0, 3),
             lambda: is_legal_route(_C2_RIBBON, config, 0),
             lambda: pi_r(_C2_RIBBON, config, (1, 0)),
+            lambda: reachability_sets(_C2_RIBBON, config, (1, 0)),
         ):
             with pytest.raises(ValueError, match="^rotor position at vertex 0 out of range$"):
                 call()

@@ -280,6 +280,20 @@ class TestUnconstrainedReach:
                 assert is_routing_reduced(d21, r)
                 assert pi_r(d21_ribbon, c1, r) == target
 
+    def test_refuses_another_graph(
+        self, c2: DirectedMultigraph, d21: DirectedMultigraph, d21_ribbon: RibbonStructure
+    ) -> None:
+        # solved on the 2-cycle, two routings at 0 read as half a firing:
+        # reach_rotor answered YES with r = (4, 0) while its trace routed (2, 0)
+        c1 = ChipRotorConfig((2, 0), (0, 0))
+        target = pi_r(d21_ribbon, c1, (2, 0))
+        for call in (unconstrained_reach, reach_rotor):
+            with pytest.raises(ValueError, match="^graph is not the ribbon's graph$"):
+                call(c2, d21_ribbon, c1, target)
+        # an equal graph on its own runs passes, by comparison
+        assert d21.adjacency() is not d21_ribbon.adjacency()
+        assert reach_rotor(d21, d21_ribbon, c1, target).routing_vector == (2, 0)
+
 
 class TestReachabilitySets:
     def test_blocked_two_cycle_of_rotors(self, d21_ribbon: RibbonStructure) -> None:

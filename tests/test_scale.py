@@ -18,7 +18,7 @@ from random import Random
 import pytest
 
 from rotorchip import chipfiring
-from rotorchip.bruteforce import laplacian, random_legal_chip_sequence, reduce_routing_vector
+from rotorchip.bruteforce import laplacian, random_legal_sequence, reduce_routing_vector
 from rotorchip.chipfiring import (
     HaltingVerdict,
     bounded_chip_game,
@@ -67,9 +67,7 @@ from rotorchip.rotorrouting import (
 def _rollout(g: DirectedMultigraph, rng: Random) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A start x and the end y of a random legal game of 3n firings from it."""
     x = tuple(deg + rng.randint(0, 2) for deg in g.out_degrees())
-    y = x
-    for v in random_legal_chip_sequence(g, x, 3 * g.n, rng):
-        y = fire(g, y, v)
+    _, y, _ = random_legal_sequence(g, x, 3 * g.n, rng)
     return x, y
 
 
